@@ -179,14 +179,14 @@ def chi_rotate(lam: GLWeight, k: int) -> GLWeight:
 
     One forward step is the rotation lam -> (lam_n + p - n, lam_1, ..,
     lam_{n-1}); n steps add p-n to every entry, matching chi^n = det^{p-n}.
+    With k = q*n + r (0 <= r < n) that is r steps and q full turns.
     """
     p, n = lam.p, lam.n
-    entries = list(lam.entries)
-    for _ in range(k if k > 0 else 0):
-        entries = [entries[-1] + (p - n)] + entries[:-1]
-    for _ in range(-k if k < 0 else 0):
-        entries = entries[1:] + [entries[0] - (p - n)]
-    return GLWeight(tuple(entries), p)
+    turns, steps = divmod(k, n)
+    entries = lam.entries
+    if steps:
+        entries = tuple(x + (p - n) for x in entries[n - steps :]) + entries[: n - steps]
+    return GLWeight(tuple(x + turns * (p - n) for x in entries), p)
 
 
 def det_power(n: int, p: int, a: int) -> GLWeight:

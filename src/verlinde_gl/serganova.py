@@ -6,11 +6,26 @@ extension of the order (eps_i - delta_j precedes eps_a - delta_b when i >= a
 and j <= b); at each step the root is subtracted iff the running weight
 pairs with it to a nonzero residue mod p.  The terminal weight is the lowest
 block-equivariant weight of the simple head of the Kac module.
+
+The canonical order takes the roots column by column: j ascending, and
+within column j the roots (m, j), .., (1, j).  Root (i, j) reads and moves
+only mu_i and nu_j, so no root before column j touches nu_j, and column j
+sees the running mu and the original nu_j alone.  One column step
+(mu_state, nu_j) -> (mu_state', nu_j') therefore carries the whole walk:
+the state after column j depends only on (mu, nu_1, .., nu_j), and the
+hat is a left fold of the column step over nu.  Sweeps share that state
+between all nu with a common prefix.
+
+The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
+= (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
+iff the residue sets {mu_i + m - i + 1 mod p} and {j - nu_j mod p} are
+disjoint.  sh_nonzero tests this on two bitmasks.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache
 
 from .errors import ValidationError
@@ -19,13 +34,14 @@ from .fusion import check_prime
 OddRoot = tuple[int, int]  # (i, j), both 1-indexed
 
 
-def _check_monotone(mu: tuple[int, ...], nu: tuple[int, ...]) -> None:
-    if not mu or not nu:
+def check_blocks(mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]]) -> None:
+    """Validate blocks: every mu in mus and nu in nus nonempty and nonincreasing."""
+    if not all(mus) or not all(nus):
         raise ValidationError("both blocks must be nonempty")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValidationError(f"mu={mu} is not nonincreasing")
-    if any(nu[j] < nu[j + 1] for j in range(len(nu) - 1)):
-        raise ValidationError(f"nu={nu} is not nonincreasing")
+    for name, blocks in (("mu", mus), ("nu", nus)):
+        for block in blocks:
+            if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+                raise ValidationError(f"{name}={block} is not nonincreasing")
 
 
 def root_leq(r1: OddRoot, r2: OddRoot) -> bool:
@@ -68,12 +84,6 @@ def random_odd_root_order(m: int, n: int, rng: random.Random) -> tuple[OddRoot, 
     return order
 
 
-def _pair_root(mu: tuple[int, ...], nu: tuple[int, ...], root: OddRoot) -> int:
-    """<(mu|nu), eps_i - delta_j> under the signed form: mu_i + nu_j."""
-    i, j = root
-    return mu[i - 1] + nu[j - 1]
-
-
 def rho_pair_root(m: int, n: int, root: OddRoot) -> int:
     """<rho, eps_i - delta_j> = m - i - j + 1, always an integer."""
     i, j = root
@@ -98,18 +108,44 @@ def check_oddroot_lemma(m: int, n: int) -> bool:
     return True
 
 
+def column_step(state: tuple[int, ...], y: int, p: int) -> tuple[tuple[int, ...], int]:
+    """Apply the roots (m, j), .., (1, j) of one column to the walk state.
+
+    state is the running mu after the earlier columns and y the original
+    nu_j; returns the new mu state and the terminal nu_j.  Nothing is
+    validated here: callers check p and the blocks once.
+    """
+    out = []
+    for x in reversed(state):
+        if (x + y) % p:
+            x -= 1
+            y += 1
+        out.append(x)
+    out.reverse()
+    return tuple(out), y
+
+
 def serganova_hat(
     mu: tuple[int, ...],
     nu: tuple[int, ...],
     p: int,
     order: tuple[OddRoot, ...] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Terminal weight of the root-subtraction recursion."""
+    """Terminal weight of the root-subtraction recursion.
+
+    The canonical order folds column_step over nu; an explicit order walks
+    the roots one at a time.
+    """
     check_prime(p)
-    _check_monotone(mu, nu)
-    m, n = len(mu), len(nu)
+    check_blocks((mu,), (nu,))
     if order is None:
-        order = odd_root_order(m, n)
+        state, out_nu = tuple(mu), []
+        for y in nu:
+            state, y = column_step(state, y, p)
+            out_nu.append(y)
+        return state, tuple(out_nu)
+    if not is_linear_extension(tuple(order), len(mu), len(nu)):
+        raise ValidationError(f"order {order} is not a linear extension of the odd roots")
     cur_mu, cur_nu = list(mu), list(nu)
     for i, j in order:
         if (cur_mu[i - 1] + cur_nu[j - 1]) % p != 0:
@@ -118,15 +154,28 @@ def serganova_hat(
     return tuple(cur_mu), tuple(cur_nu)
 
 
+def sh_mu_mask(mu: tuple[int, ...], p: int) -> int:
+    """Bitmask of the residues (mu_i + m - i + 1) mod p, i = 1..m."""
+    m = len(mu)
+    mask = 0
+    for i, x in enumerate(mu, start=1):
+        mask |= 1 << ((x + m - i + 1) % p)
+    return mask
+
+
+def sh_nu_mask(nu: tuple[int, ...], p: int) -> int:
+    """Bitmask of the residues (j - nu_j) mod p, j = 1..n."""
+    mask = 0
+    for j, y in enumerate(nu, start=1):
+        mask |= 1 << ((j - y) % p)
+    return mask
+
+
 def sh_nonzero(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> bool:
     """Degree-mn Shapovalov scalar nonzero: <lam + rho, root> != 0 mod p for all roots."""
     check_prime(p)
-    _check_monotone(mu, nu)
-    m, n = len(mu), len(nu)
-    return all(
-        (_pair_root(mu, nu, root) + rho_pair_root(m, n, root)) % p != 0
-        for root in odd_root_order(m, n)
-    )
+    check_blocks((mu,), (nu,))
+    return not sh_mu_mask(mu, p) & sh_nu_mask(nu, p)
 
 
 def sum_odd_roots(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -30,8 +30,18 @@ from .caps import (
 )
 from .diagrams import _decode_mu_part, _decode_nu_part, decode, encode
 from .enumeration import admissible_tuples, default_window, monotone_tuples, residue_representatives, super_shapes, super_suite
-from .fusion import fuse_simples
-from .serganova import check_oddroot_lemma, serganova_hat, sh_nonzero, sum_odd_roots
+from .errors import ValidationError
+from .fusion import check_prime, fuse_simples
+from .serganova import (
+    check_blocks,
+    check_oddroot_lemma,
+    column_step,
+    serganova_hat,
+    sh_mu_mask,
+    sh_nonzero,
+    sh_nu_mask,
+    sum_odd_roots,
+)
 from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, is_typical, super_weight
 from .translation import commutator_ef, commutator_same, phi_equivariance_check
 
@@ -103,14 +113,6 @@ def suite_golden() -> SuiteResult:
     expect("classical hat", got_hat, ((15, 15, 11, 10, 8), (-9, -9, -12, -15)))
     expect("classical hat degree", sum(got_hat[0]) + sum(got_hat[1]), 14)
     return _result("golden examples", checked, bad)
-
-
-def _atyp_masks(mu: tuple[int, ...], m: int, p: int) -> int:
-    """Bitmask of (mu_i + m - i + 1) mod p, the form-route mu half."""
-    mask = 0
-    for i in range(1, m + 1):
-        mask |= 1 << ((mu[i - 1] + m - i + 1) % p)
-    return mask
 
 
 def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
@@ -226,16 +228,14 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
             for k in range(p):
                 if amask >> k & 1:
                     shifted |= 1 << ((k + m) % p)
-            if _atyp_masks(w, m, p) != shifted:
+            if sh_mu_mask(w, p) != shifted:
                 bad.append(f"form-route mu mask mismatch at p={p}, {w}")
         for w, _, _ in factor_data[n]:
             checked += 1
             bmask = 0
             for j in range(1, n + 1):
                 bmask |= 1 << ((-m - w[j - 1] + j) % p)
-            formmask = 0
-            for j in range(1, n + 1):
-                formmask |= 1 << ((-w[j - 1] + j) % p)
+            formmask = sh_nu_mask(w, p)
             shifted = 0
             for k in range(p):
                 if bmask >> k & 1:
@@ -342,13 +342,49 @@ def suite_projective_word(
     return _result(f"projective-word suite p={p}", checked, bad)
 
 
+def _hat_pairs(p: int, mus: list[tuple[int, ...]], nus: list[tuple[int, ...]]):
+    """Yield (mu, nu, sh, hat, sub_all) for every mu in mus and nu in nus, in order.
+
+    sh is the Shapovalov mask test, hat the canonical Serganova walk and
+    sub_all the weight minus every odd root.  The walk is a fold of
+    column_step over nu, so the walk states of the prefix a nu shares with
+    the nu before it are kept and only the later columns are stepped; in
+    the depth-first order of the enumerations that is one column step per
+    trie node.  p and every block are validated once per sweep.
+    """
+    check_prime(p)
+    check_blocks(mus, nus)
+    m, n = len(mus[0]), len(nus[0])
+    full_mu, full_nu = sum_odd_roots(m, n)
+    nu_rows = []
+    prev: tuple = (None,) * n
+    for nu in nus:
+        shared = 0
+        while shared < n - 1 and nu[shared] == prev[shared]:
+            shared += 1
+        sub_nu = tuple(y - f for y, f in zip(nu, full_nu))
+        nu_rows.append((nu, shared, sh_nu_mask(nu, p), sub_nu))
+        prev = nu
+    for mu in mus:
+        mu_bits = sh_mu_mask(mu, p)
+        sub_mu = tuple(x - f for x, f in zip(mu, full_mu))
+        states = [tuple(mu)] + [()] * n  # running mu after j columns
+        hat_nu = [()] * (n + 1)  # terminal nu_1..nu_j after j columns
+        for nu, shared, nu_bits, sub_nu in nu_rows:
+            for j in range(shared, n):
+                states[j + 1], y = column_step(states[j], nu[j], p)
+                hat_nu[j + 1] = hat_nu[j] + (y,)
+            yield mu, nu, not mu_bits & nu_bits, (states[n], hat_nu[n]), (sub_mu, sub_nu)
+
+
 def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
     """Criterion 7: odd-root lemma, hat/Shapovalov equivalence, typicality transfer.
 
     The equivalence is checked literally on windowed weights for blocks up to
     (2, 2), and through one monotone representative per residue class for
     blocks up to (4, 4); both sides of the equivalence only depend on the
-    entries mod p, so the representative sweep covers every window.
+    entries mod p, so the representative sweep covers every window.  Both
+    sweeps check every pair, sharing the walk along common nu prefixes.
     """
     bad: list[str] = []
     checked = 0
@@ -362,35 +398,23 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
             for n in (1, 2):
                 mus = monotone_tuples(m, -2 * p, 2 * p)
                 nus = monotone_tuples(n, -2 * p, 2 * p)
-                full = sum_odd_roots(m, n)
-                for mu in mus:
-                    for nu in nus:
-                        checked += 1
-                        sub_all = (
-                            tuple(x - full[0][i] for i, x in enumerate(mu)),
-                            tuple(x - full[1][j] for j, x in enumerate(nu)),
-                        )
-                        if sh_nonzero(mu, nu, p) != (serganova_hat(mu, nu, p) == sub_all):
-                            bad.append(f"hat/Sh mismatch at p={p}, {(mu, nu)}")
-                            if len(bad) > 10:
-                                return _result("serganova suite", checked, bad)
+                for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
+                    checked += 1
+                    if sh != (hat == sub_all):
+                        bad.append(f"hat/Sh mismatch at p={p}, {(mu, nu)}")
+                        if len(bad) > 10:
+                            return _result("serganova suite", checked, bad)
     for p in ps:
         for m in range(1, 5):
             mus = residue_representatives(m, p)
             for n in range(1, 5):
                 nus = residue_representatives(n, p)
-                full = sum_odd_roots(m, n)
-                for mu in mus:
-                    for nu in nus:
-                        checked += 1
-                        sub_all = (
-                            tuple(x - full[0][i] for i, x in enumerate(mu)),
-                            tuple(x - full[1][j] for j, x in enumerate(nu)),
-                        )
-                        if sh_nonzero(mu, nu, p) != (serganova_hat(mu, nu, p) == sub_all):
-                            bad.append(f"residue-class mismatch at p={p}, {(mu, nu)}")
-                            if len(bad) > 10:
-                                return _result("serganova suite", checked, bad)
+                for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
+                    checked += 1
+                    if sh != (hat == sub_all):
+                        bad.append(f"residue-class mismatch at p={p}, {(mu, nu)}")
+                        if len(bad) > 10:
+                            return _result("serganova suite", checked, bad)
     for p in ps:
         for m, n, mu, nu in super_suite(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             lam = SuperWeight(SuperShape(m, n, p), mu, nu)
@@ -516,5 +540,5 @@ def run_suite(name: str, p: int) -> SuiteResult:
     try:
         builder = SUITE_BUILDERS[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITE_BUILDERS)}")
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITE_BUILDERS)}") from None
     return builder(p)

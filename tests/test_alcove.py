@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from verlinde_gl.alcove import (
@@ -103,6 +105,36 @@ def test_chi_rotate():
         lam = GLWeight(entries, 7)
         full = chi_rotate(lam, 4)
         assert full.entries == tuple(x + 3 for x in entries)
+
+
+def _chi_stepwise(entries, k, p):
+    """chi_rotate one step at a time, the definition."""
+    n = len(entries)
+    entries = list(entries)
+    for _ in range(max(k, 0)):
+        entries = [entries[-1] + (p - n)] + entries[:-1]
+    for _ in range(max(-k, 0)):
+        entries = entries[1:] + [entries[0] - (p - n)]
+    return tuple(entries)
+
+
+def test_chi_rotate_matches_stepwise():
+    for p in (5, 7):
+        for n in range(1, p):
+            for entries in admissible_tuples(n, p, -2, 2):
+                lam = GLWeight(entries, p)
+                for k in range(-3 * n, 3 * n + 1):
+                    assert chi_rotate(lam, k).entries == _chi_stepwise(entries, k, p)
+
+
+def test_chi_rotate_large_k_is_immediate():
+    lam = GLWeight((3, 1, 0), 7)
+    start = time.perf_counter()
+    far = chi_rotate(lam, 10**8)
+    back = chi_rotate(far, -(10**8))
+    assert time.perf_counter() - start < 1.0
+    assert back == lam
+    assert chi_rotate(lam, 3 * 10**8).entries == tuple(x + 4 * 10**8 for x in lam.entries)
 
 
 def test_psi_data():

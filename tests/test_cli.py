@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import verlinde_gl
 from verlinde_gl.cli import main
 
 
@@ -96,6 +101,31 @@ def test_selfcheck(capsys):
     code, out, _ = run(capsys, "selfcheck", "--suite", "golden")
     assert code == 0
     assert out.splitlines()[-1] == "selfcheck: PASS"
+
+
+def test_selfcheck_unknown_suite(capsys):
+    code, out, err = run(capsys, "selfcheck", "--suite", "nope")
+    assert code == 1 and out == ""
+    assert err.startswith("error VALIDATION: unknown suite 'nope'")
+
+
+def _selfcheck_subprocess(*flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
+    outputs = []
+    for argv in (["--suite", "golden"], ["--suite", "serganova", "--p", "5"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "verlinde_gl.cli", "selfcheck", *argv],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        outputs.append((proc.returncode, proc.stdout, proc.stderr))
+    return outputs
+
+
+def test_selfcheck_verdicts_survive_optimize_flag():
+    # Under -O every bare assert is stripped; no verdict may depend on one.
+    plain = _selfcheck_subprocess()
+    assert [code for code, _, _ in plain] == [0, 0]
+    assert _selfcheck_subprocess("-O") == plain
 
 
 def test_cli_is_a_thin_adapter(capsys):

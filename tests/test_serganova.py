@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from verlinde_gl import suites
 from verlinde_gl.enumeration import monotone_tuples, residue_representatives
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.serganova import (
@@ -9,10 +11,34 @@ from verlinde_gl.serganova import (
     is_linear_extension,
     odd_root_order,
     random_odd_root_order,
+    rho_pair_root,
     serganova_hat,
     sh_nonzero,
     sum_odd_roots,
 )
+
+PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def sh_nonzero_by_roots(mu, nu, p):
+    """The definition root by root: <lam + rho, eps_i - delta_j> != 0 mod p."""
+    m, n = len(mu), len(nu)
+    return all(
+        (mu[i - 1] + nu[j - 1] + rho_pair_root(m, n, (i, j))) % p != 0
+        for i, j in odd_root_order(m, n)
+    )
+
+
+@st.composite
+def classical_pairs(draw):
+    """A prime 5..31 and a pair of nonincreasing blocks of shape up to (6, 6)."""
+    p = draw(st.sampled_from(PRIMES))
+    blocks = []
+    for _ in range(2):
+        rank = draw(st.integers(1, 6))
+        entries = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=rank, max_size=rank))
+        blocks.append(tuple(sorted(entries, reverse=True)))
+    return blocks[0], blocks[1], p
 
 
 def test_odd_root_order_examples():
@@ -44,6 +70,9 @@ def test_serganova_hat_examples():
     )
     with pytest.raises(ValidationError):
         serganova_hat((0, 1), (0,), 5)
+    for bad_order in (((1, 1), (2, 1)), (), ((2, 1),), ((2, 1), (1, 1), (3, 1))):
+        with pytest.raises(ValidationError):
+            serganova_hat((1, 0), (0,), 5, bad_order)
 
 
 def test_sh_nonzero_examples():
@@ -82,3 +111,47 @@ def test_degree_conservation():
             for nu in monotone_tuples(2, -4, 4):
                 hmu, hnu = serganova_hat(mu, nu, p)
                 assert sum(hmu) + sum(hnu) == sum(mu) + sum(nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classical_pairs())
+def test_sh_nonzero_masks_match_root_definition(pair):
+    mu, nu, p = pair
+    assert sh_nonzero(mu, nu, p) == sh_nonzero_by_roots(mu, nu, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classical_pairs(), st.randoms(use_true_random=False))
+def test_column_fold_matches_root_walks(pair, rng):
+    mu, nu, p = pair
+    m, n = len(mu), len(nu)
+    folded = serganova_hat(mu, nu, p)
+    assert folded == serganova_hat(mu, nu, p, odd_root_order(m, n))
+    assert folded == serganova_hat(mu, nu, p, random_odd_root_order(m, n, rng))
+
+
+def test_suite_serganova_coverage():
+    result = suites.suite_serganova((5,))
+    assert result.ok and result.checked == 675617
+
+
+def test_suite_serganova_checks_every_pair(monkeypatch):
+    # Corrupt the walk of one typical residue pair of shape (4, 1); blocks of
+    # rank 4 occur only in the residue-class stage, where (4, 1) is swept
+    # first, so the first column step from (mu, 0) is that pair's own.
+    mu = next(mu for mu in residue_representatives(4, 5) if sh_nonzero(mu, (0,), 5))
+    real_step = suites.column_step
+    corrupted = []
+
+    def corrupt(state, y, p):
+        out, y_out = real_step(state, y, p)
+        if (state, y, p) == (mu, 0, 5) and not corrupted:
+            corrupted.append(state)
+            y_out += 1
+        return out, y_out
+
+    monkeypatch.setattr(suites, "column_step", corrupt)
+    result = suites.suite_serganova((5,))
+    assert corrupted
+    assert not result.ok and result.failures == 1 and result.checked == 675617
+    assert result.details == f"residue-class mismatch at p=5, {(mu, (0,))}"
