@@ -12,6 +12,13 @@ c_i = lambda_i + 1 - i, which is strictly decreasing with total spread < p
 for admissible lambda.  Writing c_i = a_i + p*s_i with 0 <= a_i < p gives
 pairwise distinct residues a_i and the loop exponent s = sum(s_i).
 
+This is the one residue ladder of the package: split_ladder is the forward
+map (contents -> residues and loop parts) and ladder_contents its inverse
+(residue set and loop exponent -> strictly decreasing contents).  The
+wedge dictionary here, superweights.residue_data and the diagram codec in
+diagrams.py all go through this pair; the second block of a super weight
+uses the same ladder read in reverse.
+
 Note on symmetric powers: S^k V vanishes for k = p - n + 1 (its dimension is
 divisible by p), so chi = S^(p-n) V is the top nonzero symmetric power; no
 symmetric-power operation is exposed beyond the chi construction.
@@ -19,6 +26,7 @@ symmetric-power operation is exposed beyond the chi construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -142,36 +150,49 @@ def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
     return out
 
 
+def split_ladder(contents: Iterable[int], p: int) -> tuple[list[int], list[int]]:
+    """Residues a_i and loop parts s_i of contents c_i = a_i + p*s_i, 0 <= a_i < p.
+
+    Both lists follow the order of contents; the loop exponent is sum(s_i).
+    """
+    residues, loops = [], []
+    for c in contents:
+        s, a = divmod(c, p)
+        residues.append(a)
+        loops.append(s)
+    return residues, loops
+
+
+def ladder_contents(residues: Iterable[int], s: int, p: int) -> list[int]:
+    """The strictly decreasing contents with this residue set and loop exponent.
+
+    With s = n*q + k (0 <= k < n) the k smallest residues, descending, head
+    the ladder with offset p*(q+1); the others follow with offset p*q.  The
+    spread stays below p, so this inverts split_ladder on every ladder of
+    an admissible weight.
+    """
+    desc = sorted(residues, reverse=True)
+    q, k = divmod(s, len(desc))
+    contents = desc[len(desc) - k :] + desc[: len(desc) - k]
+    for i in range(len(contents)):
+        contents[i] += p * (q + 1) if i < k else p * q
+    return contents
+
+
 def phi_wedge(lam: GLWeight) -> WedgeVector:
     """Wedge-basis image of a simple: residues of the content ladder plus s."""
-    p = lam.p
-    residues = []
-    s = 0
-    for c in _contents(lam.entries):
-        a = c % p
-        residues.append(a)
-        s += (c - a) // p
-    return WedgeVector(tuple(residues), s, p)
+    residues, loops = split_ladder(_contents(lam.entries), lam.p)
+    return WedgeVector(tuple(residues), sum(loops), lam.p)
 
 
 def wedge_to_weight(residues: frozenset[int] | set[int], s: int, p: int) -> GLWeight:
-    """Inverse of phi_wedge from the residue set and loop exponent.
-
-    With s = n*q + k (0 <= k < n) the k smallest residues, sorted descending,
-    head the ladder with offset p*(q+1); the rest follow with offset p*q.
-    """
+    """Inverse of phi_wedge from the residue set and loop exponent."""
     n = len(residues)
     if n < 1 or n > p - 1:
         raise ValidationError(f"residue set size {n} out of range 1..{p - 1}")
     if any(not 0 <= a < p for a in residues):
         raise ValidationError(f"residues must lie in 0..{p - 1}: {sorted(residues)}")
-    q, k = divmod(s, n)
-    desc = sorted(residues, reverse=True)
-    ladder = [desc[n - k + i] if i < k else desc[i - k] for i in range(n)]
-    entries = tuple(
-        ladder[i] - 1 + (i + 1) + p * (q + 1 if i < k else q) for i in range(n)
-    )
-    return GLWeight(entries, p)
+    return GLWeight(tuple(c + i for i, c in enumerate(ladder_contents(residues, s, p))), p)
 
 
 def chi_rotate(lam: GLWeight, k: int) -> GLWeight:

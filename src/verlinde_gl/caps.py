@@ -3,9 +3,12 @@ projectives, Kac composition factors, highest/lowest weights and the
 relabeling between the two Borel orders of a two-block group.
 
 Each cross is the source of exactly one cap, drawn clockwise to an empty
-vertex.  The matching is produced by the walk: from an unmatched cross move
-clockwise; an unmatched cross restarts the source, the first unmatched
-circle closes the cap.  Caps are nested or disjoint, and no free circle sits
+vertex.  The matching is produced by one walk, _match_caps(d, step): from an
+unmatched cross move step vertices at a time; an unmatched cross restarts
+the source, the first unmatched circle closes the cap.  step = +1 gives the
+caps of cap_diagram; step = -1 walks counterclockwise, which is the
+clockwise walk of the reflected circle k -> -k mod p and serves
+sigma_to_standard.  Caps are nested or disjoint, and no free circle sits
 strictly inside a cap.
 
 Swapping the cross of cap j with the circle at its tail is the involution
@@ -64,33 +67,43 @@ def _cw_interval(p: int, start: int, stop: int) -> list[int]:
     return out
 
 
-def cap_diagram(d: WeightDiagram) -> CapDiagram:
-    """The unique cap matching of a diagram, with well-formedness asserted."""
+def _match_caps(d: WeightDiagram, step: int) -> CapDiagram:
+    """The cap matching of the walk in direction step (+1 clockwise, -1 counterclockwise).
+
+    Caps come in swap order: a cap strictly inside another is strictly
+    shorter, so ascending length (vertices strictly under the cap, walking
+    in direction step) lists inner caps first; ties go by source.
+    """
     p = d.p
-    matched_cross: dict[int, int] = {}
+    tails: dict[int, int] = {}
     used_circles: set[int] = set()
     unmatched = [k for k in range(p) if d.symbols[k] == CROSS]
     while unmatched:
         source = unmatched[0]
         k = source
         while True:
-            k = (k + 1) % p
+            k = (k + step) % p
             sym = d.symbols[k]
             if sym == CROSS and k in unmatched:
                 source = k
             elif sym == EMPTY and k not in used_circles:
                 break
-        matched_cross[source] = k
+        tails[source] = k
         used_circles.add(k)
         unmatched.remove(source)
     free = frozenset(
         k for k in range(p) if d.symbols[k] == EMPTY and k not in used_circles
     )
-    caps = [Cap(s, z) for s, z in matched_cross.items()]
-    # Swap order: a cap strictly inside another is strictly shorter, so
-    # ascending clockwise length lists inner caps first.
-    caps.sort(key=lambda c: (len(_cw_interval(p, c.source, c.tail)), c.source))
-    out = CapDiagram(d, tuple(caps), free)
+    caps = sorted(
+        (Cap(s, z) for s, z in tails.items()),
+        key=lambda c: (((c.tail - c.source) * step - 1) % p, c.source),
+    )
+    return CapDiagram(d, tuple(caps), free)
+
+
+def cap_diagram(d: WeightDiagram) -> CapDiagram:
+    """The unique cap matching of a diagram, with well-formedness asserted."""
+    out = _match_caps(d, 1)
     _assert_well_formed(out)
     return out
 
@@ -287,31 +300,6 @@ def standard_to_sigma(lam: SuperWeight) -> SuperWeight:
     return SuperWeight(lam.shape, mu, nu)
 
 
-def _mirror_cap_diagram(d: WeightDiagram) -> CapDiagram:
-    """Cap matching of the reflected circle: walk counterclockwise."""
-    p = d.p
-    matched: dict[int, int] = {}
-    used: set[int] = set()
-    unmatched = [k for k in range(p) if d.symbols[k] == CROSS]
-    while unmatched:
-        source = unmatched[0]
-        k = source
-        while True:
-            k = (k - 1) % p
-            sym = d.symbols[k]
-            if sym == CROSS and k in unmatched:
-                source = k
-            elif sym == EMPTY and k not in used:
-                break
-        matched[source] = k
-        used.add(k)
-        unmatched.remove(source)
-    free = frozenset(k for k in range(p) if d.symbols[k] == EMPTY and k not in used)
-    caps = [Cap(s, z) for s, z in matched.items()]
-    caps.sort(key=lambda c: (len(_cw_interval(p, c.tail, c.source)), c.source))
-    return CapDiagram(d, tuple(caps), free)
-
-
 def sigma_to_standard(kappa: SuperWeight) -> SuperWeight:
     """Inverse of standard_to_sigma via the mirrored cap construction.
 
@@ -327,7 +315,7 @@ def sigma_to_standard(kappa: SuperWeight) -> SuperWeight:
         tuple(kappa.nu[j] + b[m + j] for j in range(kappa.shape.n)),
     )
     d = encode(h)
-    cd = _mirror_cap_diagram(d)
+    cd = _match_caps(d, -1)
     moves: dict[int, str] = {}
     t1 = t2 = 0
     for cap in cd.caps:

@@ -43,8 +43,8 @@ from .caps import (
 )
 from .diagrams import WeightDiagram, decode, encode, render_ascii, to_json
 from .errors import ContractError, ValidationError
-from .fusion import fuse_simples
-from .serganova import check_oddroot_lemma, serganova_hat, sh_nonzero
+from .fusion import check_prime, fuse_simples
+from .serganova import ODDROOT_LEMMA_MAX_BLOCK, check_oddroot_lemma, serganova_hat, sh_nonzero
 from .superweights import (
     SuperWeight,
     atypicality,
@@ -52,7 +52,7 @@ from .superweights import (
     is_typical,
     super_weight,
 )
-from .suites import SUITE_BUILDERS, run_suite
+from .suites import SELFCHECK_MAX_P, SUITE_BUILDERS, run_suite
 from .translation import translate_kac
 
 
@@ -74,6 +74,16 @@ def _weight(args: argparse.Namespace) -> SuperWeight:
 
 def _pair(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[str, list[int]]:
     return {"mu": list(mu), "nu": list(nu)}
+
+
+def _tuple_text(entries) -> str:
+    """'1,0,-2': the comma-separated form weights are read and printed in."""
+    return ",".join(map(str, entries))
+
+
+def _pair_text(mu, nu) -> str:
+    """'(1,0|-2)': a super weight or a raw coordinate pair."""
+    return f"({_tuple_text(mu)}|{_tuple_text(nu)})"
 
 
 def _diagram_obj(d: WeightDiagram) -> dict[str, Any]:
@@ -163,11 +173,11 @@ def build_parser() -> _CliParser:
 
     c = cmd("selfcheck", help="run a batch suite")
     c.add_argument("--suite", default="golden", help=f"one of {sorted(SUITE_BUILDERS)} or 'all'")
-    c.add_argument("--p", type=int, default=5)
+    c.add_argument("--p", type=int, default=5, help=f"a prime from 5 to {SELFCHECK_MAX_P}")
 
     c = cmd("oddroot-lemma", help="partial-sum identity for the odd-root order")
-    c.add_argument("--m", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--m", type=int, required=True, help=f"at most {ODDROOT_LEMMA_MAX_BLOCK}")
+    c.add_argument("--n", type=int, required=True, help=f"at most {ODDROOT_LEMMA_MAX_BLOCK}")
     return parser
 
 
@@ -178,18 +188,19 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         out = fuse_simples(args.i, args.j, args.p)
         return out, " ".join(f"L{k}" for k in out)
     if cmdname == "alcove":
+        check_prime(args.p)
         entries = _ints(args.weight)
         ok = is_admissible(entries, len(entries), args.p)
         return ok, str(ok).lower()
     if cmdname == "tensor-v":
         lam = GLWeight(_ints(args.weight), args.p)
         out = [list(w.entries) for w in tensor_with_V(lam)]
-        return out, "; ".join(",".join(map(str, w)) for w in out)
+        return out, "; ".join(map(_tuple_text, out))
     if cmdname == "level-rank":
         lam = GLWeight(_ints(args.weight), args.p)
         image, parity = (level_rank_D_inverse if args.inverse else level_rank_D)(lam)
         return {"weight": list(image.entries), "parity": parity}, (
-            ",".join(map(str, image.entries)) + f" parity={parity}"
+            f"{_tuple_text(image.entries)} parity={parity}"
         )
     if cmdname == "psi":
         t = psi_data(args.n, args.p)
@@ -200,17 +211,17 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
             "b": t.b,
             "psi": list(t.psi_weight.entries),
         }
-        return out, f"psi={','.join(map(str, t.psi_weight.entries))} (a={t.a}, b={t.b})"
+        return out, f"psi={_tuple_text(t.psi_weight.entries)} (a={t.a}, b={t.b})"
     if cmdname == "chi-rotate":
         lam = chi_rotate(GLWeight(_ints(args.weight), args.p), args.k)
-        return list(lam.entries), ",".join(map(str, lam.entries))
+        return list(lam.entries), _tuple_text(lam.entries)
     if cmdname == "diagram-encode":
         d = encode(_weight(args))
         return _diagram_obj(d), render_ascii(d)
     if cmdname == "diagram-decode":
         d = WeightDiagram(args.p, args.symbols, args.s, args.r)
         lam = decode(d, args.m, args.n)
-        return _pair(lam.mu, lam.nu), f"mu={','.join(map(str, lam.mu))} nu={','.join(map(str, lam.nu))}"
+        return _pair(lam.mu, lam.nu), f"mu={_tuple_text(lam.mu)} nu={_tuple_text(lam.nu)}"
     if cmdname == "render":
         text = render_ascii(encode(_weight(args)), args.cut)
         return text, text
@@ -233,40 +244,34 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         return ok, str(ok).lower()
     if cmdname == "pset":
         out = sorted((list(a.mu), list(a.nu)) for a in p_set(_weight(args)))
-        return [
-            {"mu": mu, "nu": nu} for mu, nu in out
-        ], "; ".join(f"({','.join(map(str, mu))}|{','.join(map(str, nu))})" for mu, nu in out)
+        return [{"mu": mu, "nu": nu} for mu, nu in out], "; ".join(_pair_text(mu, nu) for mu, nu in out)
     if cmdname == "filtration":
         table = projective_filtration(_weight(args))
         rows = sorted((list(a.mu), list(a.nu), mult) for a, mult in table.items())
         return [
             {"mu": mu, "nu": nu, "multiplicity": mult} for mu, nu, mult in rows
-        ], "; ".join(f"({','.join(map(str, mu))}|{','.join(map(str, nu))}):{mult}" for mu, nu, mult in rows)
+        ], "; ".join(f"{_pair_text(mu, nu)}:{mult}" for mu, nu, mult in rows)
     if cmdname == "kac-factors":
         out = sorted((list(a.mu), list(a.nu)) for a in kac_composition(_weight(args)))
-        return [
-            {"mu": mu, "nu": nu} for mu, nu in out
-        ], "; ".join(f"({','.join(map(str, mu))}|{','.join(map(str, nu))})" for mu, nu in out)
+        return [{"mu": mu, "nu": nu} for mu, nu in out], "; ".join(_pair_text(mu, nu) for mu, nu in out)
     if cmdname == "hat":
         h = hat(_weight(args))
-        return _pair(h.mu, h.nu), f"({','.join(map(str, h.mu))}|{','.join(map(str, h.nu))})"
+        return _pair(h.mu, h.nu), _pair_text(h.mu, h.nu)
     if cmdname == "lowest":
         mu, nu = lowest_weight(_weight(args))
-        return _pair(mu, nu), f"({','.join(map(str, mu))}|{','.join(map(str, nu))})"
+        return _pair(mu, nu), _pair_text(mu, nu)
     if cmdname == "dual":
         mu, nu = dual_simple(_weight(args))
-        return _pair(mu, nu), f"({','.join(map(str, mu))}|{','.join(map(str, nu))})"
+        return _pair(mu, nu), _pair_text(mu, nu)
     if cmdname == "sigma":
         s = standard_to_sigma(_weight(args))
-        return _pair(s.mu, s.nu), f"({','.join(map(str, s.mu))}|{','.join(map(str, s.nu))})"
+        return _pair(s.mu, s.nu), _pair_text(s.mu, s.nu)
     if cmdname == "projective-word":
         base, word = projective_word(_weight(args))
         return {
             "base": _pair(base.mu, base.nu),
             "word": [[kind, i] for kind, i in word],
-        }, f"base=({','.join(map(str, base.mu))}|{','.join(map(str, base.nu))}) word=" + " ".join(
-            f"{kind}{i}" for kind, i in word
-        )
+        }, f"base={_pair_text(base.mu, base.nu)} word=" + " ".join(f"{kind}{i}" for kind, i in word)
     if cmdname == "serganova":
         mu, nu = _ints(args.mu), _ints(args.nu)
         hmu, hnu = serganova_hat(mu, nu, args.p)
@@ -274,7 +279,7 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         return {
             "hat": _pair(hmu, hnu),
             "sh_nonzero": nz,
-        }, f"hat=({','.join(map(str, hmu))}|{','.join(map(str, hnu))}) sh_nonzero={str(nz).lower()}"
+        }, f"hat={_pair_text(hmu, hnu)} sh_nonzero={str(nz).lower()}"
     if cmdname == "oddroot-lemma":
         ok = check_oddroot_lemma(args.m, args.n)
         return ok, str(ok).lower()
@@ -283,10 +288,10 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         if ext is None:
             return {"terms": []}, "0"
         terms = [{"quotient": _pair(ext.quotient.mu, ext.quotient.nu)}]
-        text = f"quotient=({','.join(map(str, ext.quotient.mu))}|{','.join(map(str, ext.quotient.nu))})"
+        text = f"quotient={_pair_text(ext.quotient.mu, ext.quotient.nu)}"
         if ext.sub is not None:
             terms.append({"sub": _pair(ext.sub.mu, ext.sub.nu)})
-            text += f" sub=({','.join(map(str, ext.sub.mu))}|{','.join(map(str, ext.sub.nu))})"
+            text += f" sub={_pair_text(ext.sub.mu, ext.sub.nu)}"
         return {"terms": terms}, text
     if cmdname == "borel-translate":
         types = _ints(args.types)
@@ -296,9 +301,7 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         w = tuple(x - 1 for x in w1)
         lam = TupleWeight(shape, parts)
         out = borel_translate(lam, w)
-        return [list(g.entries) for g in out.parts], "; ".join(
-            ",".join(map(str, g.entries)) for g in out.parts
-        )
+        return [list(g.entries) for g in out.parts], "; ".join(_tuple_text(g.entries) for g in out.parts)
     if cmdname == "selfcheck":
         names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
         results = [run_suite(name, args.p) for name in names]

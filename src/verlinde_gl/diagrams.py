@@ -10,20 +10,31 @@ A diagram places one of four symbols on each of the p vertices of a circle
 
 Crosses count the atypicality.  The canonical storage always starts at
 vertex 0; cutting at another vertex is a view used for rendering.
+
+The codec is the one residue ladder of alcove.py applied to both blocks:
+encode splits the ladders with superweights.residue_data and places the
+residue sets with assemble_symbols; decode reads them back with
+symbol_residues and inverts each block with alcove.ladder_contents, the
+second block read in reverse (nu_j = j - m - c_{n+1-j}).  These two
+helpers are the only place symbols and residue sets are converted.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .alcove import ladder_contents
 from .errors import ValidationError
 from .fusion import check_prime
 from .superweights import SuperShape, SuperWeight, residue_data
 
 EMPTY, LEFT, RIGHT, CROSS = "o", "<", ">", "x"
 _SYMBOLS = frozenset((EMPTY, LEFT, RIGHT, CROSS))
+_FIRST_BLOCK = RIGHT + CROSS
+_SECOND_BLOCK = LEFT + CROSS
 
 
 @dataclass(frozen=True)
@@ -73,75 +84,32 @@ class CutDiagram(NamedTuple):
     e2: int
 
 
-def _encode_raw(mu: tuple[int, ...], nu: tuple[int, ...], m: int, n: int, p: int) -> tuple[str, int, int]:
-    """Codec hot path on plain tuples; see superweights.residue_data."""
-    a_mask = 0
-    s = 0
-    for i in range(m):
-        c = mu[i] - i
-        ai = c % p
-        a_mask |= 1 << ai
-        s += (c - ai) // p
-    b_mask = 0
-    r = 0
-    for j in range(n):
-        c = -m - nu[j] + j + 1
-        bj = c % p
-        b_mask |= 1 << bj
-        r += (c - bj) // p
-    syms = []
-    for k in range(p):
-        hit_a = a_mask >> k & 1
-        hit_b = b_mask >> k & 1
-        syms.append(CROSS if hit_a and hit_b else RIGHT if hit_a else LEFT if hit_b else EMPTY)
-    return "".join(syms), s, r
+def assemble_symbols(a: Iterable[int], b: Iterable[int], p: int) -> str:
+    """Symbols of the circle whose first block sits at residues a, second at b."""
+    syms = [EMPTY] * p
+    for k in a:
+        syms[k] = RIGHT
+    for k in b:
+        syms[k] = CROSS if syms[k] == RIGHT else LEFT
+    return "".join(syms)
 
 
-def _decode_mu_part(a_desc: list[int], s: int, p: int) -> tuple[int, ...]:
-    """First block from its residue set (sorted descending) and exponent s.
-
-    With s = m*q + k the k smallest residues, descending, head the ladder
-    with offset p*(q+1); the remaining residues follow with offset p*q.
-    """
-    m = len(a_desc)
-    q, k0 = divmod(s, m)
-    mu = []
-    for i in range(1, m + 1):
-        ai = a_desc[m - k0 + i - 1] if i <= k0 else a_desc[i - k0 - 1]
-        si = q + 1 if i <= k0 else q
-        mu.append(i - 1 + ai + p * si)
-    return tuple(mu)
-
-
-def _decode_nu_part(b_asc: list[int], r: int, m: int, p: int) -> tuple[int, ...]:
-    """Second block from its residue set (sorted ascending), exponent r and m."""
-    n = len(b_asc)
-    rq, l0 = divmod(r, n)
-    nu = []
-    for j in range(1, n + 1):
-        bj = b_asc[l0 + j - 1] if j <= n - l0 else b_asc[j + l0 - n - 1]
-        rj = rq + 1 if j > n - l0 else rq
-        nu.append(-m + j - (bj + p * rj))
-    return tuple(nu)
-
-
-def _decode_raw(symbols: str, s: int, r: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Recover (mu, nu) from symbols and label exponents."""
-    a_set = [k for k in range(p) if symbols[k] in (RIGHT, CROSS)]
-    b_set = [k for k in range(p) if symbols[k] in (LEFT, CROSS)]
-    mu = _decode_mu_part(sorted(a_set, reverse=True), s, p)
-    nu = _decode_nu_part(sorted(b_set), r, len(a_set), p)
-    return mu, nu
+def symbol_residues(symbols: str) -> tuple[list[int], list[int]]:
+    """Residues of the first and of the second block, ascending; inverts assemble_symbols."""
+    first, second = [], []
+    for k, sym in enumerate(symbols):
+        if sym in _FIRST_BLOCK:
+            first.append(k)
+        if sym in _SECOND_BLOCK:
+            second.append(k)
+    return first, second
 
 
 def encode(lam: SuperWeight) -> WeightDiagram:
     """Diagram of a super weight: crosses at shared residues, label from (s, r)."""
-    sh = lam.shape
-    symbols, s, r = _encode_raw(lam.mu, lam.nu, sh.m, sh.n, sh.p)
-    d = WeightDiagram(sh.p, symbols, s, r)
     rd = residue_data(lam)
-    assert (d.s, d.r) == (rd.s, rd.r)
-    return d
+    p = lam.shape.p
+    return WeightDiagram(p, assemble_symbols(rd.a, rd.b, p), rd.s, rd.r)
 
 
 def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> SuperWeight:
@@ -153,8 +121,10 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
         raise ValidationError(f"diagram carries m={d.m} right-arrows, expected {m}")
     if n is not None and d.n != n:
         raise ValidationError(f"diagram carries n={d.n} left-arrows, expected {n}")
-    mu, nu = _decode_raw(d.symbols, d.s, d.r, d.p)
-    return SuperWeight(SuperShape(d.m, d.n, d.p), mu, nu)
+    a, b = symbol_residues(d.symbols)
+    mu = tuple([c + i for i, c in enumerate(ladder_contents(a, d.s, d.p))])
+    nu = tuple([j - len(a) - c for j, c in enumerate(reversed(ladder_contents(b, d.r, d.p)), 1)])
+    return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
 
 
 def mul_label(d: WeightDiagram, t1: int = 0, t2: int = 0) -> WeightDiagram:

@@ -92,8 +92,17 @@ def rho_pair_root(m: int, n: int, root: OddRoot) -> int:
     return two // 2
 
 
+# check_oddroot_lemma takes O((m*n)^2) steps and caches the m*n roots.
+ODDROOT_LEMMA_MAX_BLOCK = 16
+
+
 def check_oddroot_lemma(m: int, n: int) -> bool:
-    """Partial sums of the root order pair with the next root as -<rho, root>."""
+    """Partial sums of the root order pair with the next root as -<rho, root>.
+
+    Block sizes above ODDROOT_LEMMA_MAX_BLOCK are refused.
+    """
+    if m > ODDROOT_LEMMA_MAX_BLOCK or n > ODDROOT_LEMMA_MAX_BLOCK:
+        raise ValidationError(f"block sizes must be at most {ODDROOT_LEMMA_MAX_BLOCK}, got ({m}, {n})")
     order = odd_root_order(m, n)
     for k in range(len(order)):
         i_k, j_k = order[k]

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
-from .alcove import GLWeight, level_rank_D, psi_data
+from .alcove import GLWeight, ladder_contents, level_rank_D, psi_data, split_ladder
 from .borel import GLXShape, TupleWeight, borel_translate, check_permutation, conjugate_relabel, w_integrable
 from .caps import (
     cap_diagram,
@@ -28,7 +29,7 @@ from .caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from .diagrams import _decode_mu_part, _decode_nu_part, decode, encode
+from .diagrams import CROSS, assemble_symbols, decode, encode, symbol_residues
 from .enumeration import admissible_tuples, default_window, monotone_tuples, residue_representatives, super_shapes, super_suite
 from .errors import ValidationError
 from .fusion import check_prime, fuse_simples
@@ -115,6 +116,13 @@ def suite_golden() -> SuiteResult:
     return _result("golden examples", checked, bad)
 
 
+def _mask(residues) -> int:
+    out = 0
+    for k in residues:
+        out |= 1 << k
+    return out
+
+
 def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criteria 2 and 3: codec roundtrip and atypicality agreement.
 
@@ -130,89 +138,52 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     and then enumerates every windowed pair literally, combining the cached
     stage verdicts.  Together the stages cover decode o encode = id and the
     cross-count agreement for every enumerated pair; the identity also gives
-    injectivity of encode over the window.
+    injectivity of encode over the window.  Every table is built by the
+    shipped ladder (split_ladder / ladder_contents) and the shipped
+    assembly (assemble_symbols / symbol_residues).
     """
     lo, hi = window if window is not None else default_window(p)
     bad: list[str] = []
     checked = 0
-    from itertools import combinations as _comb
-
-    factor_data: dict[int, list[tuple]] = {}
-    for rank in range(1, p - 1):
-        rows = []
-        for w in admissible_tuples(rank, p, lo, hi):
-            # Block ladders, from the same arithmetic encode uses.
-            amask = 0
-            s = 0
-            for i in range(rank):
-                c = w[i] - i
-                ai = c % p
-                amask |= 1 << ai
-                s += (c - ai) // p
-            rows.append((w, amask, s))
-        factor_data[rank] = rows
+    blocks = {rank: admissible_tuples(rank, p, lo, hi) for rank in range(1, p - 1)}
 
     # Stage (a): block roundtrips, both as a first and as a second block.
-    mu_ok: dict[int, dict[tuple[int, int], bool]] = {}
-    nu_ok: dict[tuple[int, int], dict[tuple[int, int], bool]] = {}
-    for rank, rows in factor_data.items():
-        table = {}
-        for w, amask, s in rows:
+    # Rows keep (weight, residues, residue mask, roundtrip verdict).
+    mu_rows: dict[int, list[tuple]] = {}
+    for rank, weights in blocks.items():
+        rows = []
+        for w in weights:
             checked += 1
-            desc = sorted((k for k in range(p) if amask >> k & 1), reverse=True)
-            ok = _decode_mu_part(desc, s, p) == w
+            a, loops = split_ladder([x - i for i, x in enumerate(w)], p)
+            ok = tuple([c + i for i, c in enumerate(ladder_contents(a, sum(loops), p))]) == w
             if not ok:
                 bad.append(f"mu-block roundtrip failed at p={p}, {w}")
-            table[(amask, s)] = ok
-        mu_ok[rank] = table
+            rows.append((w, a, _mask(a), ok))
+        mu_rows[rank] = rows
+    nu_rows: dict[tuple[int, int], list[tuple]] = {}
     for m in range(1, p - 1):
         for rank in range(1, p - m):
-            table = {}
-            for w, _, _ in factor_data[rank]:
+            rows = []
+            for w in blocks[rank]:
                 checked += 1
-                bmask = 0
-                r = 0
-                for j in range(1, rank + 1):
-                    c = -m - w[j - 1] + j
-                    bj = c % p
-                    bmask |= 1 << bj
-                    r += (c - bj) // p
-                asc = sorted(k for k in range(p) if bmask >> k & 1)
-                ok = _decode_nu_part(asc, r, m, p) == w
+                b, loops = split_ladder([j - m - y for j, y in enumerate(w, 1)], p)
+                contents = ladder_contents(b, sum(loops), p)
+                ok = tuple([j - m - c for j, c in enumerate(reversed(contents), 1)]) == w
                 if not ok:
                     bad.append(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
-                table[(bmask, r)] = ok
-            nu_ok[(m, rank)] = table
+                rows.append((w, b, _mask(b), ok))
+            nu_rows[(m, rank)] = rows
 
     # Stage (b): assembly, extraction and cross count over all set pairs.
     asm_ok: dict[tuple[int, int], dict[int, bool]] = {}
     for m, n in super_shapes(p):
         table = {}
-        for a_bits in _comb(range(p), m):
-            amask = 0
-            for k in a_bits:
-                amask |= 1 << k
-            for b_bits in _comb(range(p), n):
-                bmask = 0
-                for k in b_bits:
-                    bmask |= 1 << k
+        b_sets = [(list(b), _mask(b)) for b in combinations(range(p), n)]
+        for a, amask in [(list(a), _mask(a)) for a in combinations(range(p), m)]:
+            for b, bmask in b_sets:
                 checked += 1
-                symbols = []
-                for k in range(p):
-                    ha, hb = amask >> k & 1, bmask >> k & 1
-                    symbols.append("x" if ha and hb else ">" if ha else "<" if hb else "o")
-                text = "".join(symbols)
-                back_a = back_b = 0
-                for k in range(p):
-                    if text[k] in (">", "x"):
-                        back_a |= 1 << k
-                    if text[k] in ("<", "x"):
-                        back_b |= 1 << k
-                ok = (
-                    back_a == amask
-                    and back_b == bmask
-                    and text.count("x") == (amask & bmask).bit_count()
-                )
+                text = assemble_symbols(a, b, p)
+                ok = symbol_residues(text) == (a, b) and text.count(CROSS) == (amask & bmask).bit_count()
                 if not ok:
                     bad.append(f"assembly failed at p={p}, masks {amask:b}/{bmask:b}")
                 table[(amask << p) | bmask] = ok
@@ -222,47 +193,24 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     # the ladder masks is checked per block, making the two atypicality
     # routes agree pairwise whenever the shifts match.
     for m, n in super_shapes(p):
-        for w, amask, _ in factor_data[m]:
+        for w, a, _, _ in mu_rows[m]:
             checked += 1
-            shifted = 0
-            for k in range(p):
-                if amask >> k & 1:
-                    shifted |= 1 << ((k + m) % p)
-            if sh_mu_mask(w, p) != shifted:
+            if sh_mu_mask(w, p) != _mask([(k + m) % p for k in a]):
                 bad.append(f"form-route mu mask mismatch at p={p}, {w}")
-        for w, _, _ in factor_data[n]:
+        for w, b, _, _ in nu_rows[(m, n)]:
             checked += 1
-            bmask = 0
-            for j in range(1, n + 1):
-                bmask |= 1 << ((-m - w[j - 1] + j) % p)
-            formmask = sh_nu_mask(w, p)
-            shifted = 0
-            for k in range(p):
-                if bmask >> k & 1:
-                    shifted |= 1 << ((k + m) % p)
-            if formmask != shifted:
+            if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
                 bad.append(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
     if bad:
         return _result(f"codec+atypicality suite p={p}", checked, bad)
 
     # Literal enumeration of every windowed pair, combining cached verdicts.
     for m, n in super_shapes(p):
-        mu_rows = [(mu_ok[m][(amask, s)], amask) for _, amask, s in factor_data[m]]
-        nu_table = nu_ok[(m, n)]
-        nu_rows = []
-        for w, _, _ in factor_data[n]:
-            bmask = 0
-            r = 0
-            for j in range(1, n + 1):
-                c = -m - w[j - 1] + j
-                bj = c % p
-                bmask |= 1 << bj
-                r += (c - bj) // p
-            nu_rows.append((nu_table[(bmask, r)], bmask))
+        nu_verdicts = [(okn, bmask) for _, _, bmask, okn in nu_rows[(m, n)]]
         asm = asm_ok[(m, n)]
-        for okm, amask in mu_rows:
+        for _, _, amask, okm in mu_rows[m]:
             base = amask << p
-            for okn, bmask in nu_rows:
+            for okn, bmask in nu_verdicts:
                 checked += 1
                 if not (okm and okn and asm[base | bmask]):
                     bad.append(f"pair verdict failed at p={p}, shape ({m},{n})")
@@ -536,9 +484,18 @@ SUITE_BUILDERS = {
 }
 
 
+# The suites sweep windows whose size grows like p^p: at p = 11 the
+# serganova suite alone would check about 2.6e8 pairs.
+SELFCHECK_MAX_P = 7
+
+
 def run_suite(name: str, p: int) -> SuiteResult:
+    """Run one suite by name at a prime 5 <= p <= SELFCHECK_MAX_P."""
     try:
         builder = SUITE_BUILDERS[name]
     except KeyError:
         raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITE_BUILDERS)}") from None
+    check_prime(p)
+    if p > SELFCHECK_MAX_P:
+        raise ValidationError(f"selfcheck needs p <= {SELFCHECK_MAX_P}, got {p}")
     return builder(p)

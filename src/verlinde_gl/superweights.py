@@ -7,15 +7,18 @@ coordinates pair positively under the bilinear form, the last n negatively.
 Residue data: the ladders mu_i - i + 1 = a_i + p*s_i and
 -m - nu_j + j = b_j + p*r_j (0 <= a_i, b_j < p) carry everything the
 diagram calculus needs; s = sum(s_i) and r = sum(r_j) are the label
-exponents.
+exponents.  Both are split by alcove.split_ladder; the second ladder
+increases in j, so its inverse is alcove.ladder_contents read in reverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import sub
 from typing import NamedTuple
 
-from .alcove import is_admissible
+from .alcove import is_admissible, split_ladder
 from .errors import ValidationError
 from .fusion import check_prime
 
@@ -125,19 +128,9 @@ def odd_roots(shape: SuperShape) -> list[tuple[int, ...]]:
 def residue_data(lam: SuperWeight) -> ResidueData:
     """Residue ladders of (mu | nu); residues are distinct within each block."""
     sh = lam.shape
-    p = sh.p
-    a, s_parts = [], []
-    for i, x in enumerate(lam.mu, start=1):
-        c = x - i + 1
-        ai = c % p
-        a.append(ai)
-        s_parts.append((c - ai) // p)
-    b, r_parts = [], []
-    for j, y in enumerate(lam.nu, start=1):
-        c = -sh.m - y + j
-        bj = c % p
-        b.append(bj)
-        r_parts.append((c - bj) // p)
+    # Contents mu_i - (i - 1) and (j - m) - nu_j, built without a Python loop.
+    a, s_parts = split_ladder(map(sub, lam.mu, count()), sh.p)
+    b, r_parts = split_ladder(map(sub, count(1 - sh.m), lam.nu), sh.p)
     assert len(set(a)) == sh.m and len(set(b)) == sh.n
     return ResidueData(tuple(a), tuple(b), tuple(s_parts), tuple(r_parts), sum(s_parts), sum(r_parts))
 

@@ -24,6 +24,7 @@ from .diagrams import (
     LEFT,
     RIGHT,
     WeightDiagram,
+    assemble_symbols,
     decode,
     encode,
     mul_label,
@@ -233,12 +234,7 @@ def loop_e(c: int, v: LoopVector) -> list[LoopVector]:
 
 def _loop_term_to_diagram(v: LoopVector) -> WeightDiagram:
     """Assemble the diagram carrying the same residue sets and label."""
-    syms = []
-    aset, bset = set(v.a), set(v.b)
-    for k in range(v.p):
-        ha, hb = k in aset, k in bset
-        syms.append(CROSS if ha and hb else RIGHT if ha else LEFT if hb else EMPTY)
-    return WeightDiagram(v.p, "".join(syms), v.s, v.r)
+    return WeightDiagram(v.p, assemble_symbols(v.a, v.b, v.p), v.s, v.r)
 
 
 def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:

@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verlinde_gl.alcove import (
     GLWeight,
@@ -94,6 +95,19 @@ def test_phi_wedge_bijective_on_window():
             seen[key] = entries
             back = wedge_to_weight(set(w.residues), w.loop_exponent, p)
             assert back.entries == entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_wedge_roundtrip_hypothesis(data):
+    # Primes beyond the p <= 11 windows that the suites sweep.
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    n = data.draw(st.integers(1, p - 1))
+    offsets = data.draw(st.lists(st.integers(0, p - n), min_size=n, max_size=n))
+    top = data.draw(st.integers(-3 * p, 3 * p))
+    lam = GLWeight(tuple(top - x for x in sorted(offsets)), p)
+    w = phi_wedge(lam)
+    assert wedge_to_weight(set(w.residues), w.loop_exponent, p) == lam
 
 
 def test_chi_rotate():

@@ -1,4 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
 from verlinde_gl.caps import (
+    Cap,
+    _match_caps,
     cap_diagram,
     dual_simple,
     dual_simple_label,
@@ -12,7 +16,7 @@ from verlinde_gl.caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from verlinde_gl.diagrams import encode, render_ascii
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, encode, render_ascii
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.superweights import (
     SuperShape,
@@ -49,6 +53,28 @@ def test_cap_diagram_typical_and_small():
     cd = cap_diagram(encode(ZERO5))
     assert tuple(cd.caps) == ((0, 1),)
     assert sorted(cd.free_circles) == [2, 3, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_counterclockwise_walk_is_reflected_clockwise_walk(data):
+    # Witness for step = -1: reflect the circle by k -> -k mod p, match it
+    # clockwise and map the caps back.
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    m = data.draw(st.integers(1, p - 2))
+    n = data.draw(st.integers(1, p - 1 - m))
+    a = data.draw(st.permutations(range(p)))[:m]
+    b = data.draw(st.permutations(range(p)))[:n]
+    d = WeightDiagram(p, assemble_symbols(a, b, p), 0, 0)
+    mirror = WeightDiagram(p, "".join(d.symbols[-k % p] for k in range(p)), 0, 0)
+    ccw = _match_caps(d, -1)
+    cw = cap_diagram(mirror)
+    assert set(ccw.caps) == {Cap(-c.source % p, -c.tail % p) for c in cw.caps}
+    assert ccw.free_circles == {-k % p for k in cw.free_circles}
+    # Both list caps by ascending length, inner caps first.
+    assert [(c.source - c.tail - 1) % p for c in ccw.caps] == [
+        (c.tail - c.source - 1) % p for c in cw.caps
+    ]
 
 
 def test_p_set_figure():

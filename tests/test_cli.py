@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import verlinde_gl
 from verlinde_gl.cli import main
 
@@ -95,6 +97,81 @@ def test_borel_translate_cli(capsys):
     )
     assert code == 0
     assert out == "2; 0,0,0,-1"
+
+
+FIG_ARGS = ("--p", "11", "--mu", "18,18,15,12,12", "--nu=-13,-13,-17,-18")
+FIG_MU_ARGS = ("--p", "11", "--weight", "18,18,15,12,12")
+
+
+def _envelope(command, result):
+    return (
+        f'{{"command":"{command}","provenance":{{"tool":"verlinde-gl","version":"0.1.0"}},'
+        f'"result":{result},"warnings":[]}}'
+    )
+
+
+PINNED_OUTPUTS = [
+    (("tensor-v", *FIG_MU_ARGS), "18,18,16,12,12; 18,18,15,13,12", "[[18,18,16,12,12],[18,18,15,13,12]]"),
+    (("alcove", *FIG_MU_ARGS), "true", "true"),
+    (("chi-rotate", *FIG_MU_ARGS, "--k", "3"), "21,18,18,18,18", "[21,18,18,18,18]"),
+    (("atypicality", *FIG_ARGS), "2", "2"),
+    (("casimir", *FIG_ARGS), "232 (mod p: 1)", '{"residue":1,"value":232}'),
+    (("irreducible", *FIG_ARGS), "false", "false"),
+    (
+        ("filtration", *FIG_ARGS),
+        "(18,18,15,12,12|-13,-13,-17,-18):1; (18,18,15,14,12|-14,-14,-17,-18):1; "
+        "(19,19,15,15,13|-14,-15,-17,-21):1; (19,19,15,15,15|-15,-15,-17,-22):1",
+        '[{"mu":[18,18,15,12,12],"multiplicity":1,"nu":[-13,-13,-17,-18]},'
+        '{"mu":[18,18,15,14,12],"multiplicity":1,"nu":[-14,-14,-17,-18]},'
+        '{"mu":[19,19,15,15,13],"multiplicity":1,"nu":[-14,-15,-17,-21]},'
+        '{"mu":[19,19,15,15,15],"multiplicity":1,"nu":[-15,-15,-17,-22]}]',
+    ),
+    (
+        ("kac-factors", *FIG_ARGS),
+        "(16,15,15,11,11|-9,-13,-16,-16); (18,17,15,12,12|-13,-13,-17,-17); "
+        "(18,18,15,12,12|-13,-13,-17,-18)",
+        '[{"mu":[16,15,15,11,11],"nu":[-9,-13,-16,-16]},'
+        '{"mu":[18,17,15,12,12],"nu":[-13,-13,-17,-17]},'
+        '{"mu":[18,18,15,12,12],"nu":[-13,-13,-17,-18]}]',
+    ),
+    (("dual", *FIG_ARGS), "(-15,-15,-11,-11,-11|10,10,12,17)", '{"mu":[-15,-15,-11,-11,-11],"nu":[10,10,12,17]}'),
+    (("sigma", *FIG_ARGS), "(15,15,11,11,11|-10,-10,-12,-17)", '{"mu":[15,15,11,11,11],"nu":[-10,-10,-12,-17]}'),
+    (
+        ("projective-word", *FIG_ARGS),
+        "base=(18,18,15,15,14|-13,-14,-17,-20) word=E0 F10 E9 E8 F7 F6 E10 E9",
+        '{"base":{"mu":[18,18,15,15,14],"nu":[-13,-14,-17,-20]},'
+        '"word":[["E",0],["F",10],["E",9],["E",8],["F",7],["F",6],["E",10],["E",9]]}',
+    ),
+    (
+        ("translate", "--p", "5", "--mu", "1", "--nu", "0", "--kind", "E", "--c", "0"),
+        "quotient=(0|0) sub=(1|-1)",
+        '{"terms":[{"quotient":{"mu":[0],"nu":[0]}},{"sub":{"mu":[1],"nu":[-1]}}]}',
+    ),
+    (("oddroot-lemma", "--m", "5", "--n", "4"), "true", "true"),
+]
+
+
+@pytest.mark.parametrize("argv, text, result", PINNED_OUTPUTS, ids=[argv[0] for argv, _, _ in PINNED_OUTPUTS])
+def test_subcommand_output_is_pinned(capsys, argv, text, result):
+    # Exact text and JSON of every subcommand not pinned elsewhere.
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, _envelope(argv[0], result), "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("selfcheck", "--suite", "golden", "--p", "4"), "p must be at least 5"),
+        (("selfcheck", "--suite", "serganova", "--p", "11"), "selfcheck needs p <= 7"),
+        (("alcove", "--p", "4", "--weight", "1"), "p must be at least 5"),
+        (("oddroot-lemma", "--m", "100000", "--n", "100000"), "block sizes must be at most 16"),
+    ],
+    ids=["selfcheck-p4", "selfcheck-p11", "alcove-p4", "oddroot-lemma-huge"],
+)
+def test_out_of_range_inputs_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error VALIDATION") and message in err
 
 
 def test_selfcheck(capsys):

@@ -122,9 +122,9 @@ def test_roundtrip_exhaustive_p5():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_roundtrip_hypothesis(data):
-    p = data.draw(st.sampled_from([5, 7, 11, 13]))
-    m = data.draw(st.integers(1, min(4, p - 2)))
-    n = data.draw(st.integers(1, min(4, p - 1 - m)))
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    m = data.draw(st.integers(1, min(8, p - 2)))
+    n = data.draw(st.integers(1, min(8, p - 1 - m)))
     base = data.draw(st.integers(-3 * p, 3 * p))
     mu = [base]
     for _ in range(m - 1):
