@@ -132,12 +132,14 @@ def mul_label(d: WeightDiagram, t1: int = 0, t2: int = 0) -> WeightDiagram:
     return WeightDiagram(d.p, d.symbols, d.s - t1, d.r + t2)
 
 
-def replace_symbols(d: WeightDiagram, assignments: dict[int, str]) -> WeightDiagram:
-    """Diagram with the symbols at the given vertices replaced."""
+def replace_symbols(
+    d: WeightDiagram, assignments: dict[int, str], t1: int = 0, t2: int = 0
+) -> WeightDiagram:
+    """Diagram with the given vertices' symbols replaced and the label times t1^t1 t2^t2."""
     syms = list(d.symbols)
     for k, sym in assignments.items():
         syms[k % d.p] = sym
-    return WeightDiagram(d.p, "".join(syms), d.s, d.r)
+    return WeightDiagram(d.p, "".join(syms), d.s - t1, d.r + t2)
 
 
 def cut(d: WeightDiagram, k: int) -> CutDiagram:

@@ -29,12 +29,19 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# is_prime divides up to sqrt(p); above this bound every p is refused
+# before the division starts, so each check stays under 500 steps.
+MAX_P = 10**6
+
+
 def check_prime(p: int) -> int:
-    """Validate the characteristic: an odd prime >= 5."""
+    """Validate the characteristic: an odd prime with 5 <= p <= MAX_P."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValidationError(f"p must be an integer, got {p!r}")
     if p < 5:
         raise ValidationError(f"p must be at least 5, got {p}")
+    if p > MAX_P:
+        raise ValidationError(f"p must be at most {MAX_P}, got {p}")
     if not is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     return p

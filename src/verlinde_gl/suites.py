@@ -44,7 +44,7 @@ from .serganova import (
     sum_odd_roots,
 )
 from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, is_typical, super_weight
-from .translation import commutator_ef, commutator_same, phi_equivariance_check
+from .translation import apply_E, apply_F, commutator, phi_equivariance_check
 
 
 @dataclass
@@ -219,18 +219,31 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     return _result(f"codec+atypicality suite p={p}", checked, bad)
 
 
+def _two_term_order_ok(terms) -> bool:
+    """A two-term output has equal cross counts and a strictly dominance-smaller first term."""
+    if len(terms) < 2:
+        return True
+    lo, hi = map(decode, terms)
+    same_crosses = terms[0].cross_count == terms[1].cross_count
+    return same_crosses and dominance_leq(lo, hi) and not dominance_leq(hi, lo)
+
+
 def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
-    """Criterion 4: diagram action equals loop action for every residue."""
+    """Criterion 4: diagram action equals loop action for every residue, and
+    every two-term F/E output lists its dominance-smaller term first."""
     bad: list[str] = []
     checked = 0
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+        d = encode(lam)
         for c in range(p):
             checked += 1
             if not phi_equivariance_check(lam, c):
                 bad.append(f"equivariance failed at {(mu, nu)}, c={c}")
-                if len(bad) > 10:
-                    return _result(f"equivariance suite p={p}", checked, bad)
+            elif not all(_two_term_order_ok(f(c, d).terms) for f in (apply_F, apply_E)):
+                bad.append(f"two-term order failed at {(mu, nu)}, c={c}")
+            if len(bad) > 10:
+                return _result(f"equivariance suite p={p}", checked, bad)
     return _result(f"equivariance suite p={p}", checked, bad)
 
 
@@ -461,11 +474,11 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
         d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
         for a, b in ef_pairs:
             checked += 1
-            if commutator_ef(a, b, d):
+            if commutator(("E", a), ("F", b), d):
                 bad.append(f"[e_{a}, f_{b}] != 0 on {(mu, nu)}")
         for a, b in far_pairs:
             checked += 2
-            if commutator_same("E", a, b, d) or commutator_same("F", a, b, d):
+            if commutator(("E", a), ("E", b), d) or commutator(("F", a), ("F", b), d):
                 bad.append(f"distant generators fail to commute on {(mu, nu)}")
         if len(bad) > 10:
             return _result(f"kac-moody suite p={p}", checked, bad)

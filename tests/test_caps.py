@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl.caps import (
+    KAC_COMPOSITION_MAX_CANDIDATES,
     Cap,
     _match_caps,
     cap_diagram,
@@ -16,8 +18,9 @@ from verlinde_gl.caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, encode, render_ascii
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode, render_ascii
 from verlinde_gl.enumeration import super_suite
+from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
     SuperShape,
     SuperWeight,
@@ -55,17 +58,22 @@ def test_cap_diagram_typical_and_small():
     assert sorted(cd.free_circles) == [2, 3, 4]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_counterclockwise_walk_is_reflected_clockwise_walk(data):
-    # Witness for step = -1: reflect the circle by k -> -k mod p, match it
-    # clockwise and map the caps back.
+def _random_symbols(data) -> tuple[int, str]:
     p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
     m = data.draw(st.integers(1, p - 2))
     n = data.draw(st.integers(1, p - 1 - m))
     a = data.draw(st.permutations(range(p)))[:m]
     b = data.draw(st.permutations(range(p)))[:n]
-    d = WeightDiagram(p, assemble_symbols(a, b, p), 0, 0)
+    return p, assemble_symbols(a, b, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_counterclockwise_walk_is_reflected_clockwise_walk(data):
+    # Witness for step = -1: reflect the circle by k -> -k mod p, match it
+    # clockwise and map the caps back.
+    p, symbols = _random_symbols(data)
+    d = WeightDiagram(p, symbols, 0, 0)
     mirror = WeightDiagram(p, "".join(d.symbols[-k % p] for k in range(p)), 0, 0)
     ccw = _match_caps(d, -1)
     cw = cap_diagram(mirror)
@@ -180,6 +188,28 @@ def test_sigma_roundtrip_p7_window():
     for m, n, mu, nu in super_suite(7, window=(-2, 2)):
         lam = SuperWeight(SuperShape(m, n, 7), mu, nu)
         assert sigma_to_standard(standard_to_sigma(lam)) == lam
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_sigma_roundtrip_hypothesis(data):
+    # Random diagrams at p = 5..31 decode to weights of every atypicality;
+    # the roundtrip slides crosses clockwise and then counterclockwise.
+    p, symbols = _random_symbols(data)
+    s, r = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    lam = decode(WeightDiagram(p, symbols, s, r))
+    assert sigma_to_standard(standard_to_sigma(lam)) == lam
+
+
+def test_kac_composition_size_limit():
+    # (0^6|0^6) at p = 13 tries 37,633 candidates and still answers.
+    lam = super_weight(13, (0,) * 6, (0,) * 6)
+    factors = kac_composition(lam)
+    assert lam in factors and len(factors) == 7
+    assert all(lam in p_set(f) for f in factors)
+    # (0^8|0^8) at p = 17 would try 4,596,553; it is refused up front.
+    with pytest.raises(ValidationError, match=str(KAC_COMPOSITION_MAX_CANDIDATES)):
+        kac_composition(super_weight(17, (0,) * 8, (0,) * 8))
 
 
 def test_p_set_invariants_window():

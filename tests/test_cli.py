@@ -165,8 +165,13 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
         (("selfcheck", "--suite", "serganova", "--p", "11"), "selfcheck needs p <= 7"),
         (("alcove", "--p", "4", "--weight", "1"), "p must be at least 5"),
         (("oddroot-lemma", "--m", "100000", "--n", "100000"), "block sizes must be at most 16"),
+        (("fuse", "--p", "1000000000000000003", "--i", "1", "--j", "1"), "p must be at most 1000000"),
+        (
+            ("kac-factors", "--p", "17", "--mu", "0,0,0,0,0,0,0,0", "--nu=0,0,0,0,0,0,0,0"),
+            "would try 4596553 candidates",
+        ),
     ],
-    ids=["selfcheck-p4", "selfcheck-p11", "alcove-p4", "oddroot-lemma-huge"],
+    ids=["selfcheck-p4", "selfcheck-p11", "alcove-p4", "oddroot-lemma-huge", "fuse-huge-p", "kac-factors-p17"],
 )
 def test_out_of_range_inputs_are_refused(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -189,7 +194,11 @@ def test_selfcheck_unknown_suite(capsys):
 def _selfcheck_subprocess(*flags):
     env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
     outputs = []
-    for argv in (["--suite", "golden"], ["--suite", "serganova", "--p", "5"]):
+    for argv in (
+        ["--suite", "golden"],
+        ["--suite", "serganova", "--p", "5"],
+        ["--suite", "equivariance", "--p", "5"],
+    ):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "verlinde_gl.cli", "selfcheck", *argv],
             env=env, capture_output=True, text=True, check=False,
@@ -201,7 +210,7 @@ def _selfcheck_subprocess(*flags):
 def test_selfcheck_verdicts_survive_optimize_flag():
     # Under -O every bare assert is stripped; no verdict may depend on one.
     plain = _selfcheck_subprocess()
-    assert [code for code, _, _ in plain] == [0, 0]
+    assert [code for code, _, _ in plain] == [0, 0, 0]
     assert _selfcheck_subprocess("-O") == plain
 
 

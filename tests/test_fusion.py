@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verlinde_gl.errors import ValidationError
-from verlinde_gl.fusion import PrimeP, fuse_simples, is_even_object, is_prime
+from verlinde_gl.fusion import MAX_P, PrimeP, check_prime, fuse_simples, is_even_object, is_prime
 
 PRIMES = [5, 7, 11, 13]
 
@@ -37,6 +37,13 @@ def test_prime_validation():
     with pytest.raises(ValidationError):
         fuse_simples(1, 5, 5)
     assert is_prime(2) and not is_prime(1) and is_prime(13) and not is_prime(49)
+
+
+def test_prime_size_limit():
+    # The largest prime below MAX_P passes; beyond it no trial division runs.
+    assert check_prime(999_983) == 999_983
+    with pytest.raises(ValidationError, match=f"at most {MAX_P}"):
+        check_prime(1_000_000_000_000_000_003)
 
 
 @given(st.sampled_from(PRIMES), st.data())

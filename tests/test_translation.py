@@ -1,14 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from verlinde_gl.diagrams import decode, encode
+from verlinde_gl import translation
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.errors import ContractError, ValidationError
+from verlinde_gl.suites import suite_equivariance
 from verlinde_gl.superweights import SuperShape, SuperWeight, dominance_leq, super_weight
 from verlinde_gl.translation import (
     apply_E,
     apply_F,
-    commutator_ef,
-    commutator_same,
+    commutator,
     loop_e,
     loop_f,
     loop_vector,
@@ -202,7 +204,62 @@ def test_kac_moody_commutators_smoke():
     for a in range(5):
         for b in range(5):
             if a != b:
-                assert commutator_ef(a, b, d) == {}
+                assert commutator(("E", a), ("F", b), d) == {}
             if (a - b) % 5 not in (0, 1, 4):
-                assert commutator_same("E", a, b, d) == {}
-                assert commutator_same("F", a, b, d) == {}
+                assert commutator(("E", a), ("E", b), d) == {}
+                assert commutator(("F", a), ("F", b), d) == {}
+
+
+def test_commutator_is_x_of_y_minus_y_of_x():
+    # On (1|0) = '<>ooo', [e_0, f_0] acts diagonally by -2; swapping the
+    # arguments flips the sign.
+    d = encode(super_weight(5, (1,), (0,)))
+    assert commutator(("E", 0), ("F", 0), d) == {d: -2}
+    assert commutator(("F", 0), ("E", 0), d) == {d: 2}
+
+
+PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _random_diagram(data) -> WeightDiagram:
+    p = data.draw(st.sampled_from(PRIMES))
+    m = data.draw(st.integers(1, p - 2))
+    n = data.draw(st.integers(1, p - 1 - m))
+    a = data.draw(st.permutations(range(p)))[:m]
+    b = data.draw(st.permutations(range(p)))[:n]
+    s, r = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    return WeightDiagram(p, assemble_symbols(a, b, p), s, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_two_term_outputs_list_the_smaller_term_first(data):
+    d = _random_diagram(data)
+    for i in range(d.p):
+        for out in (apply_F(i, d), apply_E(i, d)):
+            if len(out) == 2:
+                lo, hi = out.terms
+                assert lo.cross_count == hi.cross_count
+                assert dominance_leq(decode(lo), decode(hi))
+                assert not dominance_leq(decode(hi), decode(lo))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjunction_shadow_beyond_the_window(data):
+    # t in F_i(d) <=> d in E_i(t), labels included.
+    d = _random_diagram(data)
+    for i in range(d.p):
+        for t in apply_F(i, d).terms:
+            assert d in apply_E(i, t).terms
+        for t in apply_E(i, d).terms:
+            assert d in apply_F(i, t).terms
+
+
+def test_reversed_two_term_row_fails_the_equivariance_suite(monkeypatch):
+    # The loop oracle compares term sets; only the order check sees the swap.
+    row = translation._F_TABLE[(">", "<")]
+    monkeypatch.setitem(translation._F_TABLE, (">", "<"), row[::-1])
+    result = suite_equivariance(5, (-1, 1))
+    assert not result.ok
+    assert "two-term order" in result.details
