@@ -3,13 +3,16 @@ projectives, Kac composition factors, highest/lowest weights and the
 relabeling between the two Borel orders of a two-block group.
 
 Each cross is the source of exactly one cap, drawn clockwise to an empty
-vertex.  The matching is produced by one walk, _match_caps(d, step): from an
-unmatched cross move step vertices at a time; an unmatched cross restarts
-the source, the first unmatched circle closes the cap.  step = +1 gives the
-caps of cap_diagram; step = -1 walks counterclockwise, which is the
-clockwise walk of the reflected circle k -> -k mod p and serves
-sigma_to_standard.  Caps are nested or disjoint, and no free circle sits
-strictly inside a cap.
+vertex.  The matching is one bracket match, _match_caps(d, step), the
+matching of Brundan-Stroppel cup diagrams read on a circle: walk one lap
+from vertex 0 in direction step; a cross opens, a circle closes the latest
+open cross (or is free for now), arrows are skipped; the crosses still open
+after the lap close on the free circles in lap order, latest cross first.
+step = +1 gives the caps of cap_diagram; step = -1 walks counterclockwise,
+which is the clockwise walk of the reflected circle k -> -k mod p and serves
+sigma_to_standard.  As with brackets, caps are nested or disjoint and no
+free circle sits strictly inside a cap: a circle is free only while no cross
+is open.
 
 Every edit slides crosses to empty vertices through _slide_crosses, whose
 one rule twists the label by t1^(-step) t2^(step) per slide past p-1 -> 0.
@@ -72,81 +75,55 @@ def _slide_crosses(d: WeightDiagram, moves, step: int) -> WeightDiagram:
     return replace_symbols(d, assignments, t1=-step * wraps, t2=step * wraps)
 
 
-def _cw_interval(p: int, start: int, stop: int) -> list[int]:
-    """Vertices strictly between start and stop, walking clockwise."""
-    out = []
-    k = (start + 1) % p
-    while k != stop:
-        out.append(k)
-        k = (k + 1) % p
-    return out
+def _length(cap: Cap, step: int, p: int) -> int:
+    """Vertices strictly under the cap, walking from its source in direction step."""
+    return ((cap.tail - cap.source) * step - 1) % p
 
 
 def _match_caps(d: WeightDiagram, step: int) -> CapDiagram:
-    """The cap matching of the walk in direction step (+1 clockwise, -1 counterclockwise).
+    """The bracket match of the lap in direction step (+1 clockwise, -1 counterclockwise).
+
+    One lap from vertex 0: a cross is pushed, a circle pops the latest open
+    cross or is free for now, arrows are skipped.  A circle is free only
+    while no cross is open, so every free circle comes before the first
+    cross left open; a second lap would meet them first, and the open
+    crosses close on them in lap order, latest first.  There are always
+    more circles than crosses (m + n < p), so every cross closes.  Nesting
+    is structural: as with brackets, two caps are nested or disjoint, and a
+    circle met while a cross is open closes a cap, so none sits free under one.
 
     Caps come in swap order: a cap strictly inside another is strictly
     shorter, so ascending length (vertices strictly under the cap, walking
     in direction step) lists inner caps first; ties go by source.
     """
-    p = d.p
-    tails: dict[int, int] = {}
-    used_circles: set[int] = set()
-    unmatched = [k for k in range(p) if d.symbols[k] == CROSS]
-    while unmatched:
-        source = unmatched[0]
-        k = source
-        while True:
-            k = (k + step) % p
-            sym = d.symbols[k]
-            if sym == CROSS and k in unmatched:
-                source = k
-            elif sym == EMPTY and k not in used_circles:
-                break
-        tails[source] = k
-        used_circles.add(k)
-        unmatched.remove(source)
-    free = frozenset(
-        k for k in range(p) if d.symbols[k] == EMPTY and k not in used_circles
-    )
-    caps = sorted(
-        (Cap(s, z) for s, z in tails.items()),
-        key=lambda c: (((c.tail - c.source) * step - 1) % p, c.source),
-    )
-    return CapDiagram(d, tuple(caps), free)
+    p, symbols = d.p, d.symbols
+    caps: list[Cap] = []
+    open_crosses: list[int] = []
+    free: list[int] = []
+    for k in range(0, step * p, step):
+        k %= p
+        if symbols[k] == CROSS:
+            open_crosses.append(k)
+        elif symbols[k] == EMPTY:
+            if open_crosses:
+                caps.append(Cap(open_crosses.pop(), k))
+            else:
+                free.append(k)
+    caps += map(Cap, reversed(open_crosses), free)
+    caps.sort(key=lambda c: (_length(c, step, p), c.source))
+    return CapDiagram(d, tuple(caps), frozenset(free[len(open_crosses):]))
 
 
 def cap_diagram(d: WeightDiagram) -> CapDiagram:
-    """The unique cap matching of a diagram, with well-formedness asserted."""
-    out = _match_caps(d, 1)
-    _assert_well_formed(out)
-    return out
-
-
-def _assert_well_formed(cd: CapDiagram) -> None:
-    d, p = cd.base, cd.base.p
-    sources = {c.source for c in cd.caps}
-    assert sources == {k for k in range(p) if d.symbols[k] == CROSS}
-    assert all(d.symbols[c.tail] == EMPTY for c in cd.caps)
-    spans = {
-        c: {c.source, c.tail} | set(_cw_interval(p, c.source, c.tail)) for c in cd.caps
-    }
-    for c in cd.caps:
-        inside = set(_cw_interval(p, c.source, c.tail))
-        assert not (inside & cd.free_circles), f"free circle under cap {c}"
-        for other in cd.caps:
-            if other == c:
-                continue
-            a, b = spans[c], spans[other]
-            assert a <= b or b <= a or not (a & b), f"caps {c} and {other} cross"
+    """The unique cap matching of a diagram."""
+    return _match_caps(d, 1)
 
 
 def is_inner(cd: CapDiagram, j: int) -> bool:
-    """Whether no other cap is nested beneath cap j."""
-    p = cd.base.p
+    """Whether no cross (so no other cap) sits strictly under cap j, walking clockwise."""
+    symbols, p = cd.base.symbols, cd.base.p
     cap = cd.caps[j]
-    inside = set(_cw_interval(p, cap.source, cap.tail))
-    return not any(other.source in inside for other in cd.caps if other != cap)
+    return all(symbols[(cap.source + k) % p] != CROSS for k in range(1, (cap.tail - cap.source) % p))
 
 
 def render_caps(cd: CapDiagram) -> str:
@@ -163,11 +140,9 @@ def p_set(lam: SuperWeight) -> set[SuperWeight]:
     """All 2^(cross count) weights reached by swapping subsets of caps."""
     cd = cap_diagram(encode(lam))
     out = set()
-    r = len(cd.caps)
-    for size in range(r + 1):
+    for size in range(len(cd.caps) + 1):
         for caps in combinations(cd.caps, size):
             out.add(decode(_slide_crosses(cd.base, caps, 1)))
-    assert len(out) == 2**r
     return out
 
 
@@ -187,7 +162,8 @@ def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
 
     Bounded inversion: move subsets of crosses of alpha's diagram backwards to
     empty vertices; a candidate survives when its own cap diagram sends each
-    moved cross exactly back, which is then double-checked through p_set.
+    moved cross exactly back.  suite_filtration checks BGG reciprocity
+    both ways against p_set.
     Searches above KAC_COMPOSITION_MAX_CANDIDATES raise ValidationError.
     """
     d = encode(alpha)
@@ -210,9 +186,7 @@ def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
                     matched = {c.source: c.tail for c in cap_diagram(cand).caps}
                     cap_cache[cand.symbols] = matched
                 if all(matched.get(u) == z for z, u in zip(moved, targets)):
-                    lam = decode(cand)
-                    assert alpha in p_set(lam)
-                    out.add(lam)
+                    out.add(decode(cand))
     return out
 
 
@@ -260,30 +234,29 @@ def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int
     word_rev: list[tuple[str, int]] = []
     d = encode(lam)
     while d.cross_count > 0:
-        cd = cap_diagram(d)
-        cap = cd.caps[0]
+        cap = cap_diagram(d).caps[0]
         p = d.p
-        between = _cw_interval(p, cap.source, cap.tail)
-        # Move the cross clockwise past each arrow; F hops '<', E hops '>'.
+        span = [(cap.source + k) % p for k in range(1, (cap.tail - cap.source) % p)]
+        # Move the cross clockwise past each arrow (F hops '<', E hops '>'),
+        # then merge (x o) -> (< >), dropping one cross.
         steps_fwd = []
-        cur = d
-        pos = cap.source
-        for v in between:
-            arrow = cur.symbols[v]
-            assert arrow in (LEFT, RIGHT), "inner cap spans arrows only"
-            kind = "F" if arrow == LEFT else "E"
-            (cur,) = apply_functor(kind, pos, cur).terms
-            steps_fwd.append((kind, pos))
-            pos = v
-        # Merge (x o) -> (< >), dropping one cross.
-        merged = apply_functor("F", pos, cur)
-        assert len(merged) == 1
-        nxt = merged.terms[0]
-        assert nxt.cross_count == d.cross_count - 1
+        cur, pos, merged = d, cap.source, ()
+        if all(d.symbols[v] in (LEFT, RIGHT) for v in span):
+            for v in span:
+                kind = "F" if d.symbols[v] == LEFT else "E"
+                (cur,) = apply_functor(kind, pos, cur).terms
+                steps_fwd.append((kind, pos))
+                pos = v
+            merged = apply_functor("F", pos, cur).terms
+        if len(merged) != 1 or merged[0].cross_count != d.cross_count - 1:
+            raise ContractError(
+                f"inner cap {cap.source}->{cap.tail} of {lam} must span arrows only"
+                " and merge to one term with one cross fewer"
+            )
         # Rebuild: E at the merge vertex, then the adjoint shuffles in reverse.
         rebuild = [("E", pos)] + [("E" if k == "F" else "F", v) for k, v in reversed(steps_fwd)]
         word_rev = rebuild + word_rev
-        d = nxt
+        d = merged[0]
     base = decode(d)
     return base, tuple(word_rev)
 

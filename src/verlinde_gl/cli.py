@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -84,6 +85,12 @@ def _tuple_text(entries) -> str:
 def _pair_text(mu, nu) -> str:
     """'(1,0|-2)': a super weight or a raw coordinate pair."""
     return f"({_tuple_text(mu)}|{_tuple_text(nu)})"
+
+
+# Commands answering with a set of super weights (printed sorted), and
+# commands answering with one super weight or raw (mu, nu) coordinate pair.
+_WEIGHT_SET_COMMANDS = {"pset": p_set, "kac-factors": kac_composition}
+_PAIR_COMMANDS = {"hat": hat, "lowest": lowest_weight, "dual": dual_simple, "sigma": standard_to_sigma}
 
 
 def _diagram_obj(d: WeightDiagram) -> dict[str, Any]:
@@ -242,30 +249,19 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
     if cmdname == "irreducible":
         ok = is_typical(_weight(args))
         return ok, str(ok).lower()
-    if cmdname == "pset":
-        out = sorted((list(a.mu), list(a.nu)) for a in p_set(_weight(args)))
+    if cmdname in _WEIGHT_SET_COMMANDS:
+        out = sorted((list(a.mu), list(a.nu)) for a in _WEIGHT_SET_COMMANDS[cmdname](_weight(args)))
         return [{"mu": mu, "nu": nu} for mu, nu in out], "; ".join(_pair_text(mu, nu) for mu, nu in out)
+    if cmdname in _PAIR_COMMANDS:
+        out = _PAIR_COMMANDS[cmdname](_weight(args))
+        mu, nu = (out.mu, out.nu) if isinstance(out, SuperWeight) else out
+        return _pair(mu, nu), _pair_text(mu, nu)
     if cmdname == "filtration":
         table = projective_filtration(_weight(args))
         rows = sorted((list(a.mu), list(a.nu), mult) for a, mult in table.items())
         return [
             {"mu": mu, "nu": nu, "multiplicity": mult} for mu, nu, mult in rows
         ], "; ".join(f"{_pair_text(mu, nu)}:{mult}" for mu, nu, mult in rows)
-    if cmdname == "kac-factors":
-        out = sorted((list(a.mu), list(a.nu)) for a in kac_composition(_weight(args)))
-        return [{"mu": mu, "nu": nu} for mu, nu in out], "; ".join(_pair_text(mu, nu) for mu, nu in out)
-    if cmdname == "hat":
-        h = hat(_weight(args))
-        return _pair(h.mu, h.nu), _pair_text(h.mu, h.nu)
-    if cmdname == "lowest":
-        mu, nu = lowest_weight(_weight(args))
-        return _pair(mu, nu), _pair_text(mu, nu)
-    if cmdname == "dual":
-        mu, nu = dual_simple(_weight(args))
-        return _pair(mu, nu), _pair_text(mu, nu)
-    if cmdname == "sigma":
-        s = standard_to_sigma(_weight(args))
-        return _pair(s.mu, s.nu), _pair_text(s.mu, s.nu)
     if cmdname == "projective-word":
         base, word = projective_word(_weight(args))
         return {
@@ -337,9 +333,15 @@ def main(argv: list[str] | None = None) -> int:
             "warnings": [],
             "provenance": {"tool": "verlinde-gl", "version": __version__},
         }
-        print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
-    else:
+        text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early: send the unwritten rest to devnull so the
+        # interpreter's final flush stays quiet, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

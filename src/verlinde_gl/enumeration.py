@@ -19,26 +19,16 @@ def default_window(p: int) -> tuple[int, int]:
 def admissible_tuples(rank: int, p: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     """All nonincreasing tuples in [lo, hi]^rank with spread at most p - rank."""
     check_prime(p)
-    spread = p - rank
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) == rank:
-            out.append(tuple(prefix))
-            return
-        upper = prefix[-1] if prefix else hi
-        lower = max(lo, (prefix[0] - spread) if prefix else lo)
-        for x in range(upper, lower - 1, -1):
-            prefix.append(x)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
+    return _nonincreasing_tuples(rank, lo, hi, p - rank)
 
 
 def monotone_tuples(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     """All nonincreasing tuples in [lo, hi]^rank (no spread bound)."""
+    return _nonincreasing_tuples(rank, lo, hi, None)
+
+
+def _nonincreasing_tuples(rank: int, lo: int, hi: int, spread: int | None) -> list[tuple[int, ...]]:
+    """Nonincreasing tuples in [lo, hi]^rank, largest first, with first - last <= spread if given."""
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]) -> None:
@@ -46,7 +36,8 @@ def monotone_tuples(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
             out.append(tuple(prefix))
             return
         upper = prefix[-1] if prefix else hi
-        for x in range(upper, lo - 1, -1):
+        lower = lo if spread is None or not prefix else max(lo, prefix[0] - spread)
+        for x in range(upper, lower - 1, -1):
             prefix.append(x)
             extend(prefix)
             prefix.pop()

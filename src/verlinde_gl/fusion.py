@@ -1,9 +1,9 @@
 """Fusion combinatorics of the semisimple Verlinde category Ver_p.
 
 Simple objects are indexed 1..p-1 (the object with index n has categorical
-dimension n).  Only the label-level data is modeled: fusion multiplicities,
-parity (membership in the even subcategory) and duality, all of which are
-determined by the truncated Clebsch-Gordan rule
+dimension n).  Only the label-level data is modeled: fusion multiplicities
+and parity (membership in the even subcategory); every L_n is self-dual.
+Fusion follows the truncated Clebsch-Gordan rule
 
     L_i (x) L_j  =  (+)_{k=1}^{min(i, j, p-i, p-j)}  L_{|i-j| + 2k - 1}.
 """
@@ -88,9 +88,3 @@ def is_even_object(n: int, p: PrimeP | int) -> bool:
     """Whether L_n lies in the even subcategory (odd categorical dimension)."""
     check_simple_index(n, _as_p(p))
     return n % 2 == 1
-
-
-def dual_simple_index(n: int, p: PrimeP | int) -> int:
-    """Index of the dual object.  Every L_n is self-dual."""
-    check_simple_index(n, _as_p(p))
-    return n

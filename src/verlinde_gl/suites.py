@@ -248,13 +248,25 @@ def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteRe
 
 
 def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
-    """Criterion 5: p-set size, BGG duality, dominance/degree/Casimir linkage."""
+    """Criterion 5: p-set size, BGG reciprocity both ways, dominance/degree/Casimir linkage.
+
+    BGG reciprocity: each window weight lam lies in kac_composition(alpha)
+    for every alpha in p_set(lam); conversely, once per distinct alpha,
+    every reported factor lam has alpha in p_set(lam).  For window weights
+    the sweep's own p_set images answer that; factors outside the window
+    are checked through p_set directly.
+    """
     bad: list[str] = []
     checked = 0
     kac_cache: dict[SuperWeight, set[SuperWeight]] = {}
+    covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
+    in_window: set[SuperWeight] = set()
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+        in_window.add(lam)
         ps = p_set(lam)
+        for alpha in ps:
+            covers.setdefault(alpha, set()).add(lam)
         checked += 1
         if len(ps) != 2 ** atypicality(lam):
             bad.append(f"p-set size wrong at {(mu, nu)}")
@@ -276,6 +288,15 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 bad.append(f"BGG inversion misses {(mu, nu)} for {alpha}")
             if len(bad) > 10:
                 return _result(f"filtration suite p={p}", checked, bad)
+    for alpha, comp in kac_cache.items():
+        checked += 1
+        for lam in comp:
+            is_factor = lam in covers[alpha] if lam in in_window else alpha in p_set(lam)
+            if not is_factor:
+                bad.append(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
+                break
+        if len(bad) > 10:
+            break
     return _result(f"filtration/BGG suite p={p}", checked, bad)
 
 

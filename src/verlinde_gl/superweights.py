@@ -112,19 +112,6 @@ def form(u: tuple[int, ...], v: tuple[int, ...], shape: SuperShape) -> int:
     return plus - minus
 
 
-def odd_roots(shape: SuperShape) -> list[tuple[int, ...]]:
-    """The mn vectors eps_i - delta_j, ordered by (i, j)."""
-    m, n = shape.m, shape.n
-    out = []
-    for i in range(m):
-        for j in range(n):
-            v = [0] * (m + n)
-            v[i] = 1
-            v[m + j] = -1
-            out.append(tuple(v))
-    return out
-
-
 def residue_data(lam: SuperWeight) -> ResidueData:
     """Residue ladders of (mu | nu); residues are distinct within each block."""
     sh = lam.shape

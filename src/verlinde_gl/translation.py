@@ -231,7 +231,8 @@ def _loop_term_to_diagram(v: LoopVector) -> WeightDiagram:
 def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:
     """Diagram action equals loop action at residue c, labels included.
 
-    Both F and E are compared; terms are matched as decoded super weights.
+    Both F and E are compared; terms are matched as (symbols, s, r), which
+    determines the decoded super weight at fixed p.
     """
     d = encode(lam)
     v = loop_vector(lam)
@@ -242,13 +243,8 @@ def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:
         if any(t.coeff != 1 for t in loop_terms):
             return False
         lhs = sorted((t.symbols, t.s, t.r) for t in diag_terms)
-        rhs_d = [_loop_term_to_diagram(t) for t in loop_terms]
-        rhs = sorted((t.symbols, t.s, t.r) for t in rhs_d)
+        rhs = sorted((t.symbols, t.s, t.r) for t in map(_loop_term_to_diagram, loop_terms))
         if lhs != rhs:
-            return False
-        if sorted(map(decode, diag_terms), key=lambda w: w.vector) != sorted(
-            map(decode, rhs_d), key=lambda w: w.vector
-        ):
             return False
     return True
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from verlinde_gl.caps import (
     dual_simple,
     dual_simple_label,
     hat,
+    is_inner,
     kac_composition,
     lowest_weight,
     p_set,
@@ -18,7 +21,7 @@ from verlinde_gl.caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode, render_ascii
+from verlinde_gl.diagrams import CROSS, EMPTY, LEFT, RIGHT, WeightDiagram, assemble_symbols, decode, encode, render_ascii
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
@@ -83,6 +86,112 @@ def test_counterclockwise_walk_is_reflected_clockwise_walk(data):
     assert [(c.source - c.tail - 1) % p for c in ccw.caps] == [
         (c.tail - c.source - 1) % p for c in cw.caps
     ]
+
+
+def _cw_interval(p: int, start: int, stop: int) -> list[int]:
+    """Vertices strictly between start and stop, walking clockwise."""
+    out = []
+    k = (start + 1) % p
+    while k != stop:
+        out.append(k)
+        k = (k + 1) % p
+    return out
+
+
+def _walk_caps(d: WeightDiagram, step: int):
+    """Reference oracle: the restarting walk the bracket match replaced.
+
+    From the first unmatched cross move step vertices at a time; an
+    unmatched cross restarts the source, the first unmatched circle closes
+    the cap.  Returns (caps in swap order, free circles, is_inner flags).
+    """
+    p = d.p
+    tails: dict[int, int] = {}
+    used_circles: set[int] = set()
+    unmatched = [k for k in range(p) if d.symbols[k] == CROSS]
+    while unmatched:
+        source = unmatched[0]
+        k = source
+        while True:
+            k = (k + step) % p
+            sym = d.symbols[k]
+            if sym == CROSS and k in unmatched:
+                source = k
+            elif sym == EMPTY and k not in used_circles:
+                break
+        tails[source] = k
+        used_circles.add(k)
+        unmatched.remove(source)
+    free = {k for k in range(p) if d.symbols[k] == EMPTY and k not in used_circles}
+    caps = sorted(
+        (Cap(s, z) for s, z in tails.items()),
+        key=lambda c: (((c.tail - c.source) * step - 1) % p, c.source),
+    )
+    inner = [
+        not any(o.source in _cw_interval(p, c.source, c.tail) for o in caps if o != c)
+        for c in caps
+    ]
+    return caps, free, inner
+
+
+def _assert_match_agrees_with_walk(d: WeightDiagram) -> None:
+    for step in (1, -1):
+        cd = _match_caps(d, step)
+        caps, free, inner = _walk_caps(d, step)
+        assert list(cd.caps) == caps
+        assert cd.free_circles == free
+        assert [is_inner(cd, j) for j in range(len(cd.caps))] == inner
+
+
+def _valid_symbol_strings(p: int):
+    for chars in product(EMPTY + LEFT + RIGHT + CROSS, repeat=p):
+        symbols = "".join(chars)
+        m = symbols.count(RIGHT) + symbols.count(CROSS)
+        n = symbols.count(LEFT) + symbols.count(CROSS)
+        if m >= 1 and n >= 1 and m + n < p:
+            yield symbols
+
+
+def test_bracket_match_equals_walk_exhaustive():
+    count = 0
+    for p in (5, 7):
+        for symbols in _valid_symbol_strings(p):
+            _assert_match_agrees_with_walk(WeightDiagram(p, symbols, 0, 0))
+            count += 1
+    assert count == 6548
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_bracket_match_equals_walk_hypothesis(data):
+    p, symbols = _random_symbols(data)
+    _assert_match_agrees_with_walk(WeightDiagram(p, symbols, 0, 0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_cap_matching_is_well_formed(data):
+    # The defining properties of the matching, in both directions: sources
+    # are exactly the crosses, tails are distinct circles, caps are nested
+    # or disjoint, and no free circle sits strictly under a cap.
+    p, symbols = _random_symbols(data)
+    d = WeightDiagram(p, symbols, 0, 0)
+    for step in (1, -1):
+        cd = _match_caps(d, step)
+
+        def under(c):
+            return {(c.source + step * k) % p for k in range(1, ((c.tail - c.source) * step) % p)}
+
+        assert sorted(c.source for c in cd.caps) == [k for k in range(p) if symbols[k] == CROSS]
+        tails = [c.tail for c in cd.caps]
+        assert len(set(tails)) == len(tails) and all(symbols[z] == EMPTY for z in tails)
+        assert cd.free_circles == {k for k in range(p) if symbols[k] == EMPTY} - set(tails)
+        spans = {c: under(c) | {c.source, c.tail} for c in cd.caps}
+        for c in cd.caps:
+            assert not under(c) & cd.free_circles
+            for other in cd.caps:
+                a, b = spans[c], spans[other]
+                assert a <= b or b <= a or not a & b
 
 
 def test_p_set_figure():
@@ -239,3 +348,20 @@ def test_hat_injective_on_strata():
         lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
         key = (m, n, atypicality(lam), hat(lam))
         assert seen.setdefault(key, lam) == lam
+
+
+def test_filtration_suite_catches_a_non_factor(monkeypatch):
+    # BGG reciprocity is checked both ways: a Kac factor list with one extra
+    # weight (its mu block shifted, so the degree differs) must be refused.
+    import verlinde_gl.suites as suites
+
+    real = suites.kac_composition
+
+    def with_non_factor(alpha):
+        shifted = SuperWeight(alpha.shape, tuple(x + 1 for x in alpha.mu), alpha.nu)
+        return real(alpha) | {shifted}
+
+    assert suites.suite_filtration(5, (-1, 1)).ok
+    monkeypatch.setattr(suites, "kac_composition", with_non_factor)
+    result = suites.suite_filtration(5, (-1, 1))
+    assert not result.ok and "non-factor" in result.details

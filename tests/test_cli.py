@@ -198,6 +198,7 @@ def _selfcheck_subprocess(*flags):
         ["--suite", "golden"],
         ["--suite", "serganova", "--p", "5"],
         ["--suite", "equivariance", "--p", "5"],
+        ["--suite", "filtration", "--p", "5"],
     ):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "verlinde_gl.cli", "selfcheck", *argv],
@@ -210,8 +211,26 @@ def _selfcheck_subprocess(*flags):
 def test_selfcheck_verdicts_survive_optimize_flag():
     # Under -O every bare assert is stripped; no verdict may depend on one.
     plain = _selfcheck_subprocess()
-    assert [code for code, _, _ in plain] == [0, 0, 0]
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0]
     assert _selfcheck_subprocess("-O") == plain
+
+
+def test_closed_stdout_exits_without_traceback():
+    # The reader of stdout is gone before anything is written, as when a
+    # pipe into `head -c 10` closes early.
+    env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["fuse", "--p", "5", "--i", "3", "--j", "3"], ["pset", "--p", "5", "--mu", "0", "--nu", "0", "--json"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "verlinde_gl.cli", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, check=False,
+            )
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    finally:
+        os.close(write_end)
 
 
 def test_cli_is_a_thin_adapter(capsys):
