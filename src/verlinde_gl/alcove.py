@@ -96,46 +96,30 @@ def _contents(entries: tuple[int, ...]) -> list[int]:
     return [entries[i] + 1 - (i + 1) for i in range(len(entries))]
 
 
-def add_box(lam: GLWeight, c: int) -> GLWeight | None:
-    """The admissible lam + e_i whose added box has content c mod p, if any.
+def _move_box(lam: GLWeight, c: int, step: int) -> GLWeight | None:
+    """lam + step*e_i (step = 1 or -1) for the row i whose moved box has content c mod p.
 
-    Uniqueness of the index i holds for every admissible weight; an empty
-    result (alcove wall) is a value, not an error.
+    Row i (from 0) gains a box of content lam_i - i or loses one of content
+    lam_i - i - 1.  Both are strictly decreasing in i with spread below p,
+    so the first row matching c mod p is the only one; None if no row
+    matches or the move leaves the alcove (a value, not an error).
     """
     p, n = lam.p, lam.n
-    c %= p
-    hits = []
-    for i, ci in enumerate(_contents(lam.entries)):
-        if ci % p != c:
-            continue
-        cand = list(lam.entries)
-        cand[i] += 1
-        if is_admissible(tuple(cand), n, p):
-            hits.append(tuple(cand))
-    assert len(hits) <= 1, f"content {c} addable at several places in {lam.entries}"
-    return GLWeight(hits[0], p) if hits else None
+    for i, x in enumerate(lam.entries):
+        if (x - i - (step < 0) - c) % p == 0:
+            cand = lam.entries[:i] + (x + step,) + lam.entries[i + 1 :]
+            return GLWeight(cand, p) if is_admissible(cand, n, p) else None
+    return None
+
+
+def add_box(lam: GLWeight, c: int) -> GLWeight | None:
+    """The admissible lam + e_i whose added box has content c mod p, if any."""
+    return _move_box(lam, c, 1)
 
 
 def remove_box(lam: GLWeight, c: int) -> GLWeight | None:
     """The admissible mu with add_box(mu, c) == lam, if any."""
-    p, n = lam.p, lam.n
-    c %= p
-    hits = []
-    for i in range(n):
-        # Removed box of lam - e_i has content lam_i - (i+1) mod p.
-        if (lam.entries[i] - (i + 1)) % p != c:
-            continue
-        cand = list(lam.entries)
-        cand[i] -= 1
-        if is_admissible(tuple(cand), n, p):
-            hits.append(tuple(cand))
-    assert len(hits) <= 1
-    if not hits:
-        return None
-    mu = GLWeight(hits[0], p)
-    back = add_box(mu, c)
-    assert back is not None and back.entries == lam.entries
-    return mu
+    return _move_box(lam, c, -1)
 
 
 def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
@@ -146,7 +130,6 @@ def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
         cand[i] += 1
         if is_admissible(tuple(cand), lam.n, lam.p):
             out.append(GLWeight(tuple(cand), lam.p))
-    assert 1 <= len(out) <= lam.n
     return out
 
 
@@ -231,10 +214,7 @@ def psi_data(n: int, p: int) -> InvertibleTriple:
     chi_w = GLWeight(((p - n),) + (0,) * (n - 1), p)
     b = next(b for b in range(n) if (1 - b * (p - n)) % n == 0)
     a = (1 - b * (p - n)) // n
-    assert a * n + b * (p - n) == 1
-    psi_w = chi_rotate(det_power(n, p, a), b)
-    assert psi_w.degree == 1
-    return InvertibleTriple(det_w, chi_w, a, b, psi_w)
+    return InvertibleTriple(det_w, chi_w, a, b, chi_rotate(det_power(n, p, a), b))
 
 
 def transpose_partition(parts: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -255,18 +235,18 @@ def level_rank_D(lam: GLWeight) -> tuple[GLWeight, int]:
     p, n = lam.p, lam.n
     base = lam.entries[-1]
     mu = tuple(x - base for x in lam.entries)
-    mt = transpose_partition(mu)
-    assert len(mt) <= p - n
+    mt = transpose_partition(mu)  # mu_1 = lam_1 - lam_n <= p - n parts
     image = GLWeight(mt + (0,) * (p - n - len(mt)), p)
     return chi_rotate(image, base), lam.degree % 2
 
 
 def level_rank_D_inverse(kappa: GLWeight) -> tuple[GLWeight, int]:
-    """Preimage under level-rank duality, realized at the complementary rank."""
-    lam, parity = level_rank_D(kappa)
-    back, _ = level_rank_D(lam)
-    assert back.entries == kappa.entries
-    return lam, parity
+    """Preimage under level-rank duality, realized at the complementary rank.
+
+    D is an involution (D(D(lam)) == lam for every admissible lam), so the
+    preimage is the image: this is level_rank_D itself.
+    """
+    return level_rank_D(kappa)
 
 
 def level_rank_degree_zero(lam: GLWeight) -> GLWeight:
@@ -281,8 +261,8 @@ def level_rank_degree_zero(lam: GLWeight) -> GLWeight:
     p, n = lam.p, lam.n
     alpha = tuple(x for x in lam.entries if x > 0)
     beta = tuple(-x for x in reversed(lam.entries) if x < 0)
+    # at has lam_1 parts and bt has -lam_n, at most p - n together.
     at, bt = transpose_partition(alpha), transpose_partition(beta)
     rank = p - n
-    assert len(at) + len(bt) <= rank
     entries = at + (0,) * (rank - len(at) - len(bt)) + tuple(-x for x in reversed(bt))
     return GLWeight(entries, p)

@@ -216,5 +216,4 @@ def borel_translate(
         if not inversions:
             break
         _swap_adjacent(entries, inversions[-1] if rightmost_first else inversions[0], shape)
-    assert [i for i, _ in entries] == list(range(shape.k))
     return TupleWeight(shape, tuple(part for _, part in entries))

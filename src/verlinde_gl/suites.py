@@ -2,7 +2,7 @@
 
 Each suite returns a SuiteResult; nothing here raises on a mathematical
 failure, so the CLI can print a full report and the acceptance tests can
-assert.  Enumeration windows default to [-p, p].
+fail on the verdict.  Enumeration windows default to [-p, p].
 
 The heavy sweeps use raw-tuple fast paths with per-factor memoization.
 Memoizing is sound because every memoized function is pure: each distinct
@@ -43,7 +43,7 @@ from .serganova import (
     sh_nu_mask,
     sum_odd_roots,
 )
-from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, is_typical, super_weight
+from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, form, is_typical, rho2, super_weight
 from .translation import apply_E, apply_F, commutator, phi_equivariance_check
 
 
@@ -247,8 +247,28 @@ def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteRe
     return _result(f"equivariance suite p={p}", checked, bad)
 
 
+def _form_atypicality(lam: SuperWeight) -> int:
+    """Witness route: odd roots eps_i - delta_j with <lam + rho, root> = 0 mod p.
+
+    Each pairing goes through the bilinear form with 2*(lam + rho), whose
+    pairing with an odd root is even, so halving it is exact.
+    """
+    sh = lam.shape
+    k = sh.m + sh.n
+    vec = tuple(2 * x + r for x, r in zip(lam.vector, rho2(sh)))
+    count = 0
+    for i in range(sh.m):
+        for j in range(sh.m, k):
+            root = tuple(1 if t == i else -1 if t == j else 0 for t in range(k))
+            count += form(vec, root, sh) // 2 % sh.p == 0
+    return count
+
+
 def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
-    """Criterion 5: p-set size, BGG reciprocity both ways, dominance/degree/Casimir linkage.
+    """Criterion 5: atypicality routes, p-set size, BGG both ways, dominance/degree/Casimir linkage.
+
+    Each window weight's atypicality is compared with the bilinear-form
+    count of _form_atypicality before it sizes the p-set.
 
     BGG reciprocity: each window weight lam lies in kac_composition(alpha)
     for every alpha in p_set(lam); conversely, once per distinct alpha,
@@ -267,8 +287,11 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
         ps = p_set(lam)
         for alpha in ps:
             covers.setdefault(alpha, set()).add(lam)
-        checked += 1
-        if len(ps) != 2 ** atypicality(lam):
+        atyp = atypicality(lam)
+        checked += 2
+        if atyp != _form_atypicality(lam):
+            bad.append(f"atypicality routes disagree at {(mu, nu)}")
+        if len(ps) != 2 ** atyp:
             bad.append(f"p-set size wrong at {(mu, nu)}")
             continue
         cas = casimir_scalar(lam).residue

@@ -113,46 +113,24 @@ def form(u: tuple[int, ...], v: tuple[int, ...], shape: SuperShape) -> int:
 
 
 def residue_data(lam: SuperWeight) -> ResidueData:
-    """Residue ladders of (mu | nu); residues are distinct within each block."""
+    """Residue ladders of (mu | nu); each spreads less than p, so its residues are distinct."""
     sh = lam.shape
     # Contents mu_i - (i - 1) and (j - m) - nu_j, built without a Python loop.
     a, s_parts = split_ladder(map(sub, lam.mu, count()), sh.p)
     b, r_parts = split_ladder(map(sub, count(1 - sh.m), lam.nu), sh.p)
-    assert len(set(a)) == sh.m and len(set(b)) == sh.n
     return ResidueData(tuple(a), tuple(b), tuple(s_parts), tuple(r_parts), sum(s_parts), sum(r_parts))
 
 
-def _pairing_with_root(lam: SuperWeight, i: int, j: int) -> int:
-    """<lam + rho, eps_i - delta_j> computed in integers via 2*rho (1-indexed)."""
-    sh = lam.shape
-    two = tuple(2 * x for x in lam.vector)
-    r2 = rho2(sh)
-    vec = tuple(two[k] + r2[k] for k in range(sh.m + sh.n))
-    root = [0] * (sh.m + sh.n)
-    root[i - 1] = 1
-    root[sh.m + j - 1] = -1
-    val = form(vec, tuple(root), sh)
-    assert val % 2 == 0
-    return val // 2
-
-
 def atypicality(lam: SuperWeight) -> int:
-    """Number of odd roots pairing to zero mod p; equals the residue collisions.
+    """Number of odd roots pairing to zero mod p: the residue collisions.
 
-    Computed both from the residue ladders and from the bilinear form, with
-    the two routes asserted equal.
+    <lam + rho, eps_i - delta_j> equals the content difference
+    (mu_i - i + 1) - (j - m - nu_j), so it vanishes mod p exactly when the
+    residues a_i and b_j agree; residues are distinct within each block.
+    suites.suite_filtration checks this count against the bilinear form.
     """
-    sh = lam.shape
     rd = residue_data(lam)
-    by_residues = sum(1 for ai in rd.a for bj in rd.b if ai == bj)
-    by_form = sum(
-        1
-        for i in range(1, sh.m + 1)
-        for j in range(1, sh.n + 1)
-        if _pairing_with_root(lam, i, j) % sh.p == 0
-    )
-    assert by_residues == by_form
-    return by_residues
+    return len(set(rd.a) & set(rd.b))
 
 
 def is_typical(lam: SuperWeight) -> bool:

@@ -23,6 +23,20 @@ from verlinde_gl.enumeration import admissible_tuples
 from verlinde_gl.errors import ValidationError
 
 
+# Primes beyond the p <= 11 windows that the suites sweep.
+PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def admissible_weights(draw):
+    """An admissible weight of any rank at a prime 5..31."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, p - 1))
+    offsets = draw(st.lists(st.integers(0, p - n), min_size=n, max_size=n))
+    top = draw(st.integers(-3 * p, 3 * p))
+    return GLWeight(tuple(top - x for x in sorted(offsets)), p)
+
+
 def test_is_admissible_examples():
     assert is_admissible((6, 5, 2), 3, 7)
     assert is_admissible((0, 0, 0), 3, 7)
@@ -59,6 +73,31 @@ def test_add_remove_adjoint_on_window():
                     assert add_box(down, c) == lam
 
 
+def _box_hits(lam, c, step):
+    """Every admissible lam + step*e_i whose moved box has content c mod p."""
+    p, n = lam.p, lam.n
+    hits = []
+    for i, x in enumerate(lam.entries):
+        content = x - i if step > 0 else x - i - 1
+        cand = lam.entries[:i] + (x + step,) + lam.entries[i + 1 :]
+        if (content - c) % p == 0 and is_admissible(cand, n, p):
+            hits.append(GLWeight(cand, p))
+    return hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_weights())
+def test_box_contents_distinct_and_moves_unique(lam):
+    p, n = lam.p, lam.n
+    # The added-box contents lam_i - i are distinct mod p (spread below p).
+    assert len({(x - i) % p for i, x in enumerate(lam.entries)}) == n
+    for c in range(p):
+        for step, move in ((1, add_box), (-1, remove_box)):
+            hits = _box_hits(lam, c, step)
+            assert len(hits) <= 1
+            assert move(lam, c) == (hits[0] if hits else None)
+
+
 def test_tensor_with_V():
     assert [w.entries for w in tensor_with_V(GLWeight((0, 0, 0), 7))] == [(1, 0, 0)]
     assert [w.entries for w in tensor_with_V(GLWeight((4, 0, 0), 7))] == [(4, 1, 0)]
@@ -74,6 +113,12 @@ def test_tensor_with_V():
     # Union-over-contents route agrees.
     by_content = {add_box(lam, c).entries for c in range(7) if add_box(lam, c)}
     assert by_content == set(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_weights())
+def test_tensor_with_V_summand_count(lam):
+    assert 1 <= len(tensor_with_V(lam)) <= lam.n
 
 
 def test_phi_wedge_examples():
@@ -98,14 +143,9 @@ def test_phi_wedge_bijective_on_window():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_wedge_roundtrip_hypothesis(data):
-    # Primes beyond the p <= 11 windows that the suites sweep.
-    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
-    n = data.draw(st.integers(1, p - 1))
-    offsets = data.draw(st.lists(st.integers(0, p - n), min_size=n, max_size=n))
-    top = data.draw(st.integers(-3 * p, 3 * p))
-    lam = GLWeight(tuple(top - x for x in sorted(offsets)), p)
+@given(admissible_weights())
+def test_wedge_roundtrip_hypothesis(lam):
+    p = lam.p
     w = phi_wedge(lam)
     assert wedge_to_weight(set(w.residues), w.loop_exponent, p) == lam
 
@@ -141,6 +181,17 @@ def test_chi_rotate_matches_stepwise():
                     assert chi_rotate(lam, k).entries == _chi_stepwise(entries, k, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(admissible_weights())
+def test_chi_power_n_is_det_power(lam):
+    # chi^n = det^(p-n): n single steps add p - n to every entry.
+    p, n = lam.p, lam.n
+    out = lam
+    for _ in range(n):
+        out = chi_rotate(out, 1)
+    assert out.entries == tuple(x + p - n for x in lam.entries)
+
+
 def test_chi_rotate_large_k_is_immediate():
     lam = GLWeight((3, 1, 0), 7)
     start = time.perf_counter()
@@ -162,6 +213,15 @@ def test_psi_data():
     assert (t.a, t.b) == (1, 0)
     assert t.psi_weight.entries == (1,)
     assert det_power(3, 7, 2).entries == (2, 2, 2)
+
+
+def test_psi_has_degree_one_exhaustive():
+    for p in PRIMES:
+        for n in range(1, p):
+            t = psi_data(n, p)
+            assert t.a * n + t.b * (p - n) == 1 and 0 <= t.b < n
+            assert t.psi_weight.degree == 1
+            assert t.psi_weight == chi_rotate(det_power(n, p, t.a), t.b)
 
 
 def test_transpose_partition():
@@ -196,6 +256,15 @@ def test_level_rank_roundtrip_exhaustive():
                 assert back == lam
                 inv, _ = level_rank_D_inverse(image)
                 assert inv == lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_weights())
+def test_level_rank_involution_hypothesis(lam):
+    image, parity = level_rank_D(lam)
+    assert image.n == lam.p - lam.n and parity == lam.degree % 2
+    assert level_rank_D(image)[0] == lam
+    assert level_rank_D_inverse(image)[0] == lam
 
 
 def test_level_rank_degree_zero_oracle():

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -148,10 +150,64 @@ PINNED_OUTPUTS = [
         '{"terms":[{"quotient":{"mu":[0],"nu":[0]}},{"sub":{"mu":[1],"nu":[-1]}}]}',
     ),
     (("oddroot-lemma", "--m", "5", "--n", "4"), "true", "true"),
+    (("level-rank", "--p", "7", "--weight", "6,5,2"), "5,4,2,2 parity=1", '{"parity":1,"weight":[5,4,2,2]}'),
+    (
+        ("level-rank", "--p", "7", "--weight", "5,4,2,2", "--inverse"),
+        "6,5,2 parity=1",
+        '{"parity":1,"weight":[6,5,2]}',
+    ),
+    (
+        ("psi", "--p", "7", "--n", "3"),
+        "psi=3,-1,-1 (a=-1, b=1)",
+        '{"a":-1,"b":1,"chi":[4,0,0],"det":[1,1,1],"psi":[3,-1,-1]}',
+    ),
+    (
+        ("diagram-encode", "--p", "5", "--mu", "1", "--nu", "0"),
+        "<>ooo @0 t1^0 t2^0",
+        '{"p":5,"r":0,"s":0,"symbols":["<",">","o","o","o"]}',
+    ),
+    (
+        ("diagram-decode", "--p", "5", "--symbols", "<>ooo", "--s", "0", "--r", "0", "--m", "1", "--n", "1"),
+        "mu=1 nu=0",
+        '{"mu":[1],"nu":[0]}',
+    ),
+    (("render", *FIG_ARGS, "--cut", "3"), "o<ox>>x<oo> @3 t1^-3 t2^2", '"o<ox>>x<oo> @3 t1^-3 t2^2"'),
+    (
+        ("caps", *FIG_ARGS),
+        "oo>o<ox>>x< @0 t1^-3 t2^2 caps: 9->0(inner), 6->1 free: 3,5",
+        '{"caps":[{"inner":true,"source":9,"tail":0},{"inner":false,"source":6,"tail":1}],"free":[3,5]}',
+    ),
+    (
+        ("serganova", "--p", "5", "--mu", "1", "--nu", "0"),
+        "hat=(0|1) sh_nonzero=true",
+        '{"hat":{"mu":[0],"nu":[1]},"sh_nonzero":true}',
+    ),
+    (
+        ("borel-translate", "--p", "5", "--types", "1,4", "--part", "1", "--part", "0,0,0,0", "--w", "2,1"),
+        "2; 0,0,0,-1",
+        "[[2],[0,0,0,-1]]",
+    ),
+    (("fuse", "--p", "5", "--i", "3", "--j", "3"), "L1 L3", "[1,3]"),
+    (
+        ("translate", "--p", "5", "--mu", "0", "--nu", "0", "--kind", "F", "--c", "0"),
+        "quotient=(1|0)",
+        '{"terms":[{"quotient":{"mu":[1],"nu":[0]}}]}',
+    ),
+    (("translate", "--p", "5", "--mu", "1", "--nu", "0", "--kind", "F", "--c", "0"), "0", '{"terms":[]}'),
 ]
 
 
-@pytest.mark.parametrize("argv, text, result", PINNED_OUTPUTS, ids=[argv[0] for argv, _, _ in PINNED_OUTPUTS])
+def _pin_ids(cases):
+    """The command name, or the whole argv for a command pinned more than once."""
+    seen = set()
+    ids = []
+    for argv, _, _ in cases:
+        ids.append(" ".join(argv) if argv[0] in seen else argv[0])
+        seen.add(argv[0])
+    return ids
+
+
+@pytest.mark.parametrize("argv, text, result", PINNED_OUTPUTS, ids=_pin_ids(PINNED_OUTPUTS))
 def test_subcommand_output_is_pinned(capsys, argv, text, result):
     # Exact text and JSON of every subcommand not pinned elsewhere.
     assert run(capsys, *argv) == (0, text, "")
@@ -213,6 +269,44 @@ def test_selfcheck_verdicts_survive_optimize_flag():
     plain = _selfcheck_subprocess()
     assert [code for code, _, _ in plain] == [0, 0, 0, 0]
     assert _selfcheck_subprocess("-O") == plain
+
+
+def test_package_has_no_assert_statements():
+    # Invariants are tests or counted suite checks, never bare asserts,
+    # which vanish under -O and run a second route on every call.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _readme_examples():
+    """(argv, expected line) for each example of README's Command line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    return [
+        (shlex.split(cmd)[1:], want.removeprefix("# "))
+        for cmd, want in zip(lines, lines[1:])
+        if cmd.startswith("verlinde-gl ") and "selfcheck --suite all" not in cmd
+    ]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, want", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, want):
+    # A leading "... " in the README elides a prefix of the output.
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if want.startswith("... "):
+        assert out.endswith(want[4:])
+    else:
+        assert out == want
 
 
 def test_closed_stdout_exits_without_traceback():

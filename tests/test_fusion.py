@@ -69,3 +69,12 @@ def test_even_subcategory_closed():
         assert is_even_object(1, p)
         assert not is_even_object(p - 1, p)
     assert is_even_object(7, 11)
+
+
+def test_fusion_output_distinct_and_in_range_exhaustive():
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for i in range(1, p):
+            for j in range(1, p):
+                out = fuse_simples(i, j, p)
+                assert out and 1 <= out[0] and out[-1] <= p - 1
+                assert all(a < b for a, b in zip(out, out[1:]))

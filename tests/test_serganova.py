@@ -130,6 +130,15 @@ def test_column_fold_matches_root_walks(pair, rng):
     assert folded == serganova_hat(mu, nu, p, random_odd_root_order(m, n, rng))
 
 
+def test_residue_representatives_one_per_residue_tuple():
+    for p in (5, 7):
+        for rank in range(1, 4):
+            reps = residue_representatives(rank, p)
+            assert len(reps) == p**rank
+            assert len({tuple(x % p for x in rep) for rep in reps}) == p**rank
+            assert all(rep[k - 1] - p < rep[k] <= rep[k - 1] for rep in reps for k in range(1, rank))
+
+
 def test_suite_serganova_coverage():
     result = suites.suite_serganova((5,))
     assert result.ok and result.checked == 675617

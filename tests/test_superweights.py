@@ -98,6 +98,17 @@ def test_rho_pairings_are_integral():
                     assert (r2[i] + r2[m + j]) % 2 == 0
 
 
+def test_filtration_suite_compares_the_atypicality_routes(monkeypatch):
+    # The bilinear-form count is the witness of the residue count; a residue
+    # route that is off by one must be refused by name.
+    from verlinde_gl import suites
+
+    assert suites.suite_filtration(5, (-1, 1)).ok
+    monkeypatch.setattr(suites, "atypicality", lambda lam: atypicality(lam) + 1)
+    result = suites.suite_filtration(5, (-1, 1))
+    assert not result.ok and "atypicality routes disagree" in result.details
+
+
 def test_casimir_examples():
     assert casimir_scalar(super_weight(5, (0,), (0,))).value == 0
     assert casimir_scalar(super_weight(5, (1,), (0,))).value == 0
