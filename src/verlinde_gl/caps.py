@@ -18,13 +18,19 @@ Every edit slides crosses to empty vertices through _slide_crosses, whose
 one rule twists the label by t1^(-step) t2^(step) per slide past p-1 -> 0.
 Swapping the cross of cap j with its tail is the involution tau_j, a
 clockwise slide; kac_composition and sigma_to_standard slide back.
+
+kac_composition inverts p_set without trying candidates.  A factor lam has
+a first free circle f; cut there, lam's caps nest inside one lap, so the
+same bracket match, read off alpha's lap with each cap kept or swapped,
+yields every factor once per cut.  The walk is an explicit stack, pruned to
+branches that can still close, and refuses more than
+KAC_COMPOSITION_MAX_NODES readings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb, perm
+from itertools import combinations
 from typing import NamedTuple
 
 from .diagrams import (
@@ -151,42 +157,82 @@ def projective_filtration(lam: SuperWeight) -> dict[SuperWeight, int]:
     return {alpha: 1 for alpha in p_set(lam)}
 
 
-# kac_composition tries sum_s C(k, s) * c!/(c-s)! candidates for k crosses
-# and c circles: 37,633 for (0^6|0^6) at p = 13 (about 0.5 s), 4,596,553 for
-# (0^8|0^8) at p = 17.  Larger searches are refused.
-KAC_COMPOSITION_MAX_CANDIDATES = 100_000
+# kac_composition walks at most k + 1 laps of p vertices for k crosses; a
+# reading of one vertex is a node.  (0^k|0^k) with p = 2k + 1 takes 126 nodes
+# at p = 13, 237 at p = 17, 496 at p = 23, 25,976 at p = 101 (about 20 ms)
+# and 1,632,296 at p = 421; walks beyond the budget (about 0.6 s) are refused.
+KAC_COMPOSITION_MAX_NODES = 1_000_000
+
+_KEPT = -1  # open cap that stays; an open swapped cap holds its source instead
 
 
 def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
     """Labels lam with alpha in p_set(lam): the composition factors of K(alpha).
 
-    Bounded inversion: move subsets of crosses of alpha's diagram backwards to
-    empty vertices; a candidate survives when its own cap diagram sends each
-    moved cross exactly back.  suite_filtration checks BGG reciprocity
-    both ways against p_set.
-    Searches above KAC_COMPOSITION_MAX_CANDIDATES raise ValidationError.
+    lam gives alpha by swapping some of its caps, so both have k crosses,
+    and lam has a free circle (m + n < p).  Its first free circle f (by
+    vertex index) is a circle of alpha and one of alpha's first k + 1
+    circles: exactly k circles of alpha are not free in lam, the tails of
+    kept caps and the sources of swapped ones.  Cut at each such f, lam's
+    caps nest inside the lap f+1, ..., p-1, 0, ..., f-1, so lam's bracket
+    word is read off alpha's lap with a stack of open caps, kept or swapped:
+
+    - an alpha cross is a kept source (push) or the tail z of the swapped
+      cap on top (pop it; the move z -> u slides the cross back to its
+      source u);
+    - an alpha circle closes a kept cap on top, is free when no cap is open
+      (only after f, which makes f the first), or is a swapped source
+      (push); under a swapped top it cannot stay a circle.
+
+    Every factor is found exactly once: lam fixes its cut f and every
+    reading.  A branch is pruned when it cannot end with nothing open: its
+    open swapped caps outnumber the crosses left, the circles left cannot
+    hold the non-free circles still due, or these are fewer than the
+    circles before f still ahead, which may not be free.  A lap ending with
+    nothing open is a factor, built by _slide_crosses.  suite_filtration
+    checks BGG reciprocity both ways against p_set.  A walk of more than
+    KAC_COMPOSITION_MAX_NODES readings raises ValidationError.
     """
     d = encode(alpha)
-    p = d.p
-    crosses = [k for k in range(p) if d.symbols[k] == CROSS]
-    circles = [k for k in range(p) if d.symbols[k] == EMPTY]
-    k, c = len(crosses), len(circles)
-    candidates = sum(comb(k, size) * perm(c, size) for size in range(k + 1))
-    if candidates > KAC_COMPOSITION_MAX_CANDIDATES:
-        limit = KAC_COMPOSITION_MAX_CANDIDATES
-        raise ValidationError(f"kac_composition would try {candidates} candidates, limit {limit}")
-    out = {alpha}
-    cap_cache: dict[str, dict[int, int]] = {}
-    for size in range(1, len(crosses) + 1):
-        for moved in combinations(crosses, size):
-            for targets in permutations(circles, size):
-                cand = _slide_crosses(d, zip(moved, targets), -1)
-                matched = cap_cache.get(cand.symbols)
-                if matched is None:
-                    matched = {c.source: c.tail for c in cap_diagram(cand).caps}
-                    cap_cache[cand.symbols] = matched
-                if all(matched.get(u) == z for z, u in zip(moved, targets)):
-                    out.add(decode(cand))
+    p, symbols, k = d.p, d.symbols, d.cross_count
+    circles = [v for v in range(p) if symbols[v] == EMPTY]
+    out: set[SuperWeight] = set()
+    nodes = 0
+    for before_f, f in enumerate(circles[: k + 1]):
+        lap = [v for v in (*range(f + 1, p), *range(f)) if symbols[v] in (CROSS, EMPTY)]
+        crosses_after = [0] * (len(lap) + 1)
+        circles_after = [0] * (len(lap) + 1)
+        for i in range(len(lap) - 1, -1, -1):
+            crosses_after[i] = crosses_after[i + 1] + (symbols[lap[i]] == CROSS)
+            circles_after[i] = circles_after[i + 1] + (symbols[lap[i]] == EMPTY)
+        # (lap position, open caps as linked (top, rest) pairs, open swapped
+        # caps, non-free circles due, moves)
+        todo: list[tuple] = [(0, None, 0, k, ())]
+        while todo:
+            i, stack, swapped, due, moves = todo.pop()
+            nodes += 1
+            if nodes > KAC_COMPOSITION_MAX_NODES:
+                limit = KAC_COMPOSITION_MAX_NODES
+                raise ValidationError(f"kac_composition walk exceeds {limit} nodes")
+            if i == len(lap):
+                if stack is None:
+                    out.add(decode(_slide_crosses(d, moves, -1)))
+                continue
+            v, rest = lap[i], i + 1
+            if symbols[v] == CROSS:
+                if swapped <= crosses_after[rest]:
+                    todo.append((rest, (_KEPT, stack), swapped, due, moves))
+                if stack is not None and stack[0] != _KEPT:
+                    todo.append((rest, stack[1], swapped - 1, due, (*moves, (v, stack[0]))))
+                continue
+            if stack is None and v > f and due <= circles_after[rest]:
+                todo.append((rest, None, swapped, due, moves))
+            if due <= min(circles_after[rest], before_f):
+                continue
+            if stack is not None and stack[0] == _KEPT:
+                todo.append((rest, stack[1], swapped, due - 1, moves))
+            if swapped < crosses_after[rest]:
+                todo.append((rest, (v, stack), swapped + 1, due - 1, moves))
     return out
 
 

@@ -276,12 +276,15 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     the sweep's own p_set images answer that; factors outside the window
     are checked through p_set directly.
     """
+    name = f"filtration/BGG suite p={p}"
     bad: list[str] = []
     checked = 0
     kac_cache: dict[SuperWeight, set[SuperWeight]] = {}
     covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
     in_window: set[SuperWeight] = set()
     for m, n, mu, nu in super_suite(p, window):
+        if len(bad) > 10:
+            return _result(name, checked, bad)
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
         in_window.add(lam)
         ps = p_set(lam)
@@ -309,8 +312,6 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 kac_cache[alpha] = comp
             if lam not in comp:
                 bad.append(f"BGG inversion misses {(mu, nu)} for {alpha}")
-            if len(bad) > 10:
-                return _result(f"filtration suite p={p}", checked, bad)
     for alpha, comp in kac_cache.items():
         checked += 1
         for lam in comp:
@@ -320,7 +321,7 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 break
         if len(bad) > 10:
             break
-    return _result(f"filtration/BGG suite p={p}", checked, bad)
+    return _result(name, checked, bad)
 
 
 def suite_projective_word(

@@ -1,12 +1,14 @@
-from itertools import product
+from itertools import combinations, permutations, product
+from math import comb, perm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from verlinde_gl.caps import (
-    KAC_COMPOSITION_MAX_CANDIDATES,
+    KAC_COMPOSITION_MAX_NODES,
     Cap,
     _match_caps,
+    _slide_crosses,
     cap_diagram,
     dual_simple,
     dual_simple_label,
@@ -61,8 +63,8 @@ def test_cap_diagram_typical_and_small():
     assert sorted(cd.free_circles) == [2, 3, 4]
 
 
-def _random_symbols(data) -> tuple[int, str]:
-    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+def _random_symbols(data, primes=(5, 7, 11, 13, 17, 19, 23, 29, 31)) -> tuple[int, str]:
+    p = data.draw(st.sampled_from(primes))
     m = data.draw(st.integers(1, p - 2))
     n = data.draw(st.integers(1, p - 1 - m))
     a = data.draw(st.permutations(range(p)))[:m]
@@ -310,15 +312,86 @@ def test_sigma_roundtrip_hypothesis(data):
     assert sigma_to_standard(standard_to_sigma(lam)) == lam
 
 
-def test_kac_composition_size_limit():
-    # (0^6|0^6) at p = 13 tries 37,633 candidates and still answers.
-    lam = super_weight(13, (0,) * 6, (0,) * 6)
-    factors = kac_composition(lam)
-    assert lam in factors and len(factors) == 7
-    assert all(lam in p_set(f) for f in factors)
-    # (0^8|0^8) at p = 17 would try 4,596,553; it is refused up front.
-    with pytest.raises(ValidationError, match=str(KAC_COMPOSITION_MAX_CANDIDATES)):
-        kac_composition(super_weight(17, (0,) * 8, (0,) * 8))
+def _kac_candidates(d: WeightDiagram) -> int:
+    """Candidates the oracle tries: sum_s C(k, s) * c!/(c-s)! for k crosses and c circles."""
+    k, c = d.symbols.count(CROSS), d.symbols.count(EMPTY)
+    return sum(comb(k, size) * perm(c, size) for size in range(k + 1))
+
+
+def _kac_composition_brute(alpha: SuperWeight) -> set[SuperWeight]:
+    """Reference oracle: the candidate search the bracket-lap walk replaced.
+
+    Move subsets of crosses of alpha's diagram backwards to empty vertices;
+    a candidate survives when its own cap diagram sends each moved cross
+    exactly back.  Never re-express this through kac_composition.
+    """
+    d = encode(alpha)
+    p = d.p
+    crosses = [k for k in range(p) if d.symbols[k] == CROSS]
+    circles = [k for k in range(p) if d.symbols[k] == EMPTY]
+    out = {alpha}
+    cap_cache: dict[str, dict[int, int]] = {}
+    for size in range(1, len(crosses) + 1):
+        for moved in combinations(crosses, size):
+            for targets in permutations(circles, size):
+                cand = _slide_crosses(d, zip(moved, targets), -1)
+                matched = cap_cache.get(cand.symbols)
+                if matched is None:
+                    matched = {c.source: c.tail for c in cap_diagram(cand).caps}
+                    cap_cache[cand.symbols] = matched
+                if all(matched.get(u) == z for z, u in zip(moved, targets)):
+                    out.add(decode(cand))
+    return out
+
+
+@pytest.mark.parametrize("p, window", [(5, None), (7, (-2, 2))], ids=["p5-window", "p7-window-2-2"])
+def test_kac_composition_equals_brute_force_on_windows(p, window):
+    count = 0
+    for m, n, mu, nu in super_suite(p, window):
+        alpha = SuperWeight(SuperShape(m, n, p), mu, nu)
+        assert kac_composition(alpha) == _kac_composition_brute(alpha), (mu, nu)
+        count += 1
+    assert count == {5: 3677, 7: 5735}[p]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kac_composition_equals_brute_force_hypothesis(data):
+    # Random labelled diagrams at p = 5..13, every atypicality; the oracle
+    # is skipped above 5,000 candidates.
+    p, symbols = _random_symbols(data, (5, 7, 11, 13))
+    s, r = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    d = WeightDiagram(p, symbols, s, r)
+    assume(_kac_candidates(d) <= 5_000)
+    alpha = decode(d)
+    assert kac_composition(alpha) == _kac_composition_brute(alpha)
+
+
+@pytest.mark.parametrize("p, count", [(13, 7), (17, 9), (23, 12)])
+def test_kac_composition_of_zero_weight(p, count):
+    # (0^k|0^k) with p = 2k + 1 has k + 1 factors, each with alpha in its p-set;
+    # the oracle would try 37,633 candidates at p = 13 and 4,596,553 at p = 17.
+    k = (p - 1) // 2
+    alpha = super_weight(p, (0,) * k, (0,) * k)
+    factors = kac_composition(alpha)
+    assert alpha in factors and len(factors) == count
+    assert all(alpha in p_set(f) for f in factors)
+
+
+def test_kac_composition_answers_at_large_p():
+    # The walk keeps its own stack, so a lap of about 1,000 vertices raises
+    # no RecursionError.
+    alpha = super_weight(1009, (5,), (-5,))
+    assert atypicality(alpha) == 1
+    factors = kac_composition(alpha)
+    assert factors == {alpha, super_weight(1009, (4,), (-4,))}
+    assert all(alpha in p_set(f) for f in factors)
+
+
+def test_kac_composition_node_budget():
+    # (0^504|0^504) at p = 1009 needs far more walk nodes than the budget.
+    with pytest.raises(ValidationError, match=f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes"):
+        kac_composition(super_weight(1009, (0,) * 504, (0,) * 504))
 
 
 def test_p_set_invariants_window():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import verlinde_gl
+from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES
 from verlinde_gl.cli import main
 
 
@@ -136,6 +137,23 @@ PINNED_OUTPUTS = [
         '{"mu":[18,17,15,12,12],"nu":[-13,-13,-17,-17]},'
         '{"mu":[18,18,15,12,12],"nu":[-13,-13,-17,-18]}]',
     ),
+    (
+        ("kac-factors", "--p", "17", "--mu", "0,0,0,0,0,0,0,0", "--nu=0,0,0,0,0,0,0,0"),
+        "(-8,-8,-8,-8,-8,-8,-8,-8|8,8,8,8,8,8,8,8); (0,-7,-7,-7,-7,-7,-7,-7|7,7,7,7,7,7,7,0); "
+        "(0,0,-6,-6,-6,-6,-6,-6|6,6,6,6,6,6,0,0); (0,0,0,-5,-5,-5,-5,-5|5,5,5,5,5,0,0,0); "
+        "(0,0,0,0,-4,-4,-4,-4|4,4,4,4,0,0,0,0); (0,0,0,0,0,-3,-3,-3|3,3,3,0,0,0,0,0); "
+        "(0,0,0,0,0,0,-2,-2|2,2,0,0,0,0,0,0); (0,0,0,0,0,0,0,-1|1,0,0,0,0,0,0,0); "
+        "(0,0,0,0,0,0,0,0|0,0,0,0,0,0,0,0)",
+        '[{"mu":[-8,-8,-8,-8,-8,-8,-8,-8],"nu":[8,8,8,8,8,8,8,8]},'
+        '{"mu":[0,-7,-7,-7,-7,-7,-7,-7],"nu":[7,7,7,7,7,7,7,0]},'
+        '{"mu":[0,0,-6,-6,-6,-6,-6,-6],"nu":[6,6,6,6,6,6,0,0]},'
+        '{"mu":[0,0,0,-5,-5,-5,-5,-5],"nu":[5,5,5,5,5,0,0,0]},'
+        '{"mu":[0,0,0,0,-4,-4,-4,-4],"nu":[4,4,4,4,0,0,0,0]},'
+        '{"mu":[0,0,0,0,0,-3,-3,-3],"nu":[3,3,3,0,0,0,0,0]},'
+        '{"mu":[0,0,0,0,0,0,-2,-2],"nu":[2,2,0,0,0,0,0,0]},'
+        '{"mu":[0,0,0,0,0,0,0,-1],"nu":[1,0,0,0,0,0,0,0]},'
+        '{"mu":[0,0,0,0,0,0,0,0],"nu":[0,0,0,0,0,0,0,0]}]',
+    ),
     (("dual", *FIG_ARGS), "(-15,-15,-11,-11,-11|10,10,12,17)", '{"mu":[-15,-15,-11,-11,-11],"nu":[10,10,12,17]}'),
     (("sigma", *FIG_ARGS), "(15,15,11,11,11|-10,-10,-12,-17)", '{"mu":[15,15,11,11,11],"nu":[-10,-10,-12,-17]}'),
     (
@@ -223,11 +241,18 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
         (("oddroot-lemma", "--m", "100000", "--n", "100000"), "block sizes must be at most 16"),
         (("fuse", "--p", "1000000000000000003", "--i", "1", "--j", "1"), "p must be at most 1000000"),
         (
-            ("kac-factors", "--p", "17", "--mu", "0,0,0,0,0,0,0,0", "--nu=0,0,0,0,0,0,0,0"),
-            "would try 4596553 candidates",
+            ("kac-factors", "--p", "1009", "--mu", ",".join(["0"] * 504), "--nu=" + ",".join(["0"] * 504)),
+            f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes",
         ),
     ],
-    ids=["selfcheck-p4", "selfcheck-p11", "alcove-p4", "oddroot-lemma-huge", "fuse-huge-p", "kac-factors-p17"],
+    ids=[
+        "selfcheck-p4",
+        "selfcheck-p11",
+        "alcove-p4",
+        "oddroot-lemma-huge",
+        "fuse-huge-p",
+        "kac-factors-over-node-budget",
+    ],
 )
 def test_out_of_range_inputs_are_refused(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -109,6 +109,17 @@ def test_filtration_suite_compares_the_atypicality_routes(monkeypatch):
     assert not result.ok and "atypicality routes disagree" in result.details
 
 
+def test_filtration_suite_stops_early_on_a_broken_atypicality(monkeypatch):
+    # The cut-off is checked once per window weight, so failures that skip
+    # the per-alpha checks still stop the sweep after about ten.
+    from verlinde_gl import suites
+
+    monkeypatch.setattr(suites, "atypicality", lambda lam: atypicality(lam) + 1)
+    result = suites.suite_filtration(5)
+    assert not result.ok and 10 < result.failures <= 12
+    assert result.checked <= 12
+
+
 def test_casimir_examples():
     assert casimir_scalar(super_weight(5, (0,), (0,))).value == 0
     assert casimir_scalar(super_weight(5, (1,), (0,))).value == 0
