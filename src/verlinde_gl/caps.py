@@ -142,9 +142,21 @@ def render_caps(cd: CapDiagram) -> str:
     return text + " free: " + ",".join(map(str, sorted(cd.free_circles)))
 
 
+# p_set builds one weight per subset of caps; each cap doubles the time
+# (k = 16 crosses, 65,536 weights, takes a few seconds), so larger sets are
+# refused before the enumeration starts.
+P_SET_MAX_SIZE = 2**16
+
+
 def p_set(lam: SuperWeight) -> set[SuperWeight]:
-    """All 2^(cross count) weights reached by swapping subsets of caps."""
+    """All 2^(cross count) weights reached by swapping subsets of caps.
+
+    Raises ValidationError when 2^(cross count) exceeds P_SET_MAX_SIZE.
+    """
     cd = cap_diagram(encode(lam))
+    weights = 2 ** len(cd.caps)
+    if weights > P_SET_MAX_SIZE:
+        raise ValidationError(f"p-set of {weights} weights exceeds P_SET_MAX_SIZE = {P_SET_MAX_SIZE}")
     out = set()
     for size in range(len(cd.caps) + 1):
         for caps in combinations(cd.caps, size):
@@ -290,10 +302,10 @@ def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int
         if all(d.symbols[v] in (LEFT, RIGHT) for v in span):
             for v in span:
                 kind = "F" if d.symbols[v] == LEFT else "E"
-                (cur,) = apply_functor(kind, pos, cur).terms
+                (cur,) = apply_functor(kind, pos, cur)
                 steps_fwd.append((kind, pos))
                 pos = v
-            merged = apply_functor("F", pos, cur).terms
+            merged = apply_functor("F", pos, cur)
         if len(merged) != 1 or merged[0].cross_count != d.cross_count - 1:
             raise ContractError(
                 f"inner cap {cap.source}->{cap.tail} of {lam} must span arrows only"

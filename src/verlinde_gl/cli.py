@@ -30,6 +30,7 @@ from .alcove import (
 )
 from .borel import GLXShape, TupleWeight, borel_translate
 from .caps import (
+    P_SET_MAX_SIZE,
     cap_diagram,
     dual_simple,
     hat,
@@ -140,8 +141,8 @@ def build_parser() -> _CliParser:
         ("atypicality", "number of crosses"),
         ("casimir", "Casimir scalar and residue"),
         ("irreducible", "typicality of the Kac label"),
-        ("pset", "standard-filtration support of the projective cover"),
-        ("filtration", "standard-filtration multiplicities"),
+        ("pset", f"standard-filtration support of the projective cover (at most {P_SET_MAX_SIZE} weights)"),
+        ("filtration", f"standard-filtration multiplicities (at most {P_SET_MAX_SIZE} weights)"),
         ("kac-factors", "composition-factor labels of the Kac module"),
         ("hat", "highest weight of the projective cover"),
         ("lowest", "lowest weight of the simple"),

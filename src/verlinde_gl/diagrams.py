@@ -127,11 +127,6 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
     return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
 
 
-def mul_label(d: WeightDiagram, t1: int = 0, t2: int = 0) -> WeightDiagram:
-    """Multiply the label by t1^t1 t2^t2 (label is t1^(-s) t2^r)."""
-    return WeightDiagram(d.p, d.symbols, d.s - t1, d.r + t2)
-
-
 def replace_symbols(
     d: WeightDiagram, assignments: dict[int, str], t1: int = 0, t2: int = 0
 ) -> WeightDiagram:

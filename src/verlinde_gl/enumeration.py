@@ -46,18 +46,10 @@ def _nonincreasing_tuples(rank: int, lo: int, hi: int, spread: int | None) -> li
     return out
 
 
-def super_shapes(p: int, max_m: int | None = None, max_n: int | None = None) -> list[tuple[int, int]]:
-    """All (m, n) with m, n >= 1 and m + n < p, within optional caps."""
+def super_shapes(p: int) -> list[tuple[int, int]]:
+    """All (m, n) with m, n >= 1 and m + n < p."""
     check_prime(p)
-    out = []
-    for m in range(1, p - 1):
-        if max_m is not None and m > max_m:
-            break
-        for n in range(1, p - m):
-            if max_n is not None and n > max_n:
-                break
-            out.append((m, n))
-    return out
+    return [(m, n) for m in range(1, p - 1) for n in range(1, p - m)]
 
 
 def super_suite(

@@ -10,8 +10,6 @@ Fusion follows the truncated Clebsch-Gordan rule
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 
 
@@ -47,20 +45,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeP:
-    """The characteristic p, validated once at construction."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-
-
-def _as_p(p: PrimeP | int) -> int:
-    return p.p if isinstance(p, PrimeP) else check_prime(p)
-
-
 def check_simple_index(n: int, p: int) -> int:
     """Validate a simple-object index: 1 <= n <= p-1."""
     if not 1 <= n <= p - 1:
@@ -68,21 +52,21 @@ def check_simple_index(n: int, p: int) -> int:
     return n
 
 
-def fuse_simples(i: int, j: int, p: PrimeP | int) -> list[int]:
+def fuse_simples(i: int, j: int, p: int) -> list[int]:
     """Indices of the simple summands of L_i (x) L_j, sorted ascending.
 
     The rule never produces multiplicities above one, so a sorted list of
     distinct indices is a faithful multiset.
     """
-    pp = _as_p(p)
-    check_simple_index(i, pp)
-    check_simple_index(j, pp)
+    check_prime(p)
+    check_simple_index(i, p)
+    check_simple_index(j, p)
     # |i - j| + 1, |i - j| + 3, .., up to min(i + j, 2p - i - j) - 1 <= p - 1.
-    top = min(i, j, pp - i, pp - j)
+    top = min(i, j, p - i, p - j)
     return [abs(i - j) + 2 * k - 1 for k in range(1, top + 1)]
 
 
-def is_even_object(n: int, p: PrimeP | int) -> bool:
+def is_even_object(n: int, p: int) -> bool:
     """Whether L_n lies in the even subcategory (odd categorical dimension)."""
-    check_simple_index(n, _as_p(p))
+    check_simple_index(n, check_prime(p))
     return n % 2 == 1

@@ -4,10 +4,21 @@ Each suite returns a SuiteResult; nothing here raises on a mathematical
 failure, so the CLI can print a full report and the acceptance tests can
 fail on the verdict.  Enumeration windows default to [-p, p].
 
-The heavy sweeps use raw-tuple fast paths with per-factor memoization.
-Memoizing is sound because every memoized function is pure: each distinct
-input is still computed by the real code path exactly once, and every
-enumerated pair is still compared against its expected value.
+The heavy sweeps share work between checks.  Sharing is sound because every
+shared function is pure: each distinct input is still computed by the real
+code path exactly once, and every enumerated pair is still compared against
+its expected value.  What each sweep shares:
+
+- codec (criteria 2, 3): block roundtrips per block weight and one assembly
+  table per shape; the pair sweep combines the cached verdicts.
+- equivariance (criterion 4): one encode and one loop vector per window
+  weight, shared by all p residues; the two-term order is read off the
+  terms the equivariance core already returned.
+- filtration (criterion 5): kac_composition once per distinct alpha, and
+  the sweep's own p_set images answer BGG's converse for window weights.
+- serganova (criterion 7): the walk states along common nu prefixes.
+- kac-moody (criterion 9): one encode per window weight, shared by all
+  generator pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from .serganova import (
     sum_odd_roots,
 )
 from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, form, is_typical, rho2, super_weight
-from .translation import apply_E, apply_F, commutator, phi_equivariance_check
+from .translation import _equivariant_terms, commutator, loop_vector
 
 
 @dataclass
@@ -235,12 +246,13 @@ def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteRe
     checked = 0
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
-        d = encode(lam)
+        d, v = encode(lam), loop_vector(lam)
         for c in range(p):
             checked += 1
-            if not phi_equivariance_check(lam, c):
+            terms = _equivariant_terms(d, v, c)
+            if terms is None:
                 bad.append(f"equivariance failed at {(mu, nu)}, c={c}")
-            elif not all(_two_term_order_ok(f(c, d).terms) for f in (apply_F, apply_E)):
+            elif not all(map(_two_term_order_ok, terms)):
                 bad.append(f"two-term order failed at {(mu, nu)}, c={c}")
             if len(bad) > 10:
                 return _result(f"equivariance suite p={p}", checked, bad)

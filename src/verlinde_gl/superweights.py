@@ -74,12 +74,10 @@ def super_weight(p: int, mu: tuple[int, ...] | list[int], nu: tuple[int, ...] | 
 
 @dataclass(frozen=True)
 class ResidueData:
-    """Ladders, residues and label exponents of a super weight."""
+    """Residues and label exponents of a super weight."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    s_parts: tuple[int, ...]
-    r_parts: tuple[int, ...]
     s: int
     r: int
 
@@ -118,7 +116,7 @@ def residue_data(lam: SuperWeight) -> ResidueData:
     # Contents mu_i - (i - 1) and (j - m) - nu_j, built without a Python loop.
     a, s_parts = split_ladder(map(sub, lam.mu, count()), sh.p)
     b, r_parts = split_ladder(map(sub, count(1 - sh.m), lam.nu), sh.p)
-    return ResidueData(tuple(a), tuple(b), tuple(s_parts), tuple(r_parts), sum(s_parts), sum(r_parts))
+    return ResidueData(tuple(a), tuple(b), sum(s_parts), sum(r_parts))
 
 
 def atypicality(lam: SuperWeight) -> int:

@@ -8,19 +8,23 @@ between vertices p-1 and 0 twists the label:
     '>' moved p-1 -> 0 gains t1^(-1);  '>' moved 0 -> p-1 gains t1.
     '<' moved p-1 -> 0 gains t2;       '<' moved 0 -> p-1 gains t2^(-1).
 
-Each two-term table row lists the dominance-smaller term first, so no
-output is sorted at run time: F moving '<' keeps sum(mu) while F moving '>'
-raises it by one, and E moving '>' lowers it by one while E moving '<' keeps
-it.  suite_equivariance checks this order on every two-term output.
+apply_functor(kind, i, d) is the one body of both functors.  It returns a
+plain tuple of zero, one or two diagrams; a two-term tuple lists the
+dominance-smaller term first, in the order of its table row, so no output
+is sorted at run time: F moving '<' keeps sum(mu) while F moving '>' raises
+it by one, and E moving '>' lowers it by one while E moving '<' keeps it.
+suite_equivariance checks this order on every two-term output.
 
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
-realizations are implemented independently; phi_equivariance_check compares
-them term by term, labels included.
+realizations are implemented independently; _equivariant_terms compares
+them term by term, labels included, for one encoded weight and its loop
+vector, and phi_equivariance_check runs it on a super weight.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -59,48 +63,38 @@ _E_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class DiagramSum:
-    """Zero, one or two diagrams; two-term sums list the dominance-smaller term first."""
-
-    terms: tuple[WeightDiagram, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.terms) > 2:
-            raise ValidationError("translation output has at most two terms")
-
-    def __len__(self) -> int:
-        return len(self.terms)
+_TABLES = {"F": _F_TABLE, "E": _E_TABLE}
 
 
-def _apply_table(table: dict, i: int, d: WeightDiagram) -> DiagramSum:
+def apply_functor(kind: str, i: int, d: WeightDiagram) -> tuple[WeightDiagram, ...]:
+    """F_i or E_i on a diagram: zero, one or two diagrams.
+
+    F steps the arrows at (i, i+1) with their facing, E against it.  A
+    two-term output lists the dominance-smaller term first, in the order
+    of its table row.
+    """
+    table = _TABLES.get(kind)
+    if table is None:
+        raise ValidationError(f"kind must be 'F' or 'E', got {kind!r}")
     p = d.p
     if not 0 <= i < p:
         raise ValidationError(f"residue {i} out of range 0..{p - 1}")
     j = (i + 1) % p
     eps = 1 if i == p - 1 else 0
-    return DiagramSum(tuple(
+    return tuple(
         replace_symbols(d, {i: new_x, j: new_y}, t1=dt1 * eps, t2=dt2 * eps)
         for new_x, new_y, dt1, dt2 in table.get((d.symbols[i], d.symbols[j]), ())
-    ))
+    )
 
 
-def apply_F(i: int, d: WeightDiagram) -> DiagramSum:
+def apply_F(i: int, d: WeightDiagram) -> tuple[WeightDiagram, ...]:
     """F_i on a diagram: arrows at (i, i+1) step with their facing."""
-    return _apply_table(_F_TABLE, i, d)
+    return apply_functor("F", i, d)
 
 
-def apply_E(i: int, d: WeightDiagram) -> DiagramSum:
+def apply_E(i: int, d: WeightDiagram) -> tuple[WeightDiagram, ...]:
     """E_i on a diagram: arrows at (i, i+1) step against their facing."""
-    return _apply_table(_E_TABLE, i, d)
-
-
-def apply_functor(kind: str, i: int, d: WeightDiagram) -> DiagramSum:
-    if kind == "F":
-        return apply_F(i, d)
-    if kind == "E":
-        return apply_E(i, d)
-    raise ValidationError(f"kind must be 'F' or 'E', got {kind!r}")
+    return apply_functor("E", i, d)
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class KacExtension:
     """
 
     quotient: SuperWeight
-    sub: SuperWeight | None
+    sub: SuperWeight | None = None
 
     @property
     def terms(self) -> tuple[SuperWeight, ...]:
@@ -122,12 +116,8 @@ class KacExtension:
 
 def translate_kac(kind: str, i: int, lam: SuperWeight) -> KacExtension | None:
     """Kac-module image under F_i/E_i; None when the functor kills the class."""
-    ds = apply_functor(kind, i, encode(lam))
-    if len(ds) == 0:
-        return None
-    if len(ds) == 1:
-        return KacExtension(decode(ds.terms[0]), None)
-    return KacExtension(decode(ds.terms[0]), decode(ds.terms[1]))
+    terms = apply_functor(kind, i, encode(lam))
+    return KacExtension(*map(decode, terms)) if terms else None
 
 
 def translate_simple(kind: str, i: int, lam: SuperWeight) -> SuperWeight:
@@ -138,12 +128,12 @@ def translate_simple(kind: str, i: int, lam: SuperWeight) -> SuperWeight:
     candidate.  Raises ContractError outside the single-term regime.
     """
     d = encode(lam)
-    ds = apply_functor(kind, i, d)
-    if len(ds) == 0:
+    terms = apply_functor(kind, i, d)
+    if not terms:
         raise ContractError("functor kills the diagram; no candidate simple")
-    if len(ds) == 2 or ds.terms[0].cross_count > d.cross_count:
+    if len(terms) == 2 or terms[0].cross_count > d.cross_count:
         raise ContractError("cross count increases; simple translation undefined")
-    return decode(ds.terms[0])
+    return decode(terms[0])
 
 
 def translate_projective(kind: str, i: int, lam: SuperWeight) -> SuperWeight:
@@ -152,12 +142,12 @@ def translate_projective(kind: str, i: int, lam: SuperWeight) -> SuperWeight:
     Two-term outputs pick the dominance-smaller weight.
     """
     d = encode(lam)
-    ds = apply_functor(kind, i, d)
-    if len(ds) == 0:
+    terms = apply_functor(kind, i, d)
+    if not terms:
         raise ContractError("functor kills the diagram; no projective image")
-    if ds.terms[0].cross_count < d.cross_count:
+    if terms[0].cross_count < d.cross_count:
         raise ContractError("cross count drops; projective translation undefined")
-    return decode(ds.terms[0])
+    return decode(terms[0])
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,7 @@ class LoopVector:
 
     Residues are stored in the weight order of residue_data; every super
     weight maps to coefficient +1, reordering signs being absorbed by
-    convention.
+    convention, so no coefficient is stored.
     """
 
     p: int
@@ -174,7 +164,6 @@ class LoopVector:
     s: int
     b: tuple[int, ...]
     r: int
-    coeff: int = 1
 
     def __post_init__(self) -> None:
         if len(set(self.a)) != len(self.a) or len(set(self.b)) != len(self.b):
@@ -200,10 +189,10 @@ def loop_f(c: int, v: LoopVector) -> list[LoopVector]:
     out = []
     if up in v.a and down not in v.a:
         a = tuple(down if x == up else x for x in v.a)
-        out.append(LoopVector(p, a, v.s + (1 if c == p - 1 else 0), v.b, v.r, v.coeff))
+        out.append(LoopVector(p, a, v.s + (1 if c == p - 1 else 0), v.b, v.r))
     if down in v.b and up not in v.b:
         b = tuple(up if x == down else x for x in v.b)
-        out.append(LoopVector(p, v.a, v.s, b, v.r - (1 if c == p - 1 else 0), v.coeff))
+        out.append(LoopVector(p, v.a, v.s, b, v.r - (1 if c == p - 1 else 0)))
     return out
 
 
@@ -216,10 +205,10 @@ def loop_e(c: int, v: LoopVector) -> list[LoopVector]:
     out = []
     if down in v.a and up not in v.a:
         a = tuple(up if x == down else x for x in v.a)
-        out.append(LoopVector(p, a, v.s - (1 if c == p - 1 else 0), v.b, v.r, v.coeff))
+        out.append(LoopVector(p, a, v.s - (1 if c == p - 1 else 0), v.b, v.r))
     if up in v.b and down not in v.b:
         b = tuple(down if x == up else x for x in v.b)
-        out.append(LoopVector(p, v.a, v.s, b, v.r + (1 if c == p - 1 else 0), v.coeff))
+        out.append(LoopVector(p, v.a, v.s, b, v.r + (1 if c == p - 1 else 0)))
     return out
 
 
@@ -228,42 +217,47 @@ def _loop_term_to_diagram(v: LoopVector) -> WeightDiagram:
     return WeightDiagram(v.p, assemble_symbols(v.a, v.b, v.p), v.s, v.r)
 
 
-def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:
-    """Diagram action equals loop action at residue c, labels included.
+def _equivariant_terms(
+    d: WeightDiagram, v: LoopVector, c: int
+) -> tuple[tuple[WeightDiagram, ...], tuple[WeightDiagram, ...]] | None:
+    """(F_c d, E_c d) when both equal the loop action on v at residue c, else None.
 
-    Both F and E are compared; terms are matched as (symbols, s, r), which
-    determines the decoded super weight at fixed p.
+    Terms are matched as (symbols, s, r), which determines the decoded super
+    weight at fixed p.  The loop side comes only from loop_f/loop_e on the
+    residue tuples of v.
     """
-    d = encode(lam)
-    v = loop_vector(lam)
-    for diag_terms, loop_terms in (
-        (apply_F(c, d).terms, loop_f(c, v)),
-        (apply_E(c, d).terms, loop_e(c, v)),
-    ):
-        if any(t.coeff != 1 for t in loop_terms):
-            return False
-        lhs = sorted((t.symbols, t.s, t.r) for t in diag_terms)
-        rhs = sorted((t.symbols, t.s, t.r) for t in map(_loop_term_to_diagram, loop_terms))
+    out = []
+    for kind, loop in (("F", loop_f), ("E", loop_e)):
+        terms = apply_functor(kind, c, d)
+        lhs = sorted((t.symbols, t.s, t.r) for t in terms)
+        rhs = sorted((t.symbols, t.s, t.r) for t in map(_loop_term_to_diagram, loop(c, v)))
         if lhs != rhs:
-            return False
-    return True
+            return None
+        out.append(terms)
+    return out[0], out[1]
+
+
+def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:
+    """Diagram action equals loop action at residue c, labels included, for F and E."""
+    return _equivariant_terms(encode(lam), loop_vector(lam), c) is not None
 
 
 def act_on_sum(kind: str, i: int, classes: dict[WeightDiagram, int]) -> dict[WeightDiagram, int]:
     """Linear extension of F_i/E_i to integer combinations of diagrams."""
-    out: dict[WeightDiagram, int] = {}
+    out: Counter[WeightDiagram] = Counter()
     for d, mult in classes.items():
-        for term in apply_functor(kind, i, d).terms:
-            out[term] = out.get(term, 0) + mult
-    return {d: k for d, k in out.items() if k != 0}
+        for term in apply_functor(kind, i, d):
+            out[term] += mult
+    return {t: k for t, k in out.items() if k}
 
 
 def commutator(
     x: tuple[str, int], y: tuple[str, int], d: WeightDiagram
 ) -> dict[WeightDiagram, int]:
     """[x, y] d = x(y d) - y(x d) for generators x, y = (kind, residue), as an exact formal sum."""
-    out: dict[WeightDiagram, int] = {}
+    out: Counter[WeightDiagram] = Counter()
     for sign, first, second in ((1, y, x), (-1, x, y)):
-        for term, mult in act_on_sum(*second, act_on_sum(*first, {d: 1})).items():
-            out[term] = out.get(term, 0) + sign * mult
-    return {t: k for t, k in out.items() if k != 0}
+        for mid in apply_functor(*first, d):
+            for term in apply_functor(*second, mid):
+                out[term] += sign
+    return {t: k for t, k in out.items() if k}

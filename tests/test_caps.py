@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from verlinde_gl.caps import (
     KAC_COMPOSITION_MAX_NODES,
+    P_SET_MAX_SIZE,
     Cap,
     _match_caps,
     _slide_crosses,
@@ -392,6 +393,14 @@ def test_kac_composition_node_budget():
     # (0^504|0^504) at p = 1009 needs far more walk nodes than the budget.
     with pytest.raises(ValidationError, match=f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes"):
         kac_composition(super_weight(1009, (0,) * 504, (0,) * 504))
+
+
+def test_p_set_size_limit():
+    # (0^16|0^16) at p = 37 has 16 crosses: 2^16 weights, the largest p-set
+    # that answers.  One cross more is refused before the enumeration.
+    assert len(p_set(super_weight(37, (0,) * 16, (0,) * 16))) == P_SET_MAX_SIZE
+    with pytest.raises(ValidationError, match=f"P_SET_MAX_SIZE = {P_SET_MAX_SIZE}"):
+        p_set(super_weight(37, (0,) * 17, (0,) * 17))
 
 
 def test_p_set_invariants_window():

@@ -4,12 +4,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import verlinde_gl
-from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES
+from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE
 from verlinde_gl.cli import main
 
 
@@ -258,6 +259,17 @@ def test_out_of_range_inputs_are_refused(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error VALIDATION") and message in err
+
+
+def test_p_set_above_the_size_limit_is_refused_quickly(capsys):
+    # (0^17|0^17) at p = 37 has 2^17 standard-filtration weights.
+    zeros = ",".join(["0"] * 17)
+    for command in ("pset", "filtration"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", "37", "--mu", zeros, "--nu", zeros)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error VALIDATION") and f"P_SET_MAX_SIZE = {P_SET_MAX_SIZE}" in err
 
 
 def test_selfcheck(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from verlinde_gl.errors import ValidationError
-from verlinde_gl.fusion import MAX_P, PrimeP, check_prime, fuse_simples, is_even_object, is_prime
+from verlinde_gl.fusion import MAX_P, check_prime, fuse_simples, is_even_object, is_prime
 
 PRIMES = [5, 7, 11, 13]
 
@@ -27,9 +27,9 @@ def test_invertible_top_object():
 
 def test_prime_validation():
     with pytest.raises(ValidationError):
-        PrimeP(4)
+        check_prime(4)
     with pytest.raises(ValidationError):
-        PrimeP(3)
+        check_prime(3)
     with pytest.raises(ValidationError):
         fuse_simples(1, 1, 9)
     with pytest.raises(ValidationError):

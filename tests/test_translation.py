@@ -1,7 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde_gl import translation
+from verlinde_gl import suites, translation
 from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.errors import ContractError, ValidationError
@@ -28,15 +31,15 @@ def test_apply_F_cross_opens():
     d = encode(ZERO5)
     out = apply_F(0, d)
     assert len(out) == 1
-    assert out.terms[0].symbols == "<>ooo"
-    assert decode(out.terms[0]).vector == (1, 0)
+    assert out[0].symbols == "<>ooo"
+    assert decode(out[0]).vector == (1, 0)
 
 
 def test_apply_F_affine_wall():
     d = encode(ZERO5)
     out = apply_F(4, d)
     assert len(out) == 1
-    t = out.terms[0]
+    t = out[0]
     assert decode(t).vector == (0, 1)
     assert (t.s, t.r) == (0, -1)  # label gained t2^(-1)
 
@@ -54,7 +57,7 @@ def test_apply_E_on_figure():
     d = encode(FIG)
     out = apply_E(6, d)
     assert len(out) == 1
-    t = out.terms[0]
+    t = out[0]
     assert t.symbols[6] == ">" and t.symbols[7] == "x"
     assert (t.s, t.r) == (d.s, d.r)
 
@@ -66,8 +69,8 @@ def test_E_undoes_F_on_arrow_moves():
             for i in range(p):
                 pair = (d.symbols[i], d.symbols[(i + 1) % p])
                 if pair in ((">", "o"), ("o", "<"), ("x", "<"), (">", "x")):
-                    (moved,) = apply_F(i, d).terms
-                    back = apply_E(i, moved).terms
+                    (moved,) = apply_F(i, d)
+                    back = apply_E(i, moved)
                     assert back == (d,)
 
 
@@ -78,9 +81,9 @@ def test_two_term_case():
     assert d.symbols[0] == "<" and d.symbols[1] == ">"
     out = apply_E(0, d)
     assert len(out) == 2
-    lo, hi = map(decode, out.terms)
+    lo, hi = map(decode, out)
     assert dominance_leq(lo, hi) and not dominance_leq(hi, lo)
-    assert out.terms[0].cross_count == out.terms[1].cross_count == 1
+    assert out[0].cross_count == out[1].cross_count == 1
 
 
 def test_apply_E_adjacent_left_arrows_vanish():
@@ -99,8 +102,8 @@ def test_apply_F_two_term_case():
     assert (d.symbols[1], d.symbols[2]) == (">", "<")
     out = apply_F(1, d)
     assert len(out) == 2
-    assert {t.symbols for t in out.terms} == {"ooxoo", "oxooo"}
-    lo, hi = map(decode, out.terms)
+    assert {t.symbols for t in out} == {"ooxoo", "oxooo"}
+    lo, hi = map(decode, out)
     assert dominance_leq(lo, hi)
     assert sum(lo.mu) + 1 == sum(hi.mu)
 
@@ -176,10 +179,10 @@ def test_biadjointness_shadow():
         for m, n, mu, nu in super_suite(p, window=(-2, 2)):
             d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
             for i in range(p):
-                for t in apply_F(i, d).terms:
-                    assert d in apply_E(i, t).terms
-                for t in apply_E(i, d).terms:
-                    assert d in apply_F(i, t).terms
+                for t in apply_F(i, d):
+                    assert d in apply_E(i, t)
+                for t in apply_E(i, d):
+                    assert d in apply_F(i, t)
 
 
 def test_cross_count_bookkeeping():
@@ -193,10 +196,10 @@ def test_cross_count_bookkeeping():
                 pair = (d.symbols[i], d.symbols[(i + 1) % p])
                 for out in (apply_F(i, d), apply_E(i, d)):
                     if len(out) == 2:
-                        assert out.terms[0].cross_count == d.cross_count + 1
+                        assert out[0].cross_count == d.cross_count + 1
                     elif len(out) == 1:
                         drop = 1 if pair in (("x", "o"), ("o", "x")) else 0
-                        assert out.terms[0].cross_count == d.cross_count - drop
+                        assert out[0].cross_count == d.cross_count - drop
 
 
 def test_kac_moody_commutators_smoke():
@@ -238,7 +241,7 @@ def test_two_term_outputs_list_the_smaller_term_first(data):
     for i in range(d.p):
         for out in (apply_F(i, d), apply_E(i, d)):
             if len(out) == 2:
-                lo, hi = out.terms
+                lo, hi = out
                 assert lo.cross_count == hi.cross_count
                 assert dominance_leq(decode(lo), decode(hi))
                 assert not dominance_leq(decode(hi), decode(lo))
@@ -250,10 +253,10 @@ def test_adjunction_shadow_beyond_the_window(data):
     # t in F_i(d) <=> d in E_i(t), labels included.
     d = _random_diagram(data)
     for i in range(d.p):
-        for t in apply_F(i, d).terms:
-            assert d in apply_E(i, t).terms
-        for t in apply_E(i, d).terms:
-            assert d in apply_F(i, t).terms
+        for t in apply_F(i, d):
+            assert d in apply_E(i, t)
+        for t in apply_E(i, d):
+            assert d in apply_F(i, t)
 
 
 def test_reversed_two_term_row_fails_the_equivariance_suite(monkeypatch):
@@ -263,3 +266,50 @@ def test_reversed_two_term_row_fails_the_equivariance_suite(monkeypatch):
     result = suite_equivariance(5, (-1, 1))
     assert not result.ok
     assert "two-term order" in result.details
+
+
+def test_untwisted_loop_f_fails_the_equivariance_suite(monkeypatch):
+    # The loop route alone must catch a broken action: drop the t1 twist
+    # that loop_f puts on a wedge residue moved across the wall at c = p-1.
+    real = translation.loop_f
+
+    def untwisted(c, v):
+        out = real(c, v)
+        if c != v.p - 1:
+            return out
+        return [replace(t, s=v.s) if t.a != v.a else t for t in out]
+
+    monkeypatch.setattr(translation, "loop_f", untwisted)
+    result = suite_equivariance(5, (-1, 1))
+    assert not result.ok
+    assert "equivariance failed" in result.details
+
+
+def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
+    # One encode and one loop vector per window weight, shared by all p residues.
+    calls: Counter[str] = Counter()
+    for module in (suites, translation):
+        for name in ("encode", "loop_vector"):
+
+            def counted(lam, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(lam)
+
+            monkeypatch.setattr(module, name, counted)
+    weights = sum(1 for _ in super_suite(5, (-1, 1)))
+    result = suite_equivariance(5, (-1, 1))
+    assert result.ok and result.checked == 5 * weights
+    assert calls == {"encode": weights, "loop_vector": weights}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_commutator_is_antisymmetric_with_no_zero_coefficient(data):
+    d = _random_diagram(data)
+    i = data.draw(st.integers(0, d.p - 1))
+    x = (data.draw(st.sampled_from("EF")), i)
+    # Residues at distance 0, 1 or 2 from x: equal, adjacent and distant pairs.
+    y = (data.draw(st.sampled_from("EF")), (i + data.draw(st.sampled_from((-1, 0, 1, 2)))) % d.p)
+    xy = commutator(x, y, d)
+    assert commutator(y, x, d) == {t: -k for t, k in xy.items()}
+    assert 0 not in xy.values()
