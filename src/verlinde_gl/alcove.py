@@ -12,12 +12,13 @@ c_i = lambda_i + 1 - i, which is strictly decreasing with total spread < p
 for admissible lambda.  Writing c_i = a_i + p*s_i with 0 <= a_i < p gives
 pairwise distinct residues a_i and the loop exponent s = sum(s_i).
 
-This is the one residue ladder of the package: split_ladder is the forward
-map (contents -> residues and loop parts) and ladder_contents its inverse
-(residue set and loop exponent -> strictly decreasing contents).  The
-wedge dictionary here, superweights.residue_data and the diagram codec in
-diagrams.py all go through this pair; the second block of a super weight
-uses the same ladder read in reverse.
+This is the one residue ladder of the package: weight_ladder is the forward
+map (weight -> residues and loop exponent) and ladder_weight its inverse
+(residue set and loop exponent -> weight); they are the only code that
+writes the content offset i - 1.  The wedge dictionary here,
+superweights.residue_data and the diagram codec in diagrams.py all go
+through this pair; the second block of a super weight enters it through
+the involution superweights.second_block.
 
 Note on symmetric powers: S^k V vanishes for k = p - n + 1 (its dimension is
 divisible by p), so chi = S^(p-n) V is the top nonzero symmetric power; no
@@ -28,6 +29,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import count
+from operator import sub
 
 from .errors import ValidationError
 from .fusion import check_prime
@@ -92,10 +95,6 @@ class InvertibleTriple:
     psi_weight: GLWeight
 
 
-def _contents(entries: tuple[int, ...]) -> list[int]:
-    return [entries[i] + 1 - (i + 1) for i in range(len(entries))]
-
-
 def _move_box(lam: GLWeight, c: int, step: int) -> GLWeight | None:
     """lam + step*e_i (step = 1 or -1) for the row i whose moved box has content c mod p.
 
@@ -133,39 +132,39 @@ def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
     return out
 
 
-def split_ladder(contents: Iterable[int], p: int) -> tuple[list[int], list[int]]:
-    """Residues a_i and loop parts s_i of contents c_i = a_i + p*s_i, 0 <= a_i < p.
+def weight_ladder(entries: Iterable[int], p: int) -> tuple[list[int], int]:
+    """Residues a_i and loop exponent s of the contents c_i = entries_i - (i - 1).
 
-    Both lists follow the order of contents; the loop exponent is sum(s_i).
+    c_i = a_i + p*s_i with 0 <= a_i < p; the residues follow the order of
+    entries and s = sum(s_i).
     """
-    residues, loops = [], []
-    for c in contents:
-        s, a = divmod(c, p)
+    residues, s = [], 0
+    for c in map(sub, entries, count()):
+        q, a = divmod(c, p)
         residues.append(a)
-        loops.append(s)
-    return residues, loops
+        s += q
+    return residues, s
 
 
-def ladder_contents(residues: Iterable[int], s: int, p: int) -> list[int]:
-    """The strictly decreasing contents with this residue set and loop exponent.
+def ladder_weight(residues: Iterable[int], s: int, p: int) -> tuple[int, ...]:
+    """The nonincreasing weight whose content ladder has these residues and loop exponent.
 
     With s = n*q + k (0 <= k < n) the k smallest residues, descending, head
     the ladder with offset p*(q+1); the others follow with offset p*q.  The
-    spread stays below p, so this inverts split_ladder on every ladder of
-    an admissible weight.
+    spread stays below p, so this inverts weight_ladder on every admissible
+    weight.
     """
     desc = sorted(residues, reverse=True)
     q, k = divmod(s, len(desc))
+    head, tail = p * (q + 1), p * q
     contents = desc[len(desc) - k :] + desc[: len(desc) - k]
-    for i in range(len(contents)):
-        contents[i] += p * (q + 1) if i < k else p * q
-    return contents
+    return tuple([c + (head if i < k else tail) + i for i, c in enumerate(contents)])
 
 
 def phi_wedge(lam: GLWeight) -> WedgeVector:
     """Wedge-basis image of a simple: residues of the content ladder plus s."""
-    residues, loops = split_ladder(_contents(lam.entries), lam.p)
-    return WedgeVector(tuple(residues), sum(loops), lam.p)
+    residues, s = weight_ladder(lam.entries, lam.p)
+    return WedgeVector(tuple(residues), s, lam.p)
 
 
 def wedge_to_weight(residues: frozenset[int] | set[int], s: int, p: int) -> GLWeight:
@@ -175,7 +174,7 @@ def wedge_to_weight(residues: frozenset[int] | set[int], s: int, p: int) -> GLWe
         raise ValidationError(f"residue set size {n} out of range 1..{p - 1}")
     if any(not 0 <= a < p for a in residues):
         raise ValidationError(f"residues must lie in 0..{p - 1}: {sorted(residues)}")
-    return GLWeight(tuple(c + i for i, c in enumerate(ladder_contents(residues, s, p))), p)
+    return GLWeight(ladder_weight(residues, s, p), p)
 
 
 def chi_rotate(lam: GLWeight, k: int) -> GLWeight:

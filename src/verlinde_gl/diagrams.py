@@ -12,11 +12,11 @@ Crosses count the atypicality.  The canonical storage always starts at
 vertex 0; cutting at another vertex is a view used for rendering.
 
 The codec is the one residue ladder of alcove.py applied to both blocks:
-encode splits the ladders with superweights.residue_data and places the
+encode reads the ladders off superweights.residue_data and places the
 residue sets with assemble_symbols; decode reads them back with
-symbol_residues and inverts each block with alcove.ladder_contents, the
-second block read in reverse (nu_j = j - m - c_{n+1-j}).  These two
-helpers are the only place symbols and residue sets are converted.
+symbol_residues, inverts each block with alcove.ladder_weight and maps the
+second one back with superweights.second_block.  These two helpers are the
+only place symbols and residue sets are converted.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .alcove import ladder_contents
+from .alcove import ladder_weight
 from .errors import ValidationError
 from .fusion import check_prime
-from .superweights import SuperShape, SuperWeight, residue_data
+from .superweights import SuperShape, SuperWeight, residue_data, second_block
 
 EMPTY, LEFT, RIGHT, CROSS = "o", "<", ">", "x"
 _SYMBOLS = frozenset((EMPTY, LEFT, RIGHT, CROSS))
@@ -122,8 +122,8 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
     if n is not None and d.n != n:
         raise ValidationError(f"diagram carries n={d.n} left-arrows, expected {n}")
     a, b = symbol_residues(d.symbols)
-    mu = tuple([c + i for i, c in enumerate(ladder_contents(a, d.s, d.p))])
-    nu = tuple([j - len(a) - c for j, c in enumerate(reversed(ladder_contents(b, d.r, d.p)), 1)])
+    mu = ladder_weight(a, d.s, d.p)
+    nu = second_block(ladder_weight(b, d.r, d.p), len(a))
     return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
 
 

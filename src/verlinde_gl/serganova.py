@@ -7,14 +7,16 @@ and j <= b); at each step the root is subtracted iff the running weight
 pairs with it to a nonzero residue mod p.  The terminal weight is the lowest
 block-equivariant weight of the simple head of the Kac module.
 
-The canonical order takes the roots column by column: j ascending, and
+The walk takes the canonical order, column by column: j ascending, and
 within column j the roots (m, j), .., (1, j).  Root (i, j) reads and moves
 only mu_i and nu_j, so no root before column j touches nu_j, and column j
 sees the running mu and the original nu_j alone.  One column step
 (mu_state, nu_j) -> (mu_state', nu_j') therefore carries the whole walk:
 the state after column j depends only on (mu, nu_1, .., nu_j), and the
 hat is a left fold of the column step over nu.  Sweeps share that state
-between all nu with a common prefix.
+between all nu with a common prefix.  The root-by-root walk in an
+arbitrary linear extension, which gives the same terminal weight, is the
+reference oracle of tests/test_serganova.py.
 
 The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
 = (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
@@ -24,7 +26,6 @@ disjoint.  sh_nonzero tests this on two bitmasks.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -44,42 +45,12 @@ def check_blocks(mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]])
                 raise ValidationError(f"{name}={block} is not nonincreasing")
 
 
-def root_leq(r1: OddRoot, r2: OddRoot) -> bool:
-    """r1 precedes r2 when their difference is a sum of positive roots."""
-    return r1[0] >= r2[0] and r1[1] <= r2[1]
-
-
 @lru_cache(maxsize=None)
 def odd_root_order(m: int, n: int) -> tuple[OddRoot, ...]:
     """Canonical linear extension: j ascending, i descending."""
     if m < 1 or n < 1:
         raise ValidationError("block sizes must be positive")
     return tuple((i, j) for j in range(1, n + 1) for i in range(m, 0, -1))
-
-
-def is_linear_extension(order: tuple[OddRoot, ...], m: int, n: int) -> bool:
-    """Whether root_leq(order[i], order[j]) forces i <= j."""
-    if sorted(order) != sorted(odd_root_order(m, n)):
-        return False
-    pos = {root: k for k, root in enumerate(order)}
-    return all(
-        pos[r1] <= pos[r2]
-        for r1 in order
-        for r2 in order
-        if root_leq(r1, r2)
-    )
-
-
-def random_odd_root_order(m: int, n: int, rng: random.Random) -> tuple[OddRoot, ...]:
-    """A random linear extension of the odd-root order: each pick is minimal among the rest."""
-    remaining = set(odd_root_order(m, n))
-    out: list[OddRoot] = []
-    while remaining:
-        minimal = [r for r in remaining if all(not root_leq(o, r) for o in remaining if o != r)]
-        pick = rng.choice(sorted(minimal))
-        out.append(pick)
-        remaining.remove(pick)
-    return tuple(out)
 
 
 def rho_pair_root(m: int, n: int, root: OddRoot) -> int:
@@ -130,33 +101,15 @@ def column_step(state: tuple[int, ...], y: int, p: int) -> tuple[tuple[int, ...]
     return tuple(out), y
 
 
-def serganova_hat(
-    mu: tuple[int, ...],
-    nu: tuple[int, ...],
-    p: int,
-    order: tuple[OddRoot, ...] | None = None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Terminal weight of the root-subtraction recursion.
-
-    The canonical order folds column_step over nu; an explicit order walks
-    the roots one at a time.
-    """
+def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Terminal weight of the root-subtraction recursion: column_step folded over nu."""
     check_prime(p)
     check_blocks((mu,), (nu,))
-    if order is None:
-        state, out_nu = tuple(mu), []
-        for y in nu:
-            state, y = column_step(state, y, p)
-            out_nu.append(y)
-        return state, tuple(out_nu)
-    if not is_linear_extension(tuple(order), len(mu), len(nu)):
-        raise ValidationError(f"order {order} is not a linear extension of the odd roots")
-    cur_mu, cur_nu = list(mu), list(nu)
-    for i, j in order:
-        if (cur_mu[i - 1] + cur_nu[j - 1]) % p != 0:
-            cur_mu[i - 1] -= 1
-            cur_nu[j - 1] += 1
-    return tuple(cur_mu), tuple(cur_nu)
+    state, out_nu = tuple(mu), []
+    for y in nu:
+        state, y = column_step(state, y, p)
+        out_nu.append(y)
+    return state, tuple(out_nu)
 
 
 def sh_mu_mask(mu: tuple[int, ...], p: int) -> int:

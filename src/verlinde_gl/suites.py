@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .alcove import GLWeight, ladder_contents, level_rank_D, psi_data, split_ladder
+from .alcove import GLWeight, ladder_weight, level_rank_D, psi_data, weight_ladder
 from .borel import GLXShape, TupleWeight, borel_translate, check_permutation, conjugate_relabel, w_integrable
 from .caps import (
     cap_diagram,
@@ -35,6 +35,7 @@ from .caps import (
     kac_composition,
     lowest_weight,
     p_set,
+    projective_filtration,
     projective_word,
     replay_word,
     sigma_to_standard,
@@ -54,7 +55,18 @@ from .serganova import (
     sh_nu_mask,
     sum_odd_roots,
 )
-from .superweights import SuperShape, SuperWeight, atypicality, casimir_scalar, dominance_leq, form, is_typical, rho2, super_weight
+from .superweights import (
+    SuperShape,
+    SuperWeight,
+    atypicality,
+    casimir_scalar,
+    dominance_leq,
+    form,
+    is_typical,
+    rho2,
+    second_block,
+    super_weight,
+)
 from .translation import _equivariant_terms, commutator, loop_vector
 
 
@@ -150,8 +162,9 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     stage verdicts.  Together the stages cover decode o encode = id and the
     cross-count agreement for every enumerated pair; the identity also gives
     injectivity of encode over the window.  Every table is built by the
-    shipped ladder (split_ladder / ladder_contents) and the shipped
-    assembly (assemble_symbols / symbol_residues).
+    code encode and decode run: the ladder (weight_ladder / ladder_weight),
+    the second-block involution (second_block) and the assembly
+    (assemble_symbols / symbol_residues).
     """
     lo, hi = window if window is not None else default_window(p)
     bad: list[str] = []
@@ -165,8 +178,8 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
         rows = []
         for w in weights:
             checked += 1
-            a, loops = split_ladder([x - i for i, x in enumerate(w)], p)
-            ok = tuple([c + i for i, c in enumerate(ladder_contents(a, sum(loops), p))]) == w
+            a, s = weight_ladder(w, p)
+            ok = ladder_weight(a, s, p) == w
             if not ok:
                 bad.append(f"mu-block roundtrip failed at p={p}, {w}")
             rows.append((w, a, _mask(a), ok))
@@ -177,9 +190,8 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
             rows = []
             for w in blocks[rank]:
                 checked += 1
-                b, loops = split_ladder([j - m - y for j, y in enumerate(w, 1)], p)
-                contents = ladder_contents(b, sum(loops), p)
-                ok = tuple([j - m - c for j, c in enumerate(reversed(contents), 1)]) == w
+                b, r = weight_ladder(second_block(w, m), p)
+                ok = second_block(ladder_weight(b, r, p), m) == w
                 if not ok:
                     bad.append(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
                 rows.append((w, b, _mask(b), ok))
@@ -291,7 +303,7 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     name = f"filtration/BGG suite p={p}"
     bad: list[str] = []
     checked = 0
-    kac_cache: dict[SuperWeight, set[SuperWeight]] = {}
+    kac_cache: dict[SuperWeight, tuple[set[SuperWeight], int]] = {}  # alpha -> (factors, Casimir residue)
     covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
     in_window: set[SuperWeight] = set()
     for m, n, mu, nu in super_suite(p, window):
@@ -312,19 +324,19 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
         cas = casimir_scalar(lam).residue
         for alpha in ps:
             checked += 1
+            cached = kac_cache.get(alpha)
+            if cached is None:
+                cached = kac_cache[alpha] = (kac_composition(alpha), casimir_scalar(alpha).residue)
+            comp, alpha_cas = cached
             if not dominance_leq(lam, alpha):
                 bad.append(f"dominance fails: {(mu, nu)} vs {alpha}")
-            if alpha.degree != lam.degree or casimir_scalar(alpha).residue != cas:
+            if alpha.degree != lam.degree or alpha_cas != cas:
                 bad.append(f"linkage fails: {(mu, nu)} vs {alpha}")
             if alpha != lam and sum(alpha.mu) <= sum(lam.mu):
                 bad.append(f"strictness fails: {(mu, nu)} vs {alpha}")
-            comp = kac_cache.get(alpha)
-            if comp is None:
-                comp = kac_composition(alpha)
-                kac_cache[alpha] = comp
             if lam not in comp:
                 bad.append(f"BGG inversion misses {(mu, nu)} for {alpha}")
-    for alpha, comp in kac_cache.items():
+    for alpha, (comp, _) in kac_cache.items():
         checked += 1
         for lam in comp:
             is_factor = lam in covers[alpha] if lam in in_window else alpha in p_set(lam)
@@ -351,9 +363,7 @@ def suite_projective_word(
         if not is_typical(base):
             bad.append(f"base not typical for {(mu, nu)}")
             continue
-        got = replay_word(base, word)
-        want = {alpha: 1 for alpha in p_set(lam)}
-        if got != want:
+        if replay_word(base, word) != projective_filtration(lam):
             bad.append(f"replay mismatch at {(mu, nu)}")
             if len(bad) > 10:
                 return _result(f"projective-word suite p={p}", checked, bad)
@@ -411,28 +421,20 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
             checked += 1
             if not check_oddroot_lemma(m, n):
                 bad.append(f"odd-root lemma fails at ({m}, {n})")
+    stages = []  # (message label, p, mus, nus), literal sweeps first
     for p in ps:
-        for m in (1, 2):
-            for n in (1, 2):
-                mus = monotone_tuples(m, -2 * p, 2 * p)
-                nus = monotone_tuples(n, -2 * p, 2 * p)
-                for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
-                    checked += 1
-                    if sh != (hat == sub_all):
-                        bad.append(f"hat/Sh mismatch at p={p}, {(mu, nu)}")
-                        if len(bad) > 10:
-                            return _result("serganova suite", checked, bad)
+        window = {rank: monotone_tuples(rank, -2 * p, 2 * p) for rank in (1, 2)}
+        stages += [("hat/Sh", p, window[m], window[n]) for m in window for n in window]
     for p in ps:
-        for m in range(1, 5):
-            mus = residue_representatives(m, p)
-            for n in range(1, 5):
-                nus = residue_representatives(n, p)
-                for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
-                    checked += 1
-                    if sh != (hat == sub_all):
-                        bad.append(f"residue-class mismatch at p={p}, {(mu, nu)}")
-                        if len(bad) > 10:
-                            return _result("serganova suite", checked, bad)
+        reps = {rank: residue_representatives(rank, p) for rank in range(1, 5)}
+        stages += [("residue-class", p, reps[m], reps[n]) for m in reps for n in reps]
+    for label, p, mus, nus in stages:
+        for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
+            checked += 1
+            if sh != (hat == sub_all):
+                bad.append(f"{label} mismatch at p={p}, {(mu, nu)}")
+                if len(bad) > 10:
+                    return _result("serganova suite", checked, bad)
     for p in ps:
         for m, n, mu, nu in super_suite(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             lam = SuperWeight(SuperShape(m, n, p), mu, nu)

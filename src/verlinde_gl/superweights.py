@@ -7,18 +7,19 @@ coordinates pair positively under the bilinear form, the last n negatively.
 Residue data: the ladders mu_i - i + 1 = a_i + p*s_i and
 -m - nu_j + j = b_j + p*r_j (0 <= a_i, b_j < p) carry everything the
 diagram calculus needs; s = sum(s_i) and r = sum(r_j) are the label
-exponents.  Both are split by alcove.split_ladder; the second ladder
-increases in j, so its inverse is alcove.ladder_contents read in reverse.
+exponents.  The second ladder increases in j; it is the content ladder,
+read in reverse, of second_block(nu, m) = (n - m) - w0(nu), an admissible
+weight of the same rank.  So both blocks go through the one residue ladder
+alcove.weight_ladder / alcove.ladder_weight, and second_block, an
+involution, is the only code that writes the second block's offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from operator import sub
 from typing import NamedTuple
 
-from .alcove import is_admissible, split_ladder
+from .alcove import is_admissible, weight_ladder
 from .errors import ValidationError
 from .fusion import check_prime
 
@@ -110,13 +111,26 @@ def form(u: tuple[int, ...], v: tuple[int, ...], shape: SuperShape) -> int:
     return plus - minus
 
 
+def second_block(nu: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """(n - m) - w0(nu): the weight whose content ladder is (j - m) - nu_j reversed.
+
+    An involution of the admissible rank-n weights; decode applies it to
+    the weight read off the second block's residues.
+    """
+    k = len(nu) - m
+    return tuple([k - y for y in reversed(nu)])
+
+
 def residue_data(lam: SuperWeight) -> ResidueData:
-    """Residue ladders of (mu | nu); each spreads less than p, so its residues are distinct."""
-    sh = lam.shape
-    # Contents mu_i - (i - 1) and (j - m) - nu_j, built without a Python loop.
-    a, s_parts = split_ladder(map(sub, lam.mu, count()), sh.p)
-    b, r_parts = split_ladder(map(sub, count(1 - sh.m), lam.nu), sh.p)
-    return ResidueData(tuple(a), tuple(b), sum(s_parts), sum(r_parts))
+    """Residue ladders of (mu | nu); each spreads less than p, so its residues are distinct.
+
+    b is listed in weight order, j = 1..n.
+    """
+    p = lam.shape.p
+    a, s = weight_ladder(lam.mu, p)
+    b, r = weight_ladder(second_block(lam.nu, lam.shape.m), p)
+    b.reverse()
+    return ResidueData(tuple(a), tuple(b), s, r)
 
 
 def atypicality(lam: SuperWeight) -> int:

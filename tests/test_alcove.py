@@ -9,6 +9,7 @@ from verlinde_gl.alcove import (
     chi_rotate,
     det_power,
     is_admissible,
+    ladder_weight,
     level_rank_D,
     level_rank_D_inverse,
     level_rank_degree_zero,
@@ -18,9 +19,11 @@ from verlinde_gl.alcove import (
     tensor_with_V,
     transpose_partition,
     wedge_to_weight,
+    weight_ladder,
 )
 from verlinde_gl.enumeration import admissible_tuples
 from verlinde_gl.errors import ValidationError
+from verlinde_gl.superweights import second_block
 
 
 # Primes beyond the p <= 11 windows that the suites sweep.
@@ -143,11 +146,21 @@ def test_phi_wedge_bijective_on_window():
 
 
 @settings(max_examples=300, deadline=None)
-@given(admissible_weights())
-def test_wedge_roundtrip_hypothesis(lam):
+@given(admissible_weights(), st.integers(1, 30))
+def test_wedge_roundtrip_hypothesis(lam, m):
     p = lam.p
     w = phi_wedge(lam)
     assert wedge_to_weight(set(w.residues), w.loop_exponent, p) == lam
+    # lam as the second block of a super weight with first block of rank m.
+    nu = lam.entries
+    block = second_block(nu, m)
+    assert second_block(block, m) == nu
+    residues, r = weight_ladder(block, p)
+    assert ladder_weight(residues, r, p) == block
+    # The ladder of the block is the second block's (j - m) - nu_j, reversed.
+    contents = [j - m - y for j, y in enumerate(nu, 1)]
+    assert residues[::-1] == [c % p for c in contents]
+    assert r == sum(c // p for c in contents)
 
 
 def test_chi_rotate():

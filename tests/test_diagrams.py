@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from verlinde_gl import suites
 from verlinde_gl.diagrams import (
     WeightDiagram,
     cut,
@@ -157,3 +158,24 @@ def test_diagram_validation():
         WeightDiagram(5, "<>oo?", 0, 0)
     with pytest.raises(ValidationError):
         WeightDiagram(5, "<><><", 0, 0)  # m + n = 5 not < 5
+
+
+def test_codec_suite_catches_an_unreversed_second_block(monkeypatch):
+    # Still an involution, but the ladder of a block with distinct entries
+    # no longer decreases, so its roundtrip must fail.
+    monkeypatch.setattr(suites, "second_block", lambda nu, m: tuple(len(nu) - m - y for y in nu))
+    result = suites.suite_codec(5, (-1, 1))
+    assert not result.ok and result.details.startswith("nu-block roundtrip failed")
+
+
+def test_codec_suite_catches_a_shifted_residue(monkeypatch):
+    real_ladder = suites.weight_ladder
+
+    def shifted(entries, p):
+        residues, s = real_ladder(entries, p)
+        residues[0] = (residues[0] + 1) % p
+        return residues, s
+
+    monkeypatch.setattr(suites, "weight_ladder", shifted)
+    result = suites.suite_codec(5, (-1, 1))
+    assert not result.ok and result.details.startswith("mu-block roundtrip failed")
