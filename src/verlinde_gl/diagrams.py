@@ -17,6 +17,11 @@ residue sets with assemble_symbols; decode reads them back with
 symbol_residues, inverts each block with alcove.ladder_weight and maps the
 second one back with superweights.second_block.  These two helpers are the
 only place symbols and residue sets are converted.
+
+A WeightDiagram validates p, its symbols and both block counts when built,
+and so do encode, replace_symbols, permute and from_json.  Only _trusted
+skips the checks, for the translation functors' table edits, which keep
+p, the length and both block counts.
 """
 
 from __future__ import annotations
@@ -53,10 +58,9 @@ class WeightDiagram:
         bad = set(self.symbols) - _SYMBOLS
         if bad:
             raise ValidationError(f"unknown symbols {sorted(bad)}")
-        if self.m < 1 or self.n < 1 or self.m + self.n >= self.p:
-            raise ValidationError(
-                f"symbol counts m={self.m}, n={self.n} invalid for p={self.p}"
-            )
+        m, n = self.m, self.n
+        if m < 1 or n < 1 or m + n >= self.p:
+            raise ValidationError(f"symbol counts m={m}, n={n} invalid for p={self.p}")
 
     @property
     def m(self) -> int:
@@ -73,6 +77,17 @@ class WeightDiagram:
     def label(self) -> tuple[int, int]:
         """Exponents (e1, e2) of the label monomial t1^e1 t2^e2."""
         return (-self.s, self.r)
+
+
+def _trusted(p: int, symbols: str, s: int, r: int) -> WeightDiagram:
+    """A WeightDiagram built without __post_init__.
+
+    Only for library edits of a valid diagram that keep p, the length and
+    both block counts: the rows of the translation tables do.
+    """
+    d = object.__new__(WeightDiagram)
+    d.__dict__.update(p=p, symbols=symbols, s=s, r=r)
+    return d
 
 
 class CutDiagram(NamedTuple):

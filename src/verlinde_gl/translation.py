@@ -15,6 +15,13 @@ is sorted at run time: F moving '<' keeps sum(mu) while F moving '>' raises
 it by one, and E moving '>' lowers it by one while E moving '<' keeps it.
 suite_equivariance checks this order on every two-term output.
 
+Validation happens at the boundary: apply_functor checks kind and residue,
+then builds its outputs with diagrams._trusted, skipping WeightDiagram's
+checks, because every table row keeps p, the length and both block counts
+of a valid diagram.  translation(d, compositions) composes two generators
+on one diagram, sharing the single steps; commutator and criterion 9 both
+read it.
+
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
 realizations are implemented independently; _equivariant_terms compares
@@ -25,6 +32,7 @@ vector, and phi_equivariance_check runs it on a super weight.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -33,10 +41,10 @@ from .diagrams import (
     LEFT,
     RIGHT,
     WeightDiagram,
+    _trusted,
     assemble_symbols,
     decode,
     encode,
-    replace_symbols,
 )
 from .errors import ContractError, ValidationError
 from .superweights import SuperWeight, residue_data
@@ -79,11 +87,18 @@ def apply_functor(kind: str, i: int, d: WeightDiagram) -> tuple[WeightDiagram, .
     p = d.p
     if not 0 <= i < p:
         raise ValidationError(f"residue {i} out of range 0..{p - 1}")
-    j = (i + 1) % p
-    eps = 1 if i == p - 1 else 0
+    syms = d.symbols
+    if i < p - 1:
+        head, tail = syms[:i], syms[i + 2 :]
+        return tuple(
+            _trusted(p, head + x + y + tail, d.s, d.r)
+            for x, y, _, _ in table.get((syms[i], syms[i + 1]), ())
+        )
+    # Across the affine wall: the edited pair is (p-1, 0) and the label twists.
+    middle = syms[1:i]
     return tuple(
-        replace_symbols(d, {i: new_x, j: new_y}, t1=dt1 * eps, t2=dt2 * eps)
-        for new_x, new_y, dt1, dt2 in table.get((d.symbols[i], d.symbols[j]), ())
+        _trusted(p, y + middle + x, d.s - dt1, d.r + dt2)
+        for x, y, dt1, dt2 in table.get((syms[i], syms[0]), ())
     )
 
 
@@ -251,13 +266,39 @@ def act_on_sum(kind: str, i: int, classes: dict[WeightDiagram, int]) -> dict[Wei
     return {t: k for t, k in out.items() if k}
 
 
-def commutator(
-    x: tuple[str, int], y: tuple[str, int], d: WeightDiagram
-) -> dict[WeightDiagram, int]:
+Generator = tuple[str, int]  # (kind, residue)
+TermKey = tuple[str, int, int]  # (symbols, s, r) of a diagram at known p
+
+
+def translation(
+    d: WeightDiagram, compositions: Iterable[tuple[Generator, Generator]]
+) -> dict[tuple[Generator, Generator], dict[TermKey, int]]:
+    """x(y d) for each ordered generator pair (x, y), as a multiset of (symbols, s, r) keys.
+
+    Each single step y d is taken once and shared by every x applied after
+    it, so a weight costs one apply_functor call per generator y and one per
+    (x, term of y d) pair.  Two multisets are equal exactly when the formal
+    sums are, since (symbols, s, r) determines the diagram at fixed p.
+    """
+    steps: dict[Generator, tuple[WeightDiagram, ...]] = {}
+    table = {}
+    for x, y in compositions:
+        mids = steps.get(y)
+        if mids is None:
+            mids = steps[y] = apply_functor(*y, d)
+        terms: dict[TermKey, int] = {}
+        for mid in mids:
+            for t in apply_functor(*x, mid):
+                key = (t.symbols, t.s, t.r)
+                terms[key] = terms.get(key, 0) + 1
+        table[x, y] = terms
+    return table
+
+
+def commutator(x: Generator, y: Generator, d: WeightDiagram) -> dict[WeightDiagram, int]:
     """[x, y] d = x(y d) - y(x d) for generators x, y = (kind, residue), as an exact formal sum."""
-    out: Counter[WeightDiagram] = Counter()
-    for sign, first, second in ((1, y, x), (-1, x, y)):
-        for mid in apply_functor(*first, d):
-            for term in apply_functor(*second, mid):
-                out[term] += sign
-    return {t: k for t, k in out.items() if k}
+    table = translation(d, ((x, y), (y, x)))
+    out = dict(table[x, y])
+    for key, k in table[y, x].items():
+        out[key] = out.get(key, 0) - k
+    return {_trusted(d.p, *key): k for key, k in out.items() if k}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import suites
+from verlinde_gl.alcove import ladder_weight
 from verlinde_gl.diagrams import (
     WeightDiagram,
     cut,
@@ -13,6 +14,7 @@ from verlinde_gl.diagrams import (
     permute,
     render_ascii,
     replace_symbols,
+    symbol_residues,
     to_json,
 )
 from verlinde_gl.enumeration import super_suite
@@ -179,3 +181,34 @@ def test_codec_suite_catches_a_shifted_residue(monkeypatch):
     monkeypatch.setattr(suites, "weight_ladder", shifted)
     result = suites.suite_codec(5, (-1, 1))
     assert not result.ok and result.details.startswith("mu-block roundtrip failed")
+
+
+def _decode_with_unreversed_second_block(d, m=None, n=None):
+    # decode writing its own second block, without the reversal of second_block.
+    a, b = symbol_residues(d.symbols)
+    mu = ladder_weight(a, d.s, d.p)
+    nu = tuple(len(b) - len(a) - y for y in ladder_weight(b, d.r, d.p))
+    return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
+
+
+def test_codec_suite_runs_the_shipped_decode(monkeypatch):
+    monkeypatch.setattr(suites, "decode", _decode_with_unreversed_second_block)
+    result = suites.suite_codec(5, (-1, 1))
+    assert not result.ok and result.details.startswith("decode(encode(lam)) != lam at p=5")
+
+
+def test_codec_suite_counts_one_decode_per_window_weight():
+    # Stage (d) adds exactly the window weights to the block and assembly stages.
+    weights = sum(1 for _ in super_suite(5))
+    assert weights == 3677
+    assert suites.suite_codec(5).checked == 4610 + weights
+
+
+def test_golden_suite_reports_a_raising_decode_as_a_failure(monkeypatch):
+    def raising(d, m=None, n=None):
+        raise ValidationError("decode refused the figure")
+
+    monkeypatch.setattr(suites, "decode", raising)
+    result = suites.suite_golden()
+    assert not result.ok and result.failures == 1
+    assert result.details == "figure decode: ValidationError: decode refused the figure"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import suites, translation
-from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode, replace_symbols
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.suites import suite_equivariance
@@ -313,3 +313,75 @@ def test_commutator_is_antisymmetric_with_no_zero_coefficient(data):
     xy = commutator(x, y, d)
     assert commutator(y, x, d) == {t: -k for t, k in xy.items()}
     assert 0 not in xy.values()
+
+
+def _blocks(symbols):
+    return sum(s in ">x" for s in symbols), sum(s in "<x" for s in symbols)
+
+
+@pytest.mark.parametrize("table", [translation._F_TABLE, translation._E_TABLE], ids=["F", "E"])
+def test_table_rows_keep_both_block_counts(table):
+    # apply_functor skips the constructor's checks; this is why that is sound.
+    for pair, rows in table.items():
+        assert set(pair) <= set("o<>x")
+        for new_x, new_y, _, _ in rows:
+            assert {new_x, new_y} <= set("o<>x")
+            assert _blocks(new_x + new_y) == _blocks(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_functor_outputs_pass_the_public_constructor(data):
+    d = _random_diagram(data)
+    for i in range(d.p):
+        for t in apply_F(i, d) + apply_E(i, d):
+            assert t == WeightDiagram(t.p, t.symbols, t.s, t.r)
+
+
+def test_replace_symbols_still_validates():
+    d = encode(ZERO5)  # 'xoooo'
+    with pytest.raises(ValidationError):
+        replace_symbols(d, {0: "<"})  # empties the first block
+
+
+def _generator_compositions(p):
+    """Every ordered x(y d) that criterion 9's relations read."""
+    pairs = [(("E", a), ("F", b)) for a in range(p) for b in range(p) if a != b]
+    pairs += [((k, a), (k, b)) for a in range(p) for b in range(p) if (a - b) % p not in (0, 1, p - 1) for k in "EF"]
+    return {c for x, y in pairs for c in ((x, y), (y, x))}
+
+
+def _broken_at_f0(real):
+    def apply_functor(kind, i, d):
+        if (kind, i) == ("F", 0) and d.symbols[2] == "x":
+            return ()
+        return real(kind, i, d)
+
+    return apply_functor
+
+
+def test_kac_moody_suite_catches_a_functor_that_drops_terms(monkeypatch):
+    monkeypatch.setattr(translation, "apply_functor", _broken_at_f0(translation.apply_functor))
+    result = suites.suite_kac_moody(5, (-1, 1))
+    assert not result.ok
+    assert "[e_2, f_0] != 0" in result.details
+
+
+def test_kac_moody_suite_applies_each_single_step_once(monkeypatch):
+    # 2p single steps per weight, then one call per (generator, term) pair.
+    real = translation.apply_functor
+    p = 5
+    want = 0
+    for m, n, mu, nu in super_suite(p, (-1, 1)):
+        d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
+        want += 2 * p + sum(len(real(*y, d)) for _, y in _generator_compositions(p))
+    calls = 0
+
+    def counted(kind, i, d):
+        nonlocal calls
+        calls += 1
+        return real(kind, i, d)
+
+    monkeypatch.setattr(translation, "apply_functor", counted)
+    result = suites.suite_kac_moody(p, (-1, 1))
+    assert result.ok and calls == want
