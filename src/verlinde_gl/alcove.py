@@ -239,13 +239,9 @@ def level_rank_D(lam: GLWeight) -> tuple[GLWeight, int]:
     return chi_rotate(image, base), lam.degree % 2
 
 
-def level_rank_D_inverse(kappa: GLWeight) -> tuple[GLWeight, int]:
-    """Preimage under level-rank duality, realized at the complementary rank.
-
-    D is an involution (D(D(lam)) == lam for every admissible lam), so the
-    preimage is the image: this is level_rank_D itself.
-    """
-    return level_rank_D(kappa)
+# D is an involution (D(D(lam)) == lam for every admissible lam), so the
+# preimage under level-rank duality is the image.
+level_rank_D_inverse = level_rank_D
 
 
 def level_rank_degree_zero(lam: GLWeight) -> GLWeight:

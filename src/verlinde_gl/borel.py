@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alcove import GLWeight, level_rank_D, level_rank_D_inverse
+from .alcove import GLWeight, level_rank_D
 from .caps import sigma_to_standard, standard_to_sigma
 from .errors import ContractError, ValidationError
 from .fusion import check_prime
@@ -145,9 +145,9 @@ def _pair_to_super(small: GLWeight, big: GLWeight) -> SuperWeight:
 
 
 def _super_to_pair(lam: SuperWeight) -> tuple[GLWeight, GLWeight]:
-    """Inverse bridge: (mu | nu) back to (rank m, rank p-n) parts."""
+    """Inverse bridge: (mu | nu) back to (rank m, rank p-n) parts; level_rank_D is an involution."""
     p = lam.shape.p
-    big, _parity = level_rank_D_inverse(GLWeight(lam.nu, p))
+    big, _parity = level_rank_D(GLWeight(lam.nu, p))
     return GLWeight(lam.mu, p), big
 
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Any
 
 from . import __version__
@@ -295,19 +296,16 @@ def _execute(args: argparse.Namespace) -> tuple[Any, str]:
         shape = GLXShape(args.p, types)
         parts = tuple(GLWeight(_ints(text), args.p) for text in args.part)
         w1 = _ints(args.w)
-        w = tuple(x - 1 for x in w1)
-        lam = TupleWeight(shape, parts)
-        out = borel_translate(lam, w)
+        if sorted(w1) != list(range(1, shape.k + 1)):
+            raise ValidationError(f"{w1} is not a permutation of 1..{shape.k}")
+        out = borel_translate(TupleWeight(shape, parts), tuple(x - 1 for x in w1))
         return [list(g.entries) for g in out.parts], "; ".join(_tuple_text(g.entries) for g in out.parts)
     if cmdname == "selfcheck":
         names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
         results = [run_suite(name, args.p) for name in names]
         lines = [r.line() for r in results]
         ok = all(r.ok for r in results)
-        payload = [
-            {"name": r.name, "ok": r.ok, "checked": r.checked, "failures": r.failures, "details": r.details}
-            for r in results
-        ]
+        payload = [{**asdict(r), "ok": r.ok} for r in results]
         text = "\n".join(lines + [f"selfcheck: {'PASS' if ok else 'FAIL'}"])
         if not ok:
             raise ValidationError(text)

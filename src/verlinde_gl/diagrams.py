@@ -18,10 +18,13 @@ symbol_residues, inverts each block with alcove.ladder_weight and maps the
 second one back with superweights.second_block.  These two helpers are the
 only place symbols and residue sets are converted.
 
-A WeightDiagram validates p, its symbols and both block counts when built,
-and so do encode, replace_symbols, permute and from_json.  Only _trusted
-skips the checks, for the translation functors' table edits, which keep
-p, the length and both block counts.
+Diagrams are validated once, at the boundary: the public WeightDiagram
+constructor checks p, its symbols and both block counts, and from_json and
+the CLI build through it.  Every diagram the library derives from a valid
+diagram or super weight is built with _trusted, which skips the checks:
+encode (a valid super weight fixes them), permute (a bijection of the
+vertices), the cap slides of caps and the translation functors' table
+edits, which all keep p, the length and both block counts.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ class WeightDiagram:
         check_prime(self.p)
         if len(self.symbols) != self.p:
             raise ValidationError(f"need {self.p} symbols, got {len(self.symbols)}")
-        bad = set(self.symbols) - _SYMBOLS
-        if bad:
-            raise ValidationError(f"unknown symbols {sorted(bad)}")
+        unknown = set(self.symbols) - _SYMBOLS
+        if unknown:
+            raise ValidationError(f"unknown symbols {sorted(unknown)}")
         m, n = self.m, self.n
         if m < 1 or n < 1 or m + n >= self.p:
             raise ValidationError(f"symbol counts m={m}, n={n} invalid for p={self.p}")
@@ -82,8 +85,8 @@ class WeightDiagram:
 def _trusted(p: int, symbols: str, s: int, r: int) -> WeightDiagram:
     """A WeightDiagram built without __post_init__.
 
-    Only for library edits of a valid diagram that keep p, the length and
-    both block counts: the rows of the translation tables do.
+    Only for diagrams the library derives from a valid diagram or super
+    weight, with p, the length and both block counts kept valid.
     """
     d = object.__new__(WeightDiagram)
     d.__dict__.update(p=p, symbols=symbols, s=s, r=r)
@@ -124,7 +127,7 @@ def encode(lam: SuperWeight) -> WeightDiagram:
     """Diagram of a super weight: crosses at shared residues, label from (s, r)."""
     rd = residue_data(lam)
     p = lam.shape.p
-    return WeightDiagram(p, assemble_symbols(rd.a, rd.b, p), rd.s, rd.r)
+    return _trusted(p, assemble_symbols(rd.a, rd.b, p), rd.s, rd.r)
 
 
 def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> SuperWeight:
@@ -140,16 +143,6 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
     mu = ladder_weight(a, d.s, d.p)
     nu = second_block(ladder_weight(b, d.r, d.p), len(a))
     return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
-
-
-def replace_symbols(
-    d: WeightDiagram, assignments: dict[int, str], t1: int = 0, t2: int = 0
-) -> WeightDiagram:
-    """Diagram with the given vertices' symbols replaced and the label times t1^t1 t2^t2."""
-    syms = list(d.symbols)
-    for k, sym in assignments.items():
-        syms[k % d.p] = sym
-    return WeightDiagram(d.p, "".join(syms), d.s - t1, d.r + t2)
 
 
 def cut(d: WeightDiagram, k: int) -> CutDiagram:
@@ -172,7 +165,7 @@ def permute(sigma: dict[int, int], d: WeightDiagram) -> WeightDiagram:
     if sorted(sigma) != list(range(p)) or sorted(sigma.values()) != list(range(p)):
         raise ValidationError("sigma must be a bijection of 0..p-1")
     syms = "".join(d.symbols[sigma[k]] for k in range(p))
-    return WeightDiagram(p, syms, d.s, d.r)
+    return _trusted(p, syms, d.s, d.r)
 
 
 def to_json(d: WeightDiagram) -> str:

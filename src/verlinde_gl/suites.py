@@ -1,8 +1,10 @@
 """Batch self-check suites backing the acceptance criteria and the CLI.
 
-Each suite returns a SuiteResult; nothing here raises on a mathematical
-failure, so the CLI can print a full report and the acceptance tests can
-fail on the verdict.  Enumeration windows default to [-p, p].
+Each suite tallies its run in one SuiteResult and returns it; nothing here
+raises on a mathematical failure, so the CLI can print a full report and the
+acceptance tests can fail on the verdict.  A failing run still runs to the
+end: every failure is counted, and the first three messages are kept.
+Enumeration windows default to [-p, p].
 
 The heavy sweeps share work between checks.  Sharing is sound because every
 shared function is pure: each distinct input is still computed by the real
@@ -20,8 +22,9 @@ its expected value.  What each sweep shares:
 - serganova (criterion 7): the walk states along common nu prefixes.
 - kac-moody (criterion 9): one encode and one translation table per window
   weight: the 2p single steps once, then each ordered composition x(y d)
-  once, shared by every relation that reads it.  The functor outputs skip
-  WeightDiagram's checks (see translation); the encode is validated.
+  once, shared by every relation that reads it.  Like every diagram the
+  library derives, the encode and the functor outputs skip WeightDiagram's
+  checks (see diagrams).
 """
 
 from __future__ import annotations
@@ -76,20 +79,28 @@ from .translation import _equivariant_terms, loop_vector, translation
 
 @dataclass
 class SuiteResult:
+    """The tally of one suite run: checks and failures counted in full, the
+    messages of the first three failures kept in details."""
+
     name: str
-    ok: bool
-    checked: int
-    failures: int
+    checked: int = 0
+    failures: int = 0
     details: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.failures == 0
+
+    def fail(self, message: str) -> None:
+        """Count one failed check."""
+        self.failures += 1
+        if self.failures <= 3:
+            self.details = f"{self.details}; {message}" if self.details else message
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         tail = f" [{self.details}]" if self.details else ""
         return f"{status} {self.name}: {self.checked} checks, {self.failures} failures{tail}"
-
-
-def _result(name: str, checked: int, bad: list[str]) -> SuiteResult:
-    return SuiteResult(name, not bad, checked, len(bad), "; ".join(bad[:3]))
 
 
 def suite_golden() -> SuiteResult:
@@ -98,19 +109,17 @@ def suite_golden() -> SuiteResult:
     Each value is computed inside its check, so a library error on a worked
     example is one failed check carrying its message, not a raise.
     """
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult("golden examples")
 
     def expect(label: str, compute: Callable[[], object], want) -> None:
-        nonlocal checked
-        checked += 1
+        res.checked += 1
         try:
             got = compute()
         except (ValidationError, ContractError) as exc:
-            bad.append(f"{label}: {type(exc).__name__}: {exc}")
+            res.fail(f"{label}: {type(exc).__name__}: {exc}")
             return
         if got != want:
-            bad.append(f"{label}: got {got!r}, want {want!r}")
+            res.fail(f"{label}: got {got!r}, want {want!r}")
 
     expect("fusion L3*L3 at p=5", lambda: fuse_simples(3, 3, 5), [1, 3])
     expect("level-rank image", lambda: level_rank_D(GLWeight((6, 5, 2), 7))[0].entries, (5, 4, 2, 2))
@@ -144,7 +153,7 @@ def suite_golden() -> SuiteResult:
     classical = ((18, 18, 15, 12, 12), (-13, -13, -17, -18), 11)
     expect("classical hat", lambda: serganova_hat(*classical), ((15, 15, 11, 10, 8), (-9, -9, -12, -15)))
     expect("classical hat degree", lambda: sum(map(sum, serganova_hat(*classical))), 14)
-    return _result("golden examples", checked, bad)
+    return res
 
 
 def _mask(residues) -> int:
@@ -184,8 +193,7 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     (assemble_symbols / symbol_residues).
     """
     lo, hi = window if window is not None else default_window(p)
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult(f"codec+atypicality suite p={p}")
     blocks = {rank: admissible_tuples(rank, p, lo, hi) for rank in range(1, p - 1)}
 
     # Stage (a): block roundtrips, both as a first and as a second block.
@@ -194,11 +202,11 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     for rank, weights in blocks.items():
         rows = []
         for w in weights:
-            checked += 1
+            res.checked += 1
             a, s = weight_ladder(w, p)
             ok = ladder_weight(a, s, p) == w
             if not ok:
-                bad.append(f"mu-block roundtrip failed at p={p}, {w}")
+                res.fail(f"mu-block roundtrip failed at p={p}, {w}")
             rows.append((w, a, _mask(a), ok))
         mu_rows[rank] = rows
     nu_rows: dict[tuple[int, int], list[tuple]] = {}
@@ -206,11 +214,11 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
         for rank in range(1, p - m):
             rows = []
             for w in blocks[rank]:
-                checked += 1
+                res.checked += 1
                 b, r = weight_ladder(second_block(w, m), p)
                 ok = second_block(ladder_weight(b, r, p), m) == w
                 if not ok:
-                    bad.append(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
+                    res.fail(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
                 rows.append((w, b, _mask(b), ok))
             nu_rows[(m, rank)] = rows
 
@@ -220,12 +228,12 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
         table = {}
         b_sets = [(list(b), _mask(b)) for b in combinations(range(p), n)]
         for a, amask in [(list(a), _mask(a)) for a in combinations(range(p), m)]:
+            res.checked += len(b_sets)
             for b, bmask in b_sets:
-                checked += 1
                 text = assemble_symbols(a, b, p)
                 ok = symbol_residues(text) == (a, b) and text.count(CROSS) == (amask & bmask).bit_count()
                 if not ok:
-                    bad.append(f"assembly failed at p={p}, masks {amask:b}/{bmask:b}")
+                    res.fail(f"assembly failed at p={p}, masks {amask:b}/{bmask:b}")
                 table[(amask << p) | bmask] = ok
         asm_ok[(m, n)] = table
 
@@ -234,13 +242,13 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     # routes agree pairwise whenever the shifts match.
     for m, n in super_shapes(p):
         for w, a, _, _ in mu_rows[m]:
-            checked += 1
+            res.checked += 1
             if sh_mu_mask(w, p) != _mask([(k + m) % p for k in a]):
-                bad.append(f"form-route mu mask mismatch at p={p}, {w}")
+                res.fail(f"form-route mu mask mismatch at p={p}, {w}")
         for w, b, _, _ in nu_rows[(m, n)]:
-            checked += 1
+            res.checked += 1
             if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
-                bad.append(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
+                res.fail(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
 
     # Stage (d): the shipped codec end to end, one weight at a time, on the
     # widest window [-k, k] inside the suite's that fits the budget.
@@ -254,32 +262,29 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
         shape = SuperShape(m, n, p)
         for mu in clipped[m]:
             for nu in clipped[n]:
-                checked += 1
+                res.checked += 1
                 lam = SuperWeight(shape, mu, nu)
                 try:
                     got = decode(encode(lam))
                 except (ValidationError, ContractError) as exc:
                     got = exc
                 if got != lam:
-                    bad.append(f"decode(encode(lam)) != lam at p={p}, {(mu, nu)}: got {got!r}")
-                    if len(bad) > 10:
-                        return _result(f"codec+atypicality suite p={p}", checked, bad)
-    if bad:
-        return _result(f"codec+atypicality suite p={p}", checked, bad)
+                    res.fail(f"decode(encode(lam)) != lam at p={p}, {(mu, nu)}: got {got!r}")
+    if res.failures:
+        return res
 
-    # Literal enumeration of every windowed pair, combining cached verdicts.
+    # Literal enumeration of every windowed pair, combining cached verdicts;
+    # the checks are counted once per row.
     for m, n in super_shapes(p):
         nu_verdicts = [(okn, bmask) for _, _, bmask, okn in nu_rows[(m, n)]]
         asm = asm_ok[(m, n)]
         for _, _, amask, okm in mu_rows[m]:
             base = amask << p
+            res.checked += len(nu_verdicts)
             for okn, bmask in nu_verdicts:
-                checked += 1
                 if not (okm and okn and asm[base | bmask]):
-                    bad.append(f"pair verdict failed at p={p}, shape ({m},{n})")
-                    if len(bad) > 10:
-                        return _result(f"codec+atypicality suite p={p}", checked, bad)
-    return _result(f"codec+atypicality suite p={p}", checked, bad)
+                    res.fail(f"pair verdict failed at p={p}, shape ({m},{n})")
+    return res
 
 
 def _two_term_order_ok(terms) -> bool:
@@ -294,21 +299,18 @@ def _two_term_order_ok(terms) -> bool:
 def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 4: diagram action equals loop action for every residue, and
     every two-term F/E output lists its dominance-smaller term first."""
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult(f"equivariance suite p={p}")
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
         d, v = encode(lam), loop_vector(lam)
         for c in range(p):
-            checked += 1
+            res.checked += 1
             terms = _equivariant_terms(d, v, c)
             if terms is None:
-                bad.append(f"equivariance failed at {(mu, nu)}, c={c}")
+                res.fail(f"equivariance failed at {(mu, nu)}, c={c}")
             elif not all(map(_two_term_order_ok, terms)):
-                bad.append(f"two-term order failed at {(mu, nu)}, c={c}")
-            if len(bad) > 10:
-                return _result(f"equivariance suite p={p}", checked, bad)
-    return _result(f"equivariance suite p={p}", checked, bad)
+                res.fail(f"two-term order failed at {(mu, nu)}, c={c}")
+    return res
 
 
 def _form_atypicality(lam: SuperWeight) -> int:
@@ -340,74 +342,64 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     the sweep's own p_set images answer that; factors outside the window
     are checked through p_set directly.
     """
-    name = f"filtration/BGG suite p={p}"
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult(f"filtration/BGG suite p={p}")
     kac_cache: dict[SuperWeight, tuple[set[SuperWeight], int]] = {}  # alpha -> (factors, Casimir residue)
     covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
     in_window: set[SuperWeight] = set()
     for m, n, mu, nu in super_suite(p, window):
-        if len(bad) > 10:
-            return _result(name, checked, bad)
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
         in_window.add(lam)
         ps = p_set(lam)
         for alpha in ps:
             covers.setdefault(alpha, set()).add(lam)
         atyp = atypicality(lam)
-        checked += 2
+        res.checked += 2
         if atyp != _form_atypicality(lam):
-            bad.append(f"atypicality routes disagree at {(mu, nu)}")
+            res.fail(f"atypicality routes disagree at {(mu, nu)}")
         if len(ps) != 2 ** atyp:
-            bad.append(f"p-set size wrong at {(mu, nu)}")
+            res.fail(f"p-set size wrong at {(mu, nu)}")
             continue
         cas = casimir_scalar(lam).residue
         for alpha in ps:
-            checked += 1
+            res.checked += 1
             cached = kac_cache.get(alpha)
             if cached is None:
                 cached = kac_cache[alpha] = (kac_composition(alpha), casimir_scalar(alpha).residue)
             comp, alpha_cas = cached
             if not dominance_leq(lam, alpha):
-                bad.append(f"dominance fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"dominance fails: {(mu, nu)} vs {alpha}")
             if alpha.degree != lam.degree or alpha_cas != cas:
-                bad.append(f"linkage fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"linkage fails: {(mu, nu)} vs {alpha}")
             if alpha != lam and sum(alpha.mu) <= sum(lam.mu):
-                bad.append(f"strictness fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"strictness fails: {(mu, nu)} vs {alpha}")
             if lam not in comp:
-                bad.append(f"BGG inversion misses {(mu, nu)} for {alpha}")
+                res.fail(f"BGG inversion misses {(mu, nu)} for {alpha}")
     for alpha, (comp, _) in kac_cache.items():
-        checked += 1
+        res.checked += 1
         for lam in comp:
             is_factor = lam in covers[alpha] if lam in in_window else alpha in p_set(lam)
             if not is_factor:
-                bad.append(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
+                res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
-        if len(bad) > 10:
-            break
-    return _result(name, checked, bad)
+    return res
 
 
 def suite_projective_word(
     p: int = 5, max_atypicality: int = 2, window: tuple[int, int] | None = None
 ) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration."""
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult(f"projective-word suite p={p}")
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
         if atypicality(lam) > max_atypicality:
             continue
-        checked += 1
+        res.checked += 1
         base, word = projective_word(lam)
         if not is_typical(base):
-            bad.append(f"base not typical for {(mu, nu)}")
-            continue
-        if replay_word(base, word) != projective_filtration(lam):
-            bad.append(f"replay mismatch at {(mu, nu)}")
-            if len(bad) > 10:
-                return _result(f"projective-word suite p={p}", checked, bad)
-    return _result(f"projective-word suite p={p}", checked, bad)
+            res.fail(f"base not typical for {(mu, nu)}")
+        elif replay_word(base, word) != projective_filtration(lam):
+            res.fail(f"replay mismatch at {(mu, nu)}")
+    return res
 
 
 def _hat_pairs(p: int, mus: list[tuple[int, ...]], nus: list[tuple[int, ...]]):
@@ -454,13 +446,12 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
     entries mod p, so the representative sweep covers every window.  Both
     sweeps check every pair, sharing the walk along common nu prefixes.
     """
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult("serganova suite")
     for m in range(1, 7):
         for n in range(1, 7):
-            checked += 1
+            res.checked += 1
             if not check_oddroot_lemma(m, n):
-                bad.append(f"odd-root lemma fails at ({m}, {n})")
+                res.fail(f"odd-root lemma fails at ({m}, {n})")
     stages = []  # (message label, p, mus, nus), literal sweeps first
     for p in ps:
         window = {rank: monotone_tuples(rank, -2 * p, 2 * p) for rank in (1, 2)}
@@ -469,21 +460,19 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
         reps = {rank: residue_representatives(rank, p) for rank in range(1, 5)}
         stages += [("residue-class", p, reps[m], reps[n]) for m in reps for n in reps]
     for label, p, mus, nus in stages:
-        for mu, nu, sh, hat, sub_all in _hat_pairs(p, mus, nus):
-            checked += 1
+        # The pairs are counted once per stage, keeping the loop lean.
+        pairs = 0
+        for pairs, (mu, nu, sh, hat, sub_all) in enumerate(_hat_pairs(p, mus, nus), 1):
             if sh != (hat == sub_all):
-                bad.append(f"{label} mismatch at p={p}, {(mu, nu)}")
-                if len(bad) > 10:
-                    return _result("serganova suite", checked, bad)
+                res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
+        res.checked += pairs
     for p in ps:
         for m, n, mu, nu in super_suite(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             lam = SuperWeight(SuperShape(m, n, p), mu, nu)
-            checked += 1
+            res.checked += 1
             if sh_nonzero(mu, nu, p) != is_typical(lam):
-                bad.append(f"typicality transfer fails at p={p}, {(mu, nu)}")
-                if len(bad) > 10:
-                    return _result("serganova suite", checked, bad)
-    return _result("serganova suite", checked, bad)
+                res.fail(f"typicality transfer fails at p={p}, {(mu, nu)}")
+    return res
 
 
 def _random_admissible(rank: int, p: int, rng: random.Random) -> GLWeight:
@@ -512,15 +501,12 @@ def suite_odd_reflection(
     p: int = 5, window: tuple[int, int] | None = None, trials: int = 1000, seed: int = 2024
 ) -> SuiteResult:
     """Criterion 8: sigma roundtrip, conjugate relabeling, factorization probe."""
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult("odd-reflection suite")
     for m, n, mu, nu in super_suite(p, window):
         lam = SuperWeight(SuperShape(m, n, p), mu, nu)
-        checked += 1
+        res.checked += 1
         if sigma_to_standard(standard_to_sigma(lam)) != lam:
-            bad.append(f"sigma roundtrip fails at {(mu, nu)}")
-            if len(bad) > 10:
-                return _result("odd-reflection suite", checked, bad)
+            res.fail(f"sigma roundtrip fails at {(mu, nu)}")
     rng = random.Random(seed)
     for _ in range(trials):
         k = rng.randint(2, 4)
@@ -530,13 +516,9 @@ def suite_odd_reflection(
         rng.shuffle(w)
         w = check_permutation(tuple(w), k)
         lam = _random_tuple_weight(shape, w, rng)
-        checked += 1
-        got = borel_translate(lam, w)
-        want = conjugate_relabel(lam, w)
-        if got != want:
-            bad.append(f"W0 mismatch for types {shape.types}, w={w}")
-            if len(bad) > 10:
-                return _result("odd-reflection suite", checked, bad)
+        res.checked += 1
+        if borel_translate(lam, w) != conjugate_relabel(lam, w):
+            res.fail(f"W0 mismatch for types {shape.types}, w={w}")
     for _ in range(trials // 4):
         types = tuple(sorted(rng.randint(1, p - 1) for _ in range(rng.randint(2, 4))))
         shape = GLXShape(p, types)
@@ -546,16 +528,16 @@ def suite_odd_reflection(
         lam = _random_tuple_weight(shape, w, rng)
         if not w_integrable(lam, w):
             continue
-        checked += 1
+        res.checked += 1
         left = borel_translate(lam, w)
         right = borel_translate(lam, w, rightmost_first=True)
         if left != right:
-            bad.append(
+            res.fail(
                 f"factorization discrepancy: types={types}, w={w}, "
                 f"parts={[g.entries for g in lam.parts]}, "
                 f"left={[g.entries for g in left.parts]}, right={[g.entries for g in right.parts]}"
             )
-    return _result("odd-reflection suite", checked, bad)
+    return res
 
 
 def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteResult:
@@ -565,8 +547,7 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
     x(y d) the relations read, each built once on the shared single steps;
     [x, y] d = 0 exactly when the entries of (x, y) and (y, x) are equal.
     """
-    bad: list[str] = []
-    checked = 0
+    res = SuiteResult(f"kac-moody suite p={p}")
     ef_pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
     far_pairs = [
         (a, b)
@@ -584,16 +565,14 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
             return table[x, y] == table[y, x]
 
         for a, b in ef_pairs:
-            checked += 1
+            res.checked += 1
             if not commute(("E", a), ("F", b)):
-                bad.append(f"[e_{a}, f_{b}] != 0 on {(mu, nu)}")
+                res.fail(f"[e_{a}, f_{b}] != 0 on {(mu, nu)}")
         for a, b in far_pairs:
-            checked += 2
+            res.checked += 2
             if not (commute(("E", a), ("E", b)) and commute(("F", a), ("F", b))):
-                bad.append(f"distant generators fail to commute on {(mu, nu)}")
-        if len(bad) > 10:
-            return _result(f"kac-moody suite p={p}", checked, bad)
-    return _result(f"kac-moody suite p={p}", checked, bad)
+                res.fail(f"distant generators fail to commute on {(mu, nu)}")
+    return res
 
 
 SUITE_BUILDERS = {

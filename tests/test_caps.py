@@ -306,11 +306,20 @@ def test_sigma_roundtrip_p7_window():
 @given(st.data())
 def test_sigma_roundtrip_hypothesis(data):
     # Random diagrams at p = 5..31 decode to weights of every atypicality;
-    # the roundtrip slides crosses clockwise and then counterclockwise.
+    # the roundtrip slides crosses clockwise and then counterclockwise, and
+    # both ways round: sigma_to_standard does not check its own answer.
     p, symbols = _random_symbols(data)
     s, r = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
     lam = decode(WeightDiagram(p, symbols, s, r))
     assert sigma_to_standard(standard_to_sigma(lam)) == lam
+    assert standard_to_sigma(sigma_to_standard(lam)) == lam
+
+
+def test_sigma_to_standard_is_a_right_inverse_on_the_p5_window():
+    # Every admissible label is the sigma label of its preimage.
+    for m, n, mu, nu in super_suite(5):
+        kappa = SuperWeight(SuperShape(m, n, 5), mu, nu)
+        assert standard_to_sigma(sigma_to_standard(kappa)) == kappa
 
 
 def _kac_candidates(d: WeightDiagram) -> int:

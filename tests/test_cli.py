@@ -233,6 +233,10 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
     assert run(capsys, *argv, "--json") == (0, _envelope(argv[0], result), "")
 
 
+# --w is 1-indexed, and so are the messages refusing it.
+_BOREL_TRANSLATE = ("borel-translate", "--p", "5", "--types", "1,4", "--part", "1", "--part", "0,0,0,0")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -245,6 +249,8 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
             ("kac-factors", "--p", "1009", "--mu", ",".join(["0"] * 504), "--nu=" + ",".join(["0"] * 504)),
             f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes",
         ),
+        (_BOREL_TRANSLATE + ("--w", "1,1"), "error VALIDATION: (1, 1) is not a permutation of 1..2"),
+        (_BOREL_TRANSLATE + ("--w", "0"), "error VALIDATION: (0,) is not a permutation of 1..2"),
     ],
     ids=[
         "selfcheck-p4",
@@ -253,6 +259,8 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
         "oddroot-lemma-huge",
         "fuse-huge-p",
         "kac-factors-over-node-budget",
+        "borel-translate-w-repeats",
+        "borel-translate-w-zero",
     ],
 )
 def test_out_of_range_inputs_are_refused(capsys, argv, message):

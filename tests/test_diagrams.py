@@ -13,7 +13,6 @@ from verlinde_gl.diagrams import (
     from_json,
     permute,
     render_ascii,
-    replace_symbols,
     symbol_residues,
     to_json,
 )
@@ -89,7 +88,8 @@ def test_permute_identity_and_example():
     # sigma = (0 4 6)(3 9); then multiply the label by t1 t2^(-1).
     sigma = dict(ident)
     sigma.update({0: 4, 4: 6, 6: 0, 3: 9, 9: 3})
-    out = replace_symbols(permute(sigma, d), {}, t1=1, t2=-1)
+    moved = permute(sigma, d)
+    out = WeightDiagram(11, moved.symbols, moved.s - 1, moved.r - 1)
     expected = {0: "<", 1: "o", 2: ">", 3: "x", 4: "x", 5: "o", 6: "o", 7: ">", 8: ">", 9: "o", 10: "<"}
     assert out.symbols == "".join(expected[k] for k in range(11))
     assert (out.s, out.r) == (2, 1)  # label t1^-2 t2^1

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from verlinde_gl.alcove import GLWeight, level_rank_D
@@ -109,15 +111,20 @@ def test_filtration_suite_compares_the_atypicality_routes(monkeypatch):
     assert not result.ok and "atypicality routes disagree" in result.details
 
 
-def test_filtration_suite_stops_early_on_a_broken_atypicality(monkeypatch):
-    # The cut-off is checked once per window weight, so failures that skip
-    # the per-alpha checks still stop the sweep after about ten.
+def test_filtration_suite_counts_every_failure_of_a_broken_atypicality(monkeypatch):
+    # A failing run goes to the end: each window weight fails both of its
+    # atypicality checks and skips the per-alpha ones, and the first three
+    # messages are kept.
     from verlinde_gl import suites
 
     monkeypatch.setattr(suites, "atypicality", lambda lam: atypicality(lam) + 1)
     result = suites.suite_filtration(5)
-    assert not result.ok and 10 < result.failures <= 12
-    assert result.checked <= 12
+    assert not result.ok and result.failures == result.checked == 2 * 3677
+    first, second = [(mu, nu) for _, _, mu, nu in islice(super_suite(5), 2)]
+    assert result.details == (
+        f"atypicality routes disagree at {first}; p-set size wrong at {first}; "
+        f"atypicality routes disagree at {second}"
+    )
 
 
 def test_casimir_examples():

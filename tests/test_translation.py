@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde_gl import suites, translation
-from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode, replace_symbols
+from verlinde_gl import caps, suites, translation
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
 from verlinde_gl.enumeration import super_suite
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.suites import suite_equivariance
@@ -338,10 +338,27 @@ def test_functor_outputs_pass_the_public_constructor(data):
             assert t == WeightDiagram(t.p, t.symbols, t.s, t.r)
 
 
-def test_replace_symbols_still_validates():
-    d = encode(ZERO5)  # 'xoooo'
-    with pytest.raises(ValidationError):
-        replace_symbols(d, {0: "<"})  # empties the first block
+def test_encoded_and_slid_diagrams_pass_the_public_constructor(monkeypatch):
+    # encode and the cap slides skip the constructor's checks as well; on the
+    # p=5 window every diagram they build equals a validated rebuild.
+    real, slid = caps._slide_crosses, []
+
+    def recorded(d, moves, step):
+        slid.append(real(d, moves, step))
+        return slid[-1]
+
+    monkeypatch.setattr(caps, "_slide_crosses", recorded)
+    built = 0
+    for m, n, mu, nu in super_suite(5):
+        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+        for call in (caps.p_set, caps.hat, caps.kac_composition, caps.sigma_to_standard):
+            call(lam)
+        for t in [encode(lam)] + slid:
+            assert t == WeightDiagram(t.p, t.symbols, t.s, t.r)
+        built += 1 + len(slid)
+        slid.clear()
+    # One encode per weight and at least one slide per call.
+    assert built >= 5 * 3677
 
 
 def _generator_compositions(p):
