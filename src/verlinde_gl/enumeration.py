@@ -10,6 +10,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from .fusion import check_prime
+from .superweights import SuperShape, SuperWeight
+
+# The suites sweep windows whose size grows like p^p: at p = 11 the
+# serganova suite alone would check about 2.6e8 pairs.
+SELFCHECK_MAX_P = 7
 
 
 def default_window(p: int) -> tuple[int, int]:
@@ -52,17 +57,25 @@ def super_shapes(p: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(1, p - 1) for n in range(1, p - m)]
 
 
+def window_weights(
+    p: int, window: tuple[int, int] | None = None, shapes: list[tuple[int, int]] | None = None
+) -> Iterator[SuperWeight]:
+    """Yield every windowed admissible pair as a SuperWeight: by shape, then mu, then nu."""
+    lo, hi = window if window is not None else default_window(p)
+    for m, n in shapes if shapes is not None else super_shapes(p):
+        shape = SuperShape(m, n, p)
+        nus = admissible_tuples(n, p, lo, hi)
+        for mu in admissible_tuples(m, p, lo, hi):
+            for nu in nus:
+                yield SuperWeight(shape, mu, nu)
+
+
 def super_suite(
     p: int, window: tuple[int, int] | None = None, shapes: list[tuple[int, int]] | None = None
 ) -> Iterator[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Yield (m, n, mu, nu) over all shapes and windowed admissible pairs."""
-    lo, hi = window if window is not None else default_window(p)
-    for m, n in shapes if shapes is not None else super_shapes(p):
-        mus = admissible_tuples(m, p, lo, hi)
-        nus = admissible_tuples(n, p, lo, hi)
-        for mu in mus:
-            for nu in nus:
-                yield m, n, mu, nu
+    """The weights of window_weights as (m, n, mu, nu) tuples, for callers that unpack them."""
+    for lam in window_weights(p, window, shapes):
+        yield lam.shape.m, lam.shape.n, lam.mu, lam.nu
 
 
 def residue_representatives(rank: int, p: int) -> list[tuple[int, ...]]:

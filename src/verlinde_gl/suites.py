@@ -8,12 +8,13 @@ Enumeration windows default to [-p, p].
 
 The heavy sweeps share work between checks.  Sharing is sound because every
 shared function is pure: each distinct input is still computed by the real
-code path exactly once, and every enumerated pair is still compared against
-its expected value.  What each sweep shares:
+code path exactly once.  Every counted check runs library code.  What each
+sweep shares:
 
-- codec (criteria 2, 3): block roundtrips per block weight and one assembly
-  table per shape; the pair sweep combines the cached verdicts.  Stage (d)
-  still runs the shipped encode and decode once per weight.
+- codec (criteria 2, 3): the codec factorizes into block ladders and one
+  assembly, so each block weight and each residue-set pair is checked once,
+  not once per pair it appears in; stage (d) runs the shipped encode and
+  decode once per weight.
 - equivariance (criterion 4): one encode and one loop vector per window
   weight, shared by all p residues; the two-term order is read off the
   terms the equivariance core already returned.
@@ -49,7 +50,15 @@ from .caps import (
     standard_to_sigma,
 )
 from .diagrams import CROSS, assemble_symbols, decode, encode, symbol_residues
-from .enumeration import admissible_tuples, default_window, monotone_tuples, residue_representatives, super_shapes, super_suite
+from .enumeration import (
+    SELFCHECK_MAX_P,
+    admissible_tuples,
+    default_window,
+    monotone_tuples,
+    residue_representatives,
+    super_shapes,
+    window_weights,
+)
 from .errors import ContractError, ValidationError
 from .fusion import check_prime, fuse_simples
 from .serganova import (
@@ -63,7 +72,6 @@ from .serganova import (
     sum_odd_roots,
 )
 from .superweights import (
-    SuperShape,
     SuperWeight,
     atypicality,
     casimir_scalar,
@@ -172,9 +180,12 @@ CODEC_DECODE_MAX_WEIGHTS = 200_000
 def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criteria 2 and 3: codec roundtrip and atypicality agreement.
 
-    The codec factorizes: symbols are assembled from the residue sets of the
-    two blocks, and decode extracts the sets and inverts each block on its
-    own.  The suite therefore verifies, exhaustively,
+    The codec factorizes.  Encode runs the ladder of each block on its own
+    (weight_ladder, through second_block for the second) and then assembles
+    the symbols from the two residue sets (assemble_symbols); decode
+    extracts the two sets (symbol_residues) and inverts each block on its
+    own (ladder_weight, then second_block).  So decode o encode = id on a
+    window follows from its parts, which the suite verifies exhaustively:
 
       (a) block roundtrips for every windowed block weight of every rank,
       (b) assembly/extraction and cross counting over *all* residue-set
@@ -182,73 +193,58 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
       (c) the form-route atypicality count against the block ladders,
       (d) decode(encode(lam)) == lam with the shipped encode and decode, on
           the widest window [-k, k] inside the suite's whose weights number
-          at most CODEC_DECODE_MAX_WEIGHTS,
+          at most CODEC_DECODE_MAX_WEIGHTS.
 
-    and then enumerates every windowed pair literally, combining the cached
-    stage verdicts.  Together the stages cover decode o encode = id and the
-    cross-count agreement for every enumerated pair; the identity also gives
-    injectivity of encode over the window.  Every table is built by the
-    code encode and decode run: the ladder (weight_ladder / ladder_weight),
-    the second-block involution (second_block) and the assembly
-    (assemble_symbols / symbol_residues).
+    The identity also gives injectivity of encode over the window, and (b)
+    with (c) gives the cross-count agreement of the two atypicality routes
+    for every pair.
     """
     lo, hi = window if window is not None else default_window(p)
     res = SuiteResult(f"codec+atypicality suite p={p}")
     blocks = {rank: admissible_tuples(rank, p, lo, hi) for rank in range(1, p - 1)}
 
     # Stage (a): block roundtrips, both as a first and as a second block.
-    # Rows keep (weight, residues, residue mask, roundtrip verdict).
-    mu_rows: dict[int, list[tuple]] = {}
+    # Rows keep (weight, residues); a second block's rows are keyed (m, rank).
+    mu_rows: dict[int, list[tuple]] = {rank: [] for rank in blocks}
     for rank, weights in blocks.items():
-        rows = []
         for w in weights:
             res.checked += 1
             a, s = weight_ladder(w, p)
-            ok = ladder_weight(a, s, p) == w
-            if not ok:
+            if ladder_weight(a, s, p) != w:
                 res.fail(f"mu-block roundtrip failed at p={p}, {w}")
-            rows.append((w, a, _mask(a), ok))
-        mu_rows[rank] = rows
-    nu_rows: dict[tuple[int, int], list[tuple]] = {}
-    for m in range(1, p - 1):
-        for rank in range(1, p - m):
-            rows = []
-            for w in blocks[rank]:
-                res.checked += 1
-                b, r = weight_ladder(second_block(w, m), p)
-                ok = second_block(ladder_weight(b, r, p), m) == w
-                if not ok:
-                    res.fail(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
-                rows.append((w, b, _mask(b), ok))
-            nu_rows[(m, rank)] = rows
+            mu_rows[rank].append((w, a))
+    nu_rows: dict[tuple[int, int], list[tuple]] = {shape: [] for shape in super_shapes(p)}
+    for m, rank in nu_rows:
+        for w in blocks[rank]:
+            res.checked += 1
+            b, r = weight_ladder(second_block(w, m), p)
+            if second_block(ladder_weight(b, r, p), m) != w:
+                res.fail(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
+            nu_rows[(m, rank)].append((w, b))
 
     # Stage (b): assembly, extraction and cross count over all set pairs.
-    asm_ok: dict[tuple[int, int], dict[int, bool]] = {}
     for m, n in super_shapes(p):
-        table = {}
         b_sets = [(list(b), _mask(b)) for b in combinations(range(p), n)]
         for a, amask in [(list(a), _mask(a)) for a in combinations(range(p), m)]:
             res.checked += len(b_sets)
             for b, bmask in b_sets:
                 text = assemble_symbols(a, b, p)
-                ok = symbol_residues(text) == (a, b) and text.count(CROSS) == (amask & bmask).bit_count()
-                if not ok:
+                if symbol_residues(text) != (a, b) or text.count(CROSS) != (amask & bmask).bit_count():
                     res.fail(f"assembly failed at p={p}, masks {amask:b}/{bmask:b}")
-                table[(amask << p) | bmask] = ok
-        asm_ok[(m, n)] = table
 
-    # Stage (c): the form-route count uses masks shifted by m; equality with
-    # the ladder masks is checked per block, making the two atypicality
-    # routes agree pairwise whenever the shifts match.
-    for m, n in super_shapes(p):
-        for w, a, _, _ in mu_rows[m]:
+    # Stage (c): the form-route count uses masks shifted by m, the rank of
+    # the first block; equality with the ladder masks is checked per block,
+    # making the two atypicality routes agree pairwise.
+    for m in range(1, p - 1):
+        for w, a in mu_rows[m]:
             res.checked += 1
             if sh_mu_mask(w, p) != _mask([(k + m) % p for k in a]):
                 res.fail(f"form-route mu mask mismatch at p={p}, {w}")
-        for w, b, _, _ in nu_rows[(m, n)]:
-            res.checked += 1
-            if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
-                res.fail(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
+        for n in range(1, p - m):
+            for w, b in nu_rows[(m, n)]:
+                res.checked += 1
+                if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
+                    res.fail(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
 
     # Stage (d): the shipped codec end to end, one weight at a time, on the
     # widest window [-k, k] inside the suite's that fits the budget.
@@ -258,32 +254,14 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
         if sum(len(clipped[m]) * len(clipped[n]) for m, n in super_shapes(p)) <= CODEC_DECODE_MAX_WEIGHTS:
             break
         k -= 1
-    for m, n in super_shapes(p):
-        shape = SuperShape(m, n, p)
-        for mu in clipped[m]:
-            for nu in clipped[n]:
-                res.checked += 1
-                lam = SuperWeight(shape, mu, nu)
-                try:
-                    got = decode(encode(lam))
-                except (ValidationError, ContractError) as exc:
-                    got = exc
-                if got != lam:
-                    res.fail(f"decode(encode(lam)) != lam at p={p}, {(mu, nu)}: got {got!r}")
-    if res.failures:
-        return res
-
-    # Literal enumeration of every windowed pair, combining cached verdicts;
-    # the checks are counted once per row.
-    for m, n in super_shapes(p):
-        nu_verdicts = [(okn, bmask) for _, _, bmask, okn in nu_rows[(m, n)]]
-        asm = asm_ok[(m, n)]
-        for _, _, amask, okm in mu_rows[m]:
-            base = amask << p
-            res.checked += len(nu_verdicts)
-            for okn, bmask in nu_verdicts:
-                if not (okm and okn and asm[base | bmask]):
-                    res.fail(f"pair verdict failed at p={p}, shape ({m},{n})")
+    for lam in window_weights(p, (max(lo, -k), min(hi, k))):
+        res.checked += 1
+        try:
+            got = decode(encode(lam))
+        except (ValidationError, ContractError) as exc:
+            got = exc
+        if got != lam:
+            res.fail(f"decode(encode(lam)) != lam at p={p}, {(lam.mu, lam.nu)}: got {got!r}")
     return res
 
 
@@ -300,16 +278,15 @@ def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteRe
     """Criterion 4: diagram action equals loop action for every residue, and
     every two-term F/E output lists its dominance-smaller term first."""
     res = SuiteResult(f"equivariance suite p={p}")
-    for m, n, mu, nu in super_suite(p, window):
-        lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+    for lam in window_weights(p, window):
         d, v = encode(lam), loop_vector(lam)
         for c in range(p):
             res.checked += 1
             terms = _equivariant_terms(d, v, c)
             if terms is None:
-                res.fail(f"equivariance failed at {(mu, nu)}, c={c}")
+                res.fail(f"equivariance failed at {(lam.mu, lam.nu)}, c={c}")
             elif not all(map(_two_term_order_ok, terms)):
-                res.fail(f"two-term order failed at {(mu, nu)}, c={c}")
+                res.fail(f"two-term order failed at {(lam.mu, lam.nu)}, c={c}")
     return res
 
 
@@ -346,8 +323,7 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     kac_cache: dict[SuperWeight, tuple[set[SuperWeight], int]] = {}  # alpha -> (factors, Casimir residue)
     covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
     in_window: set[SuperWeight] = set()
-    for m, n, mu, nu in super_suite(p, window):
-        lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+    for lam in window_weights(p, window):
         in_window.add(lam)
         ps = p_set(lam)
         for alpha in ps:
@@ -355,9 +331,9 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
         atyp = atypicality(lam)
         res.checked += 2
         if atyp != _form_atypicality(lam):
-            res.fail(f"atypicality routes disagree at {(mu, nu)}")
+            res.fail(f"atypicality routes disagree at {(lam.mu, lam.nu)}")
         if len(ps) != 2 ** atyp:
-            res.fail(f"p-set size wrong at {(mu, nu)}")
+            res.fail(f"p-set size wrong at {(lam.mu, lam.nu)}")
             continue
         cas = casimir_scalar(lam).residue
         for alpha in ps:
@@ -367,13 +343,13 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 cached = kac_cache[alpha] = (kac_composition(alpha), casimir_scalar(alpha).residue)
             comp, alpha_cas = cached
             if not dominance_leq(lam, alpha):
-                res.fail(f"dominance fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"dominance fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha.degree != lam.degree or alpha_cas != cas:
-                res.fail(f"linkage fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha != lam and sum(alpha.mu) <= sum(lam.mu):
-                res.fail(f"strictness fails: {(mu, nu)} vs {alpha}")
+                res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
             if lam not in comp:
-                res.fail(f"BGG inversion misses {(mu, nu)} for {alpha}")
+                res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
     for alpha, (comp, _) in kac_cache.items():
         res.checked += 1
         for lam in comp:
@@ -389,16 +365,15 @@ def suite_projective_word(
 ) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration."""
     res = SuiteResult(f"projective-word suite p={p}")
-    for m, n, mu, nu in super_suite(p, window):
-        lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+    for lam in window_weights(p, window):
         if atypicality(lam) > max_atypicality:
             continue
         res.checked += 1
         base, word = projective_word(lam)
         if not is_typical(base):
-            res.fail(f"base not typical for {(mu, nu)}")
+            res.fail(f"base not typical for {(lam.mu, lam.nu)}")
         elif replay_word(base, word) != projective_filtration(lam):
-            res.fail(f"replay mismatch at {(mu, nu)}")
+            res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 
 
@@ -467,11 +442,10 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
                 res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
         res.checked += pairs
     for p in ps:
-        for m, n, mu, nu in super_suite(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
-            lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+        for lam in window_weights(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             res.checked += 1
-            if sh_nonzero(mu, nu, p) != is_typical(lam):
-                res.fail(f"typicality transfer fails at p={p}, {(mu, nu)}")
+            if sh_nonzero(lam.mu, lam.nu, p) != is_typical(lam):
+                res.fail(f"typicality transfer fails at p={p}, {(lam.mu, lam.nu)}")
     return res
 
 
@@ -502,11 +476,10 @@ def suite_odd_reflection(
 ) -> SuiteResult:
     """Criterion 8: sigma roundtrip, conjugate relabeling, factorization probe."""
     res = SuiteResult("odd-reflection suite")
-    for m, n, mu, nu in super_suite(p, window):
-        lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+    for lam in window_weights(p, window):
         res.checked += 1
         if sigma_to_standard(standard_to_sigma(lam)) != lam:
-            res.fail(f"sigma roundtrip fails at {(mu, nu)}")
+            res.fail(f"sigma roundtrip fails at {(lam.mu, lam.nu)}")
     rng = random.Random(seed)
     for _ in range(trials):
         k = rng.randint(2, 4)
@@ -558,8 +531,8 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
     # Every ordered composition the relations read; far_pairs holds both orders.
     compositions = [c for a, b in ef_pairs for c in ((("E", a), ("F", b)), (("F", b), ("E", a)))]
     compositions += [((kind, a), (kind, b)) for a, b in far_pairs for kind in "EF"]
-    for m, n, mu, nu in super_suite(p, window):
-        table = translation(encode(SuperWeight(SuperShape(m, n, p), mu, nu)), compositions)
+    for lam in window_weights(p, window):
+        table = translation(encode(lam), compositions)
 
         def commute(x, y) -> bool:
             return table[x, y] == table[y, x]
@@ -567,11 +540,11 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
         for a, b in ef_pairs:
             res.checked += 1
             if not commute(("E", a), ("F", b)):
-                res.fail(f"[e_{a}, f_{b}] != 0 on {(mu, nu)}")
+                res.fail(f"[e_{a}, f_{b}] != 0 on {(lam.mu, lam.nu)}")
         for a, b in far_pairs:
             res.checked += 2
             if not (commute(("E", a), ("E", b)) and commute(("F", a), ("F", b))):
-                res.fail(f"distant generators fail to commute on {(mu, nu)}")
+                res.fail(f"distant generators fail to commute on {(lam.mu, lam.nu)}")
     return res
 
 
@@ -585,11 +558,6 @@ SUITE_BUILDERS = {
     "odd-reflection": lambda p: suite_odd_reflection(p),
     "kac-moody": lambda p: suite_kac_moody(p),
 }
-
-
-# The suites sweep windows whose size grows like p^p: at p = 11 the
-# serganova suite alone would check about 2.6e8 pairs.
-SELFCHECK_MAX_P = 7
 
 
 def run_suite(name: str, p: int) -> SuiteResult:

@@ -4,9 +4,11 @@ from math import comb, perm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from verlinde_gl import caps
 from verlinde_gl.caps import (
     KAC_COMPOSITION_MAX_NODES,
     P_SET_MAX_SIZE,
+    PROJECTIVE_WORD_MAX_SYMBOLS,
     Cap,
     _match_caps,
     _slide_crosses,
@@ -25,10 +27,9 @@ from verlinde_gl.caps import (
     standard_to_sigma,
 )
 from verlinde_gl.diagrams import CROSS, EMPTY, LEFT, RIGHT, WeightDiagram, assemble_symbols, decode, encode, render_ascii
-from verlinde_gl.enumeration import super_suite
+from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
-    SuperShape,
     SuperWeight,
     atypicality,
     beta,
@@ -261,8 +262,7 @@ def test_dual_simple():
     assert lbl.mu == (-11, -11, -11, -15, -15)
     assert lbl.nu == (17, 12, 10, 10)
     # Involution on an enumerated window, through the dominant label.
-    for m, n, mu, nu in super_suite(5, window=(-2, 2)):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for lam in window_weights(5, window=(-2, 2)):
         assert dual_simple_label(dual_simple_label(lam)) == lam
 
 
@@ -287,6 +287,32 @@ def test_projective_word_figure():
     assert got == {a: 1 for a in p_set(FIG)}
 
 
+def test_projective_word_length_is_the_sum_of_cap_lengths():
+    # The size bound of projective_word is read off lam's caps before the
+    # first round: peeling a cap keeps every other cap.
+    for lam in window_weights(5):
+        p = lam.shape.p
+        _, word = projective_word(lam)
+        assert len(word) == sum((cap.tail - cap.source) % p for cap in cap_diagram(encode(lam)).caps)
+
+
+def test_projective_word_size_limit():
+    # (0^k|0^k) at p = 2k + 1 has a word of k^2 steps.
+    k = 366
+    _, word = projective_word(super_weight(2 * k + 1, (0,) * k, (0,) * k))
+    assert len(word) == k * k and k * k * (2 * k + 1) <= PROJECTIVE_WORD_MAX_SYMBOLS
+    with pytest.raises(ValidationError, match=f"exceeds {PROJECTIVE_WORD_MAX_SYMBOLS} symbol copies"):
+        projective_word(super_weight(739, (0,) * 369, (0,) * 369))
+
+
+def test_replay_word_refuses_a_sum_above_the_p_set_limit(monkeypatch):
+    # ZERO5's word rebuilds two classes; under a limit of one the replay stops.
+    base, word = projective_word(ZERO5)
+    monkeypatch.setattr(caps, "P_SET_MAX_SIZE", 1)
+    with pytest.raises(ValidationError, match="replayed sum of 2 classes exceeds P_SET_MAX_SIZE = 1"):
+        replay_word(base, word)
+
+
 def test_sigma_maps():
     lam = super_weight(5, (1,), (0,))
     assert standard_to_sigma(lam).vector == (0, 1)
@@ -297,8 +323,7 @@ def test_sigma_maps():
 
 
 def test_sigma_roundtrip_p7_window():
-    for m, n, mu, nu in super_suite(7, window=(-2, 2)):
-        lam = SuperWeight(SuperShape(m, n, 7), mu, nu)
+    for lam in window_weights(7, window=(-2, 2)):
         assert sigma_to_standard(standard_to_sigma(lam)) == lam
 
 
@@ -317,8 +342,7 @@ def test_sigma_roundtrip_hypothesis(data):
 
 def test_sigma_to_standard_is_a_right_inverse_on_the_p5_window():
     # Every admissible label is the sigma label of its preimage.
-    for m, n, mu, nu in super_suite(5):
-        kappa = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for kappa in window_weights(5):
         assert standard_to_sigma(sigma_to_standard(kappa)) == kappa
 
 
@@ -357,9 +381,8 @@ def _kac_composition_brute(alpha: SuperWeight) -> set[SuperWeight]:
 @pytest.mark.parametrize("p, window", [(5, None), (7, (-2, 2))], ids=["p5-window", "p7-window-2-2"])
 def test_kac_composition_equals_brute_force_on_windows(p, window):
     count = 0
-    for m, n, mu, nu in super_suite(p, window):
-        alpha = SuperWeight(SuperShape(m, n, p), mu, nu)
-        assert kac_composition(alpha) == _kac_composition_brute(alpha), (mu, nu)
+    for alpha in window_weights(p, window):
+        assert kac_composition(alpha) == _kac_composition_brute(alpha), (alpha.mu, alpha.nu)
         count += 1
     assert count == {5: 3677, 7: 5735}[p]
 
@@ -413,8 +436,7 @@ def test_p_set_size_limit():
 
 
 def test_p_set_invariants_window():
-    for m, n, mu, nu in super_suite(5, window=(-3, 3)):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for lam in window_weights(5, window=(-3, 3)):
         ps = p_set(lam)
         assert len(ps) == 2 ** atypicality(lam)
         cas = casimir_scalar(lam).residue
@@ -427,17 +449,15 @@ def test_p_set_invariants_window():
 
 
 def test_bgg_duality_window():
-    for m, n, mu, nu in super_suite(5, window=(-2, 2)):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for lam in window_weights(5, window=(-2, 2)):
         for alpha in p_set(lam):
             assert lam in kac_composition(alpha)
 
 
 def test_hat_injective_on_strata():
     seen: dict[tuple, SuperWeight] = {}
-    for m, n, mu, nu in super_suite(5, window=(-2, 2)):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
-        key = (m, n, atypicality(lam), hat(lam))
+    for lam in window_weights(5, window=(-2, 2)):
+        key = (lam.shape, atypicality(lam), hat(lam))
         assert seen.setdefault(key, lam) == lam
 
 

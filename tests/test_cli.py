@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import verlinde_gl
-from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE
+from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE, PROJECTIVE_WORD_MAX_SYMBOLS
 from verlinde_gl.cli import main
 
 
@@ -278,6 +278,24 @@ def test_p_set_above_the_size_limit_is_refused_quickly(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error VALIDATION") and f"P_SET_MAX_SIZE = {P_SET_MAX_SIZE}" in err
+
+
+def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
+    # (0^1001|0^1001) at p = 2003 has a word of 1001^2 steps.
+    zeros = ",".join(["0"] * 1001)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "projective-word", "--p", "2003", "--mu", zeros, "--nu", zeros)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error VALIDATION") and f"exceeds {PROJECTIVE_WORD_MAX_SYMBOLS} symbol copies" in err
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # Only selfcheck needs the suites; every other subcommand skips their import.
+    env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
+    probe = "import sys, verlinde_gl.cli; print('verlinde_gl.suites' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_selfcheck(capsys):

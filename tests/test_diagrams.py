@@ -16,7 +16,7 @@ from verlinde_gl.diagrams import (
     symbol_residues,
     to_json,
 )
-from verlinde_gl.enumeration import super_suite
+from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import SuperShape, SuperWeight, residue_data, super_weight
 
@@ -109,16 +109,14 @@ def test_permute_two_circles():
 
 def test_label_bookkeeping_matches_residue_data():
     for p in (5, 7):
-        for m, n, mu, nu in super_suite(p, window=(-3, 3)):
-            lam = SuperWeight(SuperShape(m, n, p), mu, nu)
+        for lam in window_weights(p, window=(-3, 3)):
             d = encode(lam)
             rd = residue_data(lam)
             assert (d.s, d.r) == (rd.s, rd.r)
 
 
 def test_roundtrip_exhaustive_p5():
-    for m, n, mu, nu in super_suite(5):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for lam in window_weights(5):
         assert decode(encode(lam)) == lam
 
 
@@ -183,6 +181,27 @@ def test_codec_suite_catches_a_shifted_residue(monkeypatch):
     assert not result.ok and result.details.startswith("mu-block roundtrip failed")
 
 
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        ("assemble_symbols", lambda real: lambda a, b, p: real(a, b, p)[::-1]),
+        ("symbol_residues", lambda real: lambda symbols: real(symbols[1:] + symbols[0])),
+    ],
+)
+def test_codec_suite_catches_a_broken_assembly(monkeypatch, name, broken):
+    monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
+    result = suites.suite_codec(5, (-1, 1))
+    assert not result.ok and result.details.startswith("assembly failed at p=5")
+
+
+@pytest.mark.parametrize("block", ["mu", "nu"])
+def test_codec_suite_catches_a_flipped_form_route_bit(monkeypatch, block):
+    real = getattr(suites, f"sh_{block}_mask")
+    monkeypatch.setattr(suites, f"sh_{block}_mask", lambda w, p: real(w, p) ^ 1)
+    result = suites.suite_codec(5, (-1, 1))
+    assert not result.ok and result.details.startswith(f"form-route {block} mask mismatch at p=5")
+
+
 def _decode_with_unreversed_second_block(d, m=None, n=None):
     # decode writing its own second block, without the reversal of second_block.
     a, b = symbol_residues(d.symbols)
@@ -199,9 +218,9 @@ def test_codec_suite_runs_the_shipped_decode(monkeypatch):
 
 def test_codec_suite_counts_one_decode_per_window_weight():
     # Stage (d) adds exactly the window weights to the block and assembly stages.
-    weights = sum(1 for _ in super_suite(5))
+    weights = sum(1 for _ in window_weights(5))
     assert weights == 3677
-    assert suites.suite_codec(5).checked == 4610 + weights
+    assert suites.suite_codec(5).checked == 873 + weights
 
 
 def test_golden_suite_reports_a_raising_decode_as_a_failure(monkeypatch):

@@ -3,11 +3,10 @@ from itertools import islice
 import pytest
 
 from verlinde_gl.alcove import GLWeight, level_rank_D
-from verlinde_gl.enumeration import super_suite
+from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
     SuperShape,
-    SuperWeight,
     atypicality,
     beta,
     casimir_scalar,
@@ -84,9 +83,9 @@ def test_typicality():
 
 def test_residue_distinctness_on_windows():
     for p, window in ((5, None), (7, None), (11, (-3, 3))):
-        for m, n, mu, nu in super_suite(p, window=window):
-            rd = residue_data(SuperWeight(SuperShape(m, n, p), mu, nu))
-            assert len(set(rd.a)) == m and len(set(rd.b)) == n
+        for lam in window_weights(p, window=window):
+            rd = residue_data(lam)
+            assert len(set(rd.a)) == lam.shape.m and len(set(rd.b)) == lam.shape.n
 
 
 def test_rho_pairings_are_integral():
@@ -120,7 +119,7 @@ def test_filtration_suite_counts_every_failure_of_a_broken_atypicality(monkeypat
     monkeypatch.setattr(suites, "atypicality", lambda lam: atypicality(lam) + 1)
     result = suites.suite_filtration(5)
     assert not result.ok and result.failures == result.checked == 2 * 3677
-    first, second = [(mu, nu) for _, _, mu, nu in islice(super_suite(5), 2)]
+    first, second = [(lam.mu, lam.nu) for lam in islice(window_weights(5), 2)]
     assert result.details == (
         f"atypicality routes disagree at {first}; p-set size wrong at {first}; "
         f"atypicality routes disagree at {second}"
@@ -149,7 +148,8 @@ def test_casimir_matches_split_formula():
     # Independent route: <mu+2rho_m, mu> - <nu+2rho_n, nu> - n|mu| - m|nu|
     # with the per-block staircases 2rho_k = (k-1, k-3, .., 1-k).
     for p in (5, 7):
-        for m, n, mu, nu in super_suite(p, window=(-3, 3)):
+        for lam in window_weights(p, window=(-3, 3)):
+            m, n, mu, nu = lam.shape.m, lam.shape.n, lam.mu, lam.nu
             rm = [m - (2 * i - 1) for i in range(1, m + 1)]
             rn = [n - (2 * j - 1) for j in range(1, n + 1)]
             split = (
@@ -158,7 +158,6 @@ def test_casimir_matches_split_formula():
                 - n * sum(mu)
                 - m * sum(nu)
             )
-            lam = SuperWeight(SuperShape(m, n, p), mu, nu)
             assert casimir_scalar(lam).value == split
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import caps, suites, translation
 from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
-from verlinde_gl.enumeration import super_suite
+from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.suites import suite_equivariance
-from verlinde_gl.superweights import SuperShape, SuperWeight, dominance_leq, super_weight
+from verlinde_gl.superweights import dominance_leq, super_weight
 from verlinde_gl.translation import (
     apply_E,
     apply_F,
@@ -64,8 +64,8 @@ def test_apply_E_on_figure():
 
 def test_E_undoes_F_on_arrow_moves():
     for p in (5, 7):
-        for m, n, mu, nu in super_suite(p, window=(-2, 2)):
-            d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
+        for lam in window_weights(p, window=(-2, 2)):
+            d = encode(lam)
             for i in range(p):
                 pair = (d.symbols[i], d.symbols[(i + 1) % p])
                 if pair in ((">", "o"), ("o", "<"), ("x", "<"), (">", "x")):
@@ -176,8 +176,8 @@ def test_phi_equivariance_small():
 
 def test_biadjointness_shadow():
     for p in (5, 7):
-        for m, n, mu, nu in super_suite(p, window=(-2, 2)):
-            d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
+        for lam in window_weights(p, window=(-2, 2)):
+            d = encode(lam)
             for i in range(p):
                 for t in apply_F(i, d):
                     assert d in apply_E(i, t)
@@ -190,8 +190,8 @@ def test_cross_count_bookkeeping():
     # preserve it on arrow moves and drop it by one exactly on the
     # cross-opening cases (x o) / (o x).
     for p in (5, 7):
-        for m, n, mu, nu in super_suite(p, window=(-2, 2)):
-            d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
+        for lam in window_weights(p, window=(-2, 2)):
+            d = encode(lam)
             for i in range(p):
                 pair = (d.symbols[i], d.symbols[(i + 1) % p])
                 for out in (apply_F(i, d), apply_E(i, d)):
@@ -296,7 +296,7 @@ def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
                 return _real(lam)
 
             monkeypatch.setattr(module, name, counted)
-    weights = sum(1 for _ in super_suite(5, (-1, 1)))
+    weights = sum(1 for _ in window_weights(5, (-1, 1)))
     result = suite_equivariance(5, (-1, 1))
     assert result.ok and result.checked == 5 * weights
     assert calls == {"encode": weights, "loop_vector": weights}
@@ -349,8 +349,7 @@ def test_encoded_and_slid_diagrams_pass_the_public_constructor(monkeypatch):
 
     monkeypatch.setattr(caps, "_slide_crosses", recorded)
     built = 0
-    for m, n, mu, nu in super_suite(5):
-        lam = SuperWeight(SuperShape(m, n, 5), mu, nu)
+    for lam in window_weights(5):
         for call in (caps.p_set, caps.hat, caps.kac_composition, caps.sigma_to_standard):
             call(lam)
         for t in [encode(lam)] + slid:
@@ -389,8 +388,8 @@ def test_kac_moody_suite_applies_each_single_step_once(monkeypatch):
     real = translation.apply_functor
     p = 5
     want = 0
-    for m, n, mu, nu in super_suite(p, (-1, 1)):
-        d = encode(SuperWeight(SuperShape(m, n, p), mu, nu))
+    for lam in window_weights(p, (-1, 1)):
+        d = encode(lam)
         want += 2 * p + sum(len(real(*y, d)) for _, y in _generator_compositions(p))
     calls = 0
 
