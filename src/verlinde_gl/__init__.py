@@ -20,6 +20,6 @@ from .borel import BorelPermutation, GLXShape, TupleWeight, borel_translate, con
 from .diagrams import WeightDiagram, cut, decode, encode, from_json, permute, render_ascii, to_json
 from .errors import ContractError, ValidationError
 from .fusion import fuse_simples, is_even_object
-from .serganova import check_oddroot_lemma, odd_root_order, serganova_hat, sh_nonzero
+from .serganova import check_oddroot_lemma, odd_root_order, serganova_hat, serganova_hats, sh_nonzero
 from .superweights import SuperShape, SuperWeight, atypicality, beta, casimir_scalar, casimir_unsuper, dominance_leq, form, is_typical, kac_irreducible, residue_data, rho2, super_weight
 from .translation import KacExtension, LoopVector, apply_E, apply_F, loop_e, loop_f, loop_vector, phi_equivariance_check, translate_kac, translate_projective, translate_simple

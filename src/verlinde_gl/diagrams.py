@@ -19,12 +19,13 @@ second one back with superweights.second_block.  These two helpers are the
 only place symbols and residue sets are converted.
 
 Diagrams are validated once, at the boundary: the public WeightDiagram
-constructor checks p, its symbols and both block counts, and from_json and
-the CLI build through it.  Every diagram the library derives from a valid
-diagram or super weight is built with _trusted, which skips the checks:
-encode (a valid super weight fixes them), permute (a bijection of the
-vertices), the cap slides of caps and the translation functors' table
-edits, which all keep p, the length and both block counts.
+constructor checks p, its symbols, both block counts and that s and r are
+integers, and from_json and the CLI build through it.  Every diagram the
+library derives from a valid diagram or super weight is built with
+_trusted, which skips the checks: encode (a valid super weight fixes them),
+permute (a bijection of the vertices), the cap slides of caps and the
+translation functors' table edits, which all keep p, the length and both
+block counts.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class WeightDiagram:
 
     def __post_init__(self) -> None:
         check_prime(self.p)
+        for name in ("s", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if len(self.symbols) != self.p:
             raise ValidationError(f"need {self.p} symbols, got {len(self.symbols)}")
         unknown = set(self.symbols) - _SYMBOLS
@@ -178,10 +183,12 @@ def to_json(d: WeightDiagram) -> str:
 
 
 def from_json(text: str) -> WeightDiagram:
+    """Inverse of to_json: p, s and r must be JSON integers, symbols a list of one-char strings."""
     try:
         obj = json.loads(text)
-        return WeightDiagram(int(obj["p"]), "".join(obj["symbols"]), int(obj["s"]), int(obj["r"]))
+        p, symbols, s, r = obj["p"], obj["symbols"], obj["s"], obj["r"]
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
         raise ValidationError(f"malformed diagram JSON: {exc}") from exc
+    if not isinstance(symbols, list) or not all(isinstance(c, str) and len(c) == 1 for c in symbols):
+        raise ValidationError(f"malformed diagram JSON: symbols must be one-char strings, got {symbols!r}")
+    return WeightDiagram(p, "".join(symbols), s, r)

@@ -7,6 +7,7 @@ pattern a width-2p window can produce.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
 from .fusion import check_prime
@@ -34,21 +35,13 @@ def monotone_tuples(rank: int, lo: int, hi: int) -> list[tuple[int, ...]]:
 
 def _nonincreasing_tuples(rank: int, lo: int, hi: int, spread: int | None) -> list[tuple[int, ...]]:
     """Nonincreasing tuples in [lo, hi]^rank, largest first, with first - last <= spread if given."""
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        if len(prefix) == rank:
-            out.append(tuple(prefix))
-            return
-        upper = prefix[-1] if prefix else hi
-        lower = lo if spread is None or not prefix else max(lo, prefix[0] - spread)
-        for x in range(upper, lower - 1, -1):
-            prefix.append(x)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
+    if spread is None or rank == 0:
+        return list(combinations_with_replacement(range(hi, lo - 1, -1), rank))
+    return [
+        (top,) + rest
+        for top in range(hi, lo - 1, -1)
+        for rest in combinations_with_replacement(range(top, max(lo, top - spread) - 1, -1), rank - 1)
+    ]
 
 
 def super_shapes(p: int) -> list[tuple[int, int]]:
@@ -79,28 +72,10 @@ def super_suite(
 
 
 def residue_representatives(rank: int, p: int) -> list[tuple[int, ...]]:
-    """One monotone representative per residue tuple in [0, p)^rank.
+    """One monotone representative per residue tuple in [0, p)^rank, in lexicographic order.
 
     Entrywise residues determine the whole Serganova/Shapovalov dynamics;
     the representative keeps each entry in (prev - p, prev].
     """
     check_prime(p)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], residues: list[int]) -> None:
-        if len(residues) == rank:
-            out.append(tuple(prefix))
-            return
-        for c in range(p):
-            if prefix:
-                x = prefix[-1] - ((prefix[-1] - c) % p)
-            else:
-                x = c
-            prefix.append(x)
-            residues.append(c)
-            extend(prefix, residues)
-            prefix.pop()
-            residues.pop()
-
-    extend([], [])
-    return out
+    return [tuple(accumulate(cs, lambda x, c: x - (x - c) % p)) for cs in product(range(p), repeat=rank)]

@@ -13,10 +13,11 @@ only mu_i and nu_j, so no root before column j touches nu_j, and column j
 sees the running mu and the original nu_j alone.  One column step
 (mu_state, nu_j) -> (mu_state', nu_j') therefore carries the whole walk:
 the state after column j depends only on (mu, nu_1, .., nu_j), and the
-hat is a left fold of the column step over nu.  Sweeps share that state
-between all nu with a common prefix.  The root-by-root walk in an
-arbitrary linear extension, which gives the same terminal weight, is the
-reference oracle of tests/test_serganova.py.
+hat is a left fold of the column step over nu.  serganova_hats is that
+fold, the only one: it walks many pairs and shares the state between all
+nu with a common prefix, and serganova_hat is its one-pair case.  The
+root-by-root walk in an arbitrary linear extension, which gives the same
+terminal weight, is the reference oracle of tests/test_serganova.py.
 
 The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
 = (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
@@ -26,7 +27,7 @@ disjoint.  sh_nonzero tests this on two bitmasks.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
 from .errors import ValidationError
@@ -101,15 +102,44 @@ def column_step(state: tuple[int, ...], y: int, p: int) -> tuple[tuple[int, ...]
     return tuple(out), y
 
 
-def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Terminal weight of the root-subtraction recursion: column_step folded over nu."""
+def serganova_hats(
+    mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]], p: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield serganova_hat(mu, nu, p) for every mu in mus and nu in nus, mu outer.
+
+    The hat is column_step folded over nu, so the walk states of the prefix
+    a nu shares with the nu before it are kept and only the later columns
+    are stepped; in the depth-first order of the enumerations that is one
+    column step per trie node.  p and every block are validated once, and
+    the nus must share one length.
+    """
     check_prime(p)
-    check_blocks((mu,), (nu,))
-    state, out_nu = tuple(mu), []
-    for y in nu:
-        state, y = column_step(state, y, p)
-        out_nu.append(y)
-    return state, tuple(out_nu)
+    check_blocks(mus, nus)
+    n = len(nus[0]) if nus else 0
+    starts = [0] * len(nus)  # starts[k]: the first column nus[k] does not share with nus[k - 1]
+    for k in range(1, len(nus)):
+        prev, nu = nus[k - 1], nus[k]
+        if len(nu) != n:
+            raise ValidationError(f"every nu must have length {n}, got nu={nu}")
+        shared = 0
+        while shared < n - 1 and nu[shared] == prev[shared]:
+            shared += 1
+        starts[k] = shared
+    for mu in mus:
+        walk = [(tuple(mu), ())]  # (running mu, terminal nu_1..nu_j) after j columns
+        for nu, start in zip(nus, starts):
+            state, hat_nu = walk[start]
+            del walk[start + 1 :]
+            for y in nu[start:]:
+                state, y = column_step(state, y, p)
+                hat_nu += (y,)
+                walk.append((state, hat_nu))
+            yield state, hat_nu
+
+
+def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Terminal weight of the root-subtraction recursion: the one pair of serganova_hats."""
+    return next(serganova_hats((mu,), (nu,), p))
 
 
 def sh_mu_mask(mu: tuple[int, ...], p: int) -> int:

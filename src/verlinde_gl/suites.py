@@ -20,7 +20,9 @@ sweep shares:
   terms the equivariance core already returned.
 - filtration (criterion 5): kac_composition once per distinct alpha, and
   the sweep's own p_set images answer BGG's converse for window weights.
-- serganova (criterion 7): the walk states along common nu prefixes.
+- serganova (criterion 7): the shipped batch walk serganova_hats, which
+  keeps the walk states along common nu prefixes; each block's mask and
+  block of mu - sum_odd_roots are built once per stage.
 - kac-moody (criterion 9): one encode and one translation table per window
   weight: the 2p single steps once, then each ordered composition x(y d)
   once, shared by every relation that reads it.  Like every diagram the
@@ -62,10 +64,9 @@ from .enumeration import (
 from .errors import ContractError, ValidationError
 from .fusion import check_prime, fuse_simples
 from .serganova import (
-    check_blocks,
     check_oddroot_lemma,
-    column_step,
     serganova_hat,
+    serganova_hats,
     sh_mu_mask,
     sh_nonzero,
     sh_nu_mask,
@@ -315,19 +316,15 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
 
     BGG reciprocity: each window weight lam lies in kac_composition(alpha)
     for every alpha in p_set(lam); conversely, once per distinct alpha,
-    every reported factor lam has alpha in p_set(lam).  For window weights
-    the sweep's own p_set images answer that; factors outside the window
+    every reported factor lam has alpha in p_set(lam).  The sweep keeps
+    each window weight's p_set to answer that; factors outside the window
     are checked through p_set directly.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
     kac_cache: dict[SuperWeight, tuple[set[SuperWeight], int]] = {}  # alpha -> (factors, Casimir residue)
-    covers: dict[SuperWeight, set[SuperWeight]] = {}  # alpha -> window lam with alpha in p_set(lam)
-    in_window: set[SuperWeight] = set()
+    window_psets: dict[SuperWeight, set[SuperWeight]] = {}  # lam -> p_set(lam) on the window
     for lam in window_weights(p, window):
-        in_window.add(lam)
-        ps = p_set(lam)
-        for alpha in ps:
-            covers.setdefault(alpha, set()).add(lam)
+        ps = window_psets[lam] = p_set(lam)
         atyp = atypicality(lam)
         res.checked += 2
         if atyp != _form_atypicality(lam):
@@ -353,8 +350,8 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     for alpha, (comp, _) in kac_cache.items():
         res.checked += 1
         for lam in comp:
-            is_factor = lam in covers[alpha] if lam in in_window else alpha in p_set(lam)
-            if not is_factor:
+            ps = window_psets.get(lam)
+            if alpha not in (p_set(lam) if ps is None else ps):
                 res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
     return res
@@ -377,41 +374,6 @@ def suite_projective_word(
     return res
 
 
-def _hat_pairs(p: int, mus: list[tuple[int, ...]], nus: list[tuple[int, ...]]):
-    """Yield (mu, nu, sh, hat, sub_all) for every mu in mus and nu in nus, in order.
-
-    sh is the Shapovalov mask test, hat the canonical Serganova walk and
-    sub_all the weight minus every odd root.  The walk is a fold of
-    column_step over nu, so the walk states of the prefix a nu shares with
-    the nu before it are kept and only the later columns are stepped; in
-    the depth-first order of the enumerations that is one column step per
-    trie node.  p and every block are validated once per sweep.
-    """
-    check_prime(p)
-    check_blocks(mus, nus)
-    m, n = len(mus[0]), len(nus[0])
-    full_mu, full_nu = sum_odd_roots(m, n)
-    nu_rows = []
-    prev: tuple = (None,) * n
-    for nu in nus:
-        shared = 0
-        while shared < n - 1 and nu[shared] == prev[shared]:
-            shared += 1
-        sub_nu = tuple(y - f for y, f in zip(nu, full_nu))
-        nu_rows.append((nu, shared, sh_nu_mask(nu, p), sub_nu))
-        prev = nu
-    for mu in mus:
-        mu_bits = sh_mu_mask(mu, p)
-        sub_mu = tuple(x - f for x, f in zip(mu, full_mu))
-        states = [tuple(mu)] + [()] * n  # running mu after j columns
-        hat_nu = [()] * (n + 1)  # terminal nu_1..nu_j after j columns
-        for nu, shared, nu_bits, sub_nu in nu_rows:
-            for j in range(shared, n):
-                states[j + 1], y = column_step(states[j], nu[j], p)
-                hat_nu[j + 1] = hat_nu[j] + (y,)
-            yield mu, nu, not mu_bits & nu_bits, (states[n], hat_nu[n]), (sub_mu, sub_nu)
-
-
 def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
     """Criterion 7: odd-root lemma, hat/Shapovalov equivalence, typicality transfer.
 
@@ -419,7 +381,7 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
     (2, 2), and through one monotone representative per residue class for
     blocks up to (4, 4); both sides of the equivalence only depend on the
     entries mod p, so the representative sweep covers every window.  Both
-    sweeps check every pair, sharing the walk along common nu prefixes.
+    sweeps check every pair with serganova_hats, the shipped walk.
     """
     res = SuiteResult("serganova suite")
     for m in range(1, 7):
@@ -435,12 +397,18 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
         reps = {rank: residue_representatives(rank, p) for rank in range(1, 5)}
         stages += [("residue-class", p, reps[m], reps[n]) for m in reps for n in reps]
     for label, p, mus, nus in stages:
-        # The pairs are counted once per stage, keeping the loop lean.
-        pairs = 0
-        for pairs, (mu, nu, sh, hat, sub_all) in enumerate(_hat_pairs(p, mus, nus), 1):
-            if sh != (hat == sub_all):
-                res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
-        res.checked += pairs
+        # The pairs are counted once per mu, keeping the loop lean.
+        full_mu, full_nu = sum_odd_roots(len(mus[0]), len(nus[0]))
+        nu_rows = [(nu, sh_nu_mask(nu, p), tuple(y - f for y, f in zip(nu, full_nu))) for nu in nus]
+        hats = serganova_hats(mus, nus, p)
+        for mu in mus:
+            mu_bits = sh_mu_mask(mu, p)
+            sub_mu = tuple(x - f for x, f in zip(mu, full_mu))
+            pairs = 0
+            for pairs, ((nu, nu_bits, sub_nu), hat) in enumerate(zip(nu_rows, hats), 1):
+                if (not mu_bits & nu_bits) != (hat == (sub_mu, sub_nu)):
+                    res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
+            res.checked += pairs
     for p in ps:
         for lam in window_weights(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             res.checked += 1

@@ -346,6 +346,26 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_column_step_is_used_only_by_the_batch_walk():
+    # The Serganova hat is one fold of column_step, in serganova_hats; every
+    # other walk in the package, the suites' included, goes through it.
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Name) and node.id == "column_step":
+            found.append(where)
+        if isinstance(node, ast.Attribute) and node.attr == "column_step":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == ["serganova.serganova_hats"]
+
+
 def _readme_examples():
     """(argv, expected line) for each example of README's Command line block."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -160,6 +160,52 @@ def test_diagram_validation():
         WeightDiagram(5, "<><><", 0, 0)  # m + n = 5 not < 5
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WeightDiagram(5, "x<>oo", 0.5, 0),
+        lambda: WeightDiagram(5, "x<>oo", 0, 1.0),
+        lambda: WeightDiagram(5, "x<>oo", True, 0),
+        lambda: WeightDiagram(5, "x<>oo", 0, "1"),
+        lambda: from_json('{"p": 5.9, "symbols": "x<>oo", "s": 0.5, "r": true}'),
+        lambda: from_json('{"p": 5.0, "symbols": ["x", "<", ">", "o", "o"], "s": 0, "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 0.5, "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 0, "r": true}'),
+        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": "0", "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": "x<>oo", "s": 0, "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": ["x<", ">", "o", "o"], "s": 0, "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", 0], "s": 0, "r": 0}'),
+        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", ""], "s": 0, "r": 0}'),
+        lambda: from_json("[5]"),
+    ],
+    ids=[
+        "float-s",
+        "float-r",
+        "bool-s",
+        "str-r",
+        "json-all-truncatable",
+        "json-float-p",
+        "json-float-s",
+        "json-bool-r",
+        "json-str-s",
+        "json-symbols-string",
+        "json-symbols-multichar",
+        "json-symbols-int",
+        "json-symbols-empty-char",
+        "json-not-object",
+    ],
+)
+def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_from_json_accepts_integral_fields():
+    d = from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 1, "r": -2}')
+    assert d == WeightDiagram(5, "x<>oo", 1, -2)
+    assert encode(decode(d)) == d
+
+
 def test_codec_suite_catches_an_unreversed_second_block(monkeypatch):
     # Still an involution, but the ladder of a block with distinct entries
     # no longer decreases, so its roundtrip must fail.

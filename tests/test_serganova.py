@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from verlinde_gl import suites
+from verlinde_gl import serganova, suites
 from verlinde_gl.enumeration import monotone_tuples, residue_representatives
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.serganova import (
@@ -11,6 +11,7 @@ from verlinde_gl.serganova import (
     odd_root_order,
     rho_pair_root,
     serganova_hat,
+    serganova_hats,
     sh_nonzero,
     sum_odd_roots,
 )
@@ -163,6 +164,49 @@ def test_column_fold_matches_root_walks(pair, rng):
     assert folded == hat_by_roots(mu, nu, p, random_odd_root_order(m, n, rng))
 
 
+@st.composite
+def block_lists(draw):
+    """A prime, a list of mus of mixed ranks and a list of nus of one rank.
+
+    Blocks are drawn from a small pool, then shuffled and repeated, so the
+    nus share prefixes in no particular order and some follow themselves.
+    """
+    p = draw(st.sampled_from(PRIMES[:4]))
+    entries = st.integers(-2 * p, 2 * p)
+
+    def block(rank):
+        return tuple(sorted(draw(st.lists(entries, min_size=rank, max_size=rank)), reverse=True))
+
+    mus = [block(draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 4)))]
+    n = draw(st.integers(1, 4))
+    pool = [block(n) for _ in range(draw(st.integers(1, 4)))]
+    if n > 1:
+        pool += [pool[0][:-1] + (pool[0][-1] - k,) for k in range(1, 3)]
+    nus = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return draw(st.permutations(mus + mus[:1])), nus, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_lists())
+def test_serganova_hats_match_root_walks_pair_by_pair(lists):
+    mus, nus, p = lists
+    got = list(serganova_hats(mus, nus, p))
+    want = [hat_by_roots(mu, nu, p, odd_root_order(len(mu), len(nu))) for mu in mus for nu in nus]
+    assert got == want
+
+
+def test_serganova_hats_edge_inputs():
+    assert list(serganova_hats([], [(0,)], 5)) == []
+    assert list(serganova_hats([(0,)], [], 5)) == []
+    assert list(serganova_hats([], [], 5)) == []
+    with pytest.raises(ValidationError, match="every nu must have length 2"):
+        list(serganova_hats([(0,)], [(1, 0), (1,)], 5))
+    with pytest.raises(ValidationError, match="not nonincreasing"):
+        list(serganova_hats([(0,)], [(1, 0), (0, 1)], 5))
+    with pytest.raises(ValidationError, match="p must be prime"):
+        list(serganova_hats([(0,)], [(0,)], 9))
+
+
 def test_residue_representatives_one_per_residue_tuple():
     for p in (5, 7):
         for rank in range(1, 4):
@@ -182,7 +226,7 @@ def test_suite_serganova_checks_every_pair(monkeypatch):
     # rank 4 occur only in the residue-class stage, where (4, 1) is swept
     # first, so the first column step from (mu, 0) is that pair's own.
     mu = next(mu for mu in residue_representatives(4, 5) if sh_nonzero(mu, (0,), 5))
-    real_step = suites.column_step
+    real_step = serganova.column_step
     corrupted = []
 
     def corrupt(state, y, p):
@@ -192,8 +236,25 @@ def test_suite_serganova_checks_every_pair(monkeypatch):
             y_out += 1
         return out, y_out
 
-    monkeypatch.setattr(suites, "column_step", corrupt)
+    monkeypatch.setattr(serganova, "column_step", corrupt)
     result = suites.suite_serganova((5,))
     assert corrupted
     assert not result.ok and result.failures == 1 and result.checked == 675617
     assert result.details == f"residue-class mismatch at p=5, {(mu, (0,))}"
+
+
+def test_suite_serganova_sweeps_the_shipped_walk(monkeypatch):
+    # A column step that meets the roots (1, j), .., (m, j) in the wrong
+    # order breaks the shipped fold; criterion 7 must see it.
+    def wrong_order(state, y, p):
+        out = []
+        for x in state:
+            if (x + y) % p:
+                x -= 1
+                y += 1
+            out.append(x)
+        return tuple(out), y
+
+    monkeypatch.setattr(serganova, "column_step", wrong_order)
+    result = suites.suite_serganova((5,))
+    assert not result.ok and result.checked == 675617
