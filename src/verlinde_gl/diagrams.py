@@ -19,13 +19,13 @@ second one back with superweights.second_block.  These two helpers are the
 only place symbols and residue sets are converted.
 
 Diagrams are validated once, at the boundary: the public WeightDiagram
-constructor checks p, its symbols, both block counts and that s and r are
-integers, and from_json and the CLI build through it.  Every diagram the
-library derives from a valid diagram or super weight is built with
-_trusted, which skips the checks: encode (a valid super weight fixes them),
-permute (a bijection of the vertices), the cap slides of caps and the
-translation functors' table edits, which all keep p, the length and both
-block counts.
+constructor checks p, that its symbols are a string of known symbols,
+both block counts and that s and r are integers, and from_json and the
+CLI build through it.  Every diagram the library derives from a valid
+diagram or super weight is built with _trusted, which skips the checks:
+encode (a valid super weight fixes them), permute (a bijection of the
+vertices), the cap slides of caps and the translation functors' table
+edits, which all keep p, the length and both block counts.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class WeightDiagram:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.symbols, str):
+            raise ValidationError(f"symbols must be a string, got {self.symbols!r}")
         if len(self.symbols) != self.p:
             raise ValidationError(f"need {self.p} symbols, got {len(self.symbols)}")
         unknown = set(self.symbols) - _SYMBOLS
@@ -91,10 +93,15 @@ def _trusted(p: int, symbols: str, s: int, r: int) -> WeightDiagram:
     """A WeightDiagram built without __post_init__.
 
     Only for diagrams the library derives from a valid diagram or super
-    weight, with p, the length and both block counts kept valid.
+    weight, with p, the length and both block counts kept valid.  The
+    fields are set one by one in declaration order, as the generated
+    __init__ does, so every diagram keeps the class's shared-key __dict__.
     """
     d = object.__new__(WeightDiagram)
-    d.__dict__.update(p=p, symbols=symbols, s=s, r=r)
+    object.__setattr__(d, "p", p)
+    object.__setattr__(d, "symbols", symbols)
+    object.__setattr__(d, "s", s)
+    object.__setattr__(d, "r", r)
     return d
 
 

@@ -14,8 +14,10 @@ sees the running mu and the original nu_j alone.  One column step
 (mu_state, nu_j) -> (mu_state', nu_j') therefore carries the whole walk:
 the state after column j depends only on (mu, nu_1, .., nu_j), and the
 hat is a left fold of the column step over nu.  serganova_hats is that
-fold, the only one: it walks many pairs and shares the state between all
-nu with a common prefix, and serganova_hat is its one-pair case.  The
+fold, the only one: it walks many pairs, shares the state between all nu
+with a common prefix, and interns each walk state in a table local to the
+call, so one sweep steps each distinct (state, nu_j) once however many
+pairs reach it; serganova_hat is its one-pair case.  The
 root-by-root walk in an arbitrary linear extension, which gives the same
 terminal weight, is the reference oracle of tests/test_serganova.py.
 
@@ -109,8 +111,10 @@ def serganova_hats(
 
     The hat is column_step folded over nu, so the walk states of the prefix
     a nu shares with the nu before it are kept and only the later columns
-    are stepped; in the depth-first order of the enumerations that is one
-    column step per trie node.  p and every block are validated once, and
+    are stepped.  Each walk state is interned as a small int, and the
+    column step of (state, nu_j) is kept in a table local to this call, so
+    a sweep runs column_step once per distinct (state, nu_j) it meets; the
+    table dies with the call.  p and every block are validated once, and
     the nus must share one length.
     """
     check_prime(p)
@@ -125,16 +129,34 @@ def serganova_hats(
         while shared < n - 1 and nu[shared] == prev[shared]:
             shared += 1
         starts[k] = shared
+    ids: dict[tuple[int, ...], int] = {}  # walk state -> its id
+    states: list[tuple[int, ...]] = []  # id -> walk state
+    steps: list[dict[int, tuple[int, int]]] = []  # id -> {nu_j: (id of the next state, terminal nu_j)}
+    at_ids = [0] * (n + 1)  # state id after j columns of the current nu
+    at_hats: list[tuple[int, ...]] = [()] * (n + 1)  # terminal nu_1..nu_j after j columns
     for mu in mus:
-        walk = [(tuple(mu), ())]  # (running mu, terminal nu_1..nu_j) after j columns
+        mu = tuple(mu)
+        sid = at_ids[0] = ids.setdefault(mu, len(states))
+        if sid == len(states):
+            states.append(mu)
+            steps.append({})
         for nu, start in zip(nus, starts):
-            state, hat_nu = walk[start]
-            del walk[start + 1 :]
-            for y in nu[start:]:
-                state, y = column_step(state, y, p)
-                hat_nu += (y,)
-                walk.append((state, hat_nu))
-            yield state, hat_nu
+            sid, hat_nu = at_ids[start], at_hats[start]
+            for j in range(start, n):
+                y = nu[j]
+                row = steps[sid]
+                step = row.get(y)
+                if step is None:
+                    state, y_out = column_step(states[sid], y, p)
+                    nid = ids.setdefault(state, len(states))
+                    if nid == len(states):
+                        states.append(state)
+                        steps.append({})
+                    step = row[y] = (nid, y_out)
+                sid, y_out = step
+                hat_nu += (y_out,)
+                at_ids[j + 1], at_hats[j + 1] = sid, hat_nu
+            yield states[sid], hat_nu
 
 
 def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

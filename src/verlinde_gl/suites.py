@@ -405,8 +405,8 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
             mu_bits = sh_mu_mask(mu, p)
             sub_mu = tuple(x - f for x, f in zip(mu, full_mu))
             pairs = 0
-            for pairs, ((nu, nu_bits, sub_nu), hat) in enumerate(zip(nu_rows, hats), 1):
-                if (not mu_bits & nu_bits) != (hat == (sub_mu, sub_nu)):
+            for pairs, ((nu, nu_bits, sub_nu), (hat_mu, hat_nu)) in enumerate(zip(nu_rows, hats), 1):
+                if (not mu_bits & nu_bits) != (hat_nu == sub_nu and hat_mu == sub_mu):
                     res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
             res.checked += pairs
     for p in ps:

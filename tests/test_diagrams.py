@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from verlinde_gl import suites
 from verlinde_gl.alcove import ladder_weight
 from verlinde_gl.diagrams import (
     WeightDiagram,
+    _trusted,
     cut,
     decode,
     encode,
@@ -167,6 +170,8 @@ def test_diagram_validation():
         lambda: WeightDiagram(5, "x<>oo", 0, 1.0),
         lambda: WeightDiagram(5, "x<>oo", True, 0),
         lambda: WeightDiagram(5, "x<>oo", 0, "1"),
+        lambda: WeightDiagram(5, ["x", "<", ">", "o", "o"], 0, 0),
+        lambda: WeightDiagram(5, tuple("x<>oo"), 0, 0),
         lambda: from_json('{"p": 5.9, "symbols": "x<>oo", "s": 0.5, "r": true}'),
         lambda: from_json('{"p": 5.0, "symbols": ["x", "<", ">", "o", "o"], "s": 0, "r": 0}'),
         lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 0.5, "r": 0}'),
@@ -183,6 +188,8 @@ def test_diagram_validation():
         "float-r",
         "bool-s",
         "str-r",
+        "list-symbols",
+        "tuple-symbols",
         "json-all-truncatable",
         "json-float-p",
         "json-float-s",
@@ -198,6 +205,39 @@ def test_diagram_validation():
 def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def _traced_bytes(build, args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [build(*a) for a in args]
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+@dataclass(frozen=True)
+class _FourFields:
+    """A fresh class with WeightDiagram's fields: the size a plain instance has."""
+
+    p: int
+    symbols: str
+    s: int
+    r: int
+
+
+def test_trusted_diagram_allocates_no_more_than_a_constructed_one():
+    # One diagram with an unshared __dict__ turns off key sharing for every
+    # later WeightDiagram, so both builders are held to a fresh class too.
+    # The first traced pass also counts one-off allocations: each builder is
+    # measured twice and the second pass is kept.
+    args = [(5, "x<>oo", s, s + 1) for s in range(1000, 3000)]
+    builders = (_trusted, WeightDiagram, _FourFields)
+    measured = {build: _traced_bytes(build, args) for build in builders * 2}
+    (trusted, kept), (built, kept_built), (plain, _) = (measured[build] for build in builders)
+    assert kept == kept_built
+    assert trusted <= built <= plain
 
 
 def test_from_json_accepts_integral_fields():

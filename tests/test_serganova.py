@@ -258,3 +258,41 @@ def test_suite_serganova_sweeps_the_shipped_walk(monkeypatch):
     monkeypatch.setattr(serganova, "column_step", wrong_order)
     result = suites.suite_serganova((5,))
     assert not result.ok and result.checked == 675617
+
+
+def test_suite_serganova_steps_each_distinct_input_once_per_sweep(monkeypatch):
+    # Within one serganova_hats call a (state, nu_j) input is stepped once,
+    # however many pairs reach it; a new call starts an empty table.
+    real_hats, real_step = serganova.serganova_hats, serganova.column_step
+    sweeps = []
+    calls = []
+
+    def counting_hats(mus, nus, p):
+        sweeps.append(set())
+        yield from real_hats(mus, nus, p)
+
+    def counting_step(state, y, p):
+        calls.append(None)
+        sweeps[-1].add((state, y))
+        return real_step(state, y, p)
+
+    monkeypatch.setattr(suites, "serganova_hats", counting_hats)
+    monkeypatch.setattr(serganova, "column_step", counting_step)
+    result = suites.suite_serganova((5,))
+    assert result.ok and result.checked == 675617
+    assert len(calls) == sum(map(len, sweeps)) == 51657
+
+
+def test_serganova_hats_table_lives_for_one_call(monkeypatch):
+    blocks = monotone_tuples(2, -5, 5)
+    want = [hat_by_roots(mu, nu, 5, odd_root_order(2, 2)) for mu in blocks for nu in blocks]
+    real_step = serganova.column_step
+
+    def corrupt(state, y, p):
+        out, y_out = real_step(state, y, p)
+        return out, y_out + 1
+
+    monkeypatch.setattr(serganova, "column_step", corrupt)
+    assert list(serganova_hats(blocks, blocks, 5)) != want
+    monkeypatch.setattr(serganova, "column_step", real_step)
+    assert list(serganova_hats(blocks, blocks, 5)) == want
