@@ -17,13 +17,19 @@ is open.
 Every edit slides crosses to empty vertices through _slide_crosses, whose
 one rule twists the label by t1^(-step) t2^(step) per slide past p-1 -> 0.
 Swapping the cross of cap j with its tail is the involution tau_j, a
-clockwise slide; kac_composition and sigma_to_standard slide back.
+clockwise slide; kac_diagrams and sigma_to_standard slide back.
 
-kac_composition inverts p_set without trying candidates.  A factor lam has
-a first free circle f; cut there, lam's caps nest inside one lap, so the
-same bracket match, read off alpha's lap with each cap kept or swapped,
-yields every factor once per cut.  The walk is an explicit stack, pruned to
-branches that can still close, and refuses more than
+The calculus works in diagram space.  p_set_diagrams, kac_diagrams and
+replay_diagrams take and return WeightDiagrams; p_set, kac_composition,
+projective_filtration and replay_word are their weight-level wrappers, one
+encode, one call of the core and one decode per image.  Criteria 5 and 6
+sweep the cores and decode a weight only where a check reads one.
+
+kac_diagrams inverts p_set_diagrams without trying candidates.  A factor
+lam of d has a first free circle f; cut there, lam's caps nest inside one
+lap, so the same bracket match, read off d's lap with each cap kept or
+swapped, yields every factor once per cut.  The walk is an explicit stack,
+pruned to branches that can still close, and refuses more than
 KAC_COMPOSITION_MAX_NODES readings.
 """
 
@@ -148,20 +154,26 @@ def render_caps(cd: CapDiagram) -> str:
 P_SET_MAX_SIZE = 2**16
 
 
-def p_set(lam: SuperWeight) -> set[SuperWeight]:
-    """All 2^(cross count) weights reached by swapping subsets of caps.
+def p_set_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
+    """All 2^(cross count) diagrams reached by swapping subsets of d's caps.
 
     Raises ValidationError when 2^(cross count) exceeds P_SET_MAX_SIZE.
     """
-    cd = cap_diagram(encode(lam))
+    cd = cap_diagram(d)
     weights = 2 ** len(cd.caps)
     if weights > P_SET_MAX_SIZE:
         raise ValidationError(f"p-set of {weights} weights exceeds P_SET_MAX_SIZE = {P_SET_MAX_SIZE}")
-    out = set()
-    for size in range(len(cd.caps) + 1):
-        for caps in combinations(cd.caps, size):
-            out.add(decode(_slide_crosses(cd.base, caps, 1)))
-    return out
+    return {
+        _slide_crosses(d, caps, 1) for size in range(len(cd.caps) + 1) for caps in combinations(cd.caps, size)
+    }
+
+
+def p_set(lam: SuperWeight) -> set[SuperWeight]:
+    """All 2^(cross count) weights reached by swapping subsets of caps: p_set_diagrams, decoded.
+
+    Raises ValidationError when 2^(cross count) exceeds P_SET_MAX_SIZE.
+    """
+    return {decode(alpha) for alpha in p_set_diagrams(encode(lam))}
 
 
 def projective_filtration(lam: SuperWeight) -> dict[SuperWeight, int]:
@@ -178,21 +190,21 @@ KAC_COMPOSITION_MAX_NODES = 1_000_000
 _KEPT = -1  # open cap that stays; an open swapped cap holds its source instead
 
 
-def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
-    """Labels lam with alpha in p_set(lam): the composition factors of K(alpha).
+def kac_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
+    """Diagrams lam with d in p_set_diagrams(lam): the composition factors of K(d).
 
-    lam gives alpha by swapping some of its caps, so both have k crosses,
+    lam gives d by swapping some of its caps, so both have k crosses,
     and lam has a free circle (m + n < p).  Its first free circle f (by
-    vertex index) is a circle of alpha and one of alpha's first k + 1
-    circles: exactly k circles of alpha are not free in lam, the tails of
+    vertex index) is a circle of d and one of d's first k + 1
+    circles: exactly k circles of d are not free in lam, the tails of
     kept caps and the sources of swapped ones.  Cut at each such f, lam's
     caps nest inside the lap f+1, ..., p-1, 0, ..., f-1, so lam's bracket
-    word is read off alpha's lap with a stack of open caps, kept or swapped:
+    word is read off d's lap with a stack of open caps, kept or swapped:
 
-    - an alpha cross is a kept source (push) or the tail z of the swapped
+    - a cross of d is a kept source (push) or the tail z of the swapped
       cap on top (pop it; the move z -> u slides the cross back to its
       source u);
-    - an alpha circle closes a kept cap on top, is free when no cap is open
+    - a circle of d closes a kept cap on top, is free when no cap is open
       (only after f, which makes f the first), or is a swapped source
       (push); under a swapped top it cannot stay a circle.
 
@@ -202,13 +214,12 @@ def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
     hold the non-free circles still due, or these are fewer than the
     circles before f still ahead, which may not be free.  A lap ending with
     nothing open is a factor, built by _slide_crosses.  suite_filtration
-    checks BGG reciprocity both ways against p_set.  A walk of more than
-    KAC_COMPOSITION_MAX_NODES readings raises ValidationError.
+    checks BGG reciprocity both ways against p_set_diagrams.  A walk of
+    more than KAC_COMPOSITION_MAX_NODES readings raises ValidationError.
     """
-    d = encode(alpha)
     p, symbols, k = d.p, d.symbols, d.cross_count
     circles = [v for v in range(p) if symbols[v] == EMPTY]
-    out: set[SuperWeight] = set()
+    out: set[WeightDiagram] = set()
     nodes = 0
     for before_f, f in enumerate(circles[: k + 1]):
         lap = [v for v in (*range(f + 1, p), *range(f)) if symbols[v] in (CROSS, EMPTY)]
@@ -228,7 +239,7 @@ def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
                 raise ValidationError(f"kac_composition walk exceeds {limit} nodes")
             if i == len(lap):
                 if stack is None:
-                    out.add(decode(_slide_crosses(d, moves, -1)))
+                    out.add(_slide_crosses(d, moves, -1))
                 continue
             v, rest = lap[i], i + 1
             if symbols[v] == CROSS:
@@ -246,6 +257,12 @@ def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
             if swapped < crosses_after[rest]:
                 todo.append((rest, (v, stack), swapped + 1, due - 1, moves))
     return out
+
+
+def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:
+    """Labels lam with alpha in p_set(lam), the composition factors of K(alpha):
+    kac_diagrams, decoded.  Raises as kac_diagrams does."""
+    return {decode(lam) for lam in kac_diagrams(encode(alpha))}
 
 
 def hat(lam: SuperWeight) -> SuperWeight:
@@ -331,19 +348,25 @@ def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int
     return base, tuple(word_rev)
 
 
-def replay_word(
-    base: SuperWeight, word: tuple[tuple[str, int], ...]
-) -> dict[SuperWeight, int]:
-    """Apply a translation word to the Kac class of base, linearly.
+def replay_diagrams(d: WeightDiagram, word: tuple[tuple[str, int], ...]) -> dict[WeightDiagram, int]:
+    """Apply a translation word to the Kac class of d, linearly.
 
     A running sum of more than P_SET_MAX_SIZE classes raises ValidationError.
     """
-    classes: dict[WeightDiagram, int] = {encode(base): 1}
+    classes = {d: 1}
     for kind, i in word:
         classes = act_on_sum(kind, i, classes)
         if len(classes) > P_SET_MAX_SIZE:
             raise ValidationError(f"replayed sum of {len(classes)} classes exceeds P_SET_MAX_SIZE = {P_SET_MAX_SIZE}")
-    return {decode(d): k for d, k in classes.items()}
+    return classes
+
+
+def replay_word(base: SuperWeight, word: tuple[tuple[str, int], ...]) -> dict[SuperWeight, int]:
+    """Apply a translation word to the Kac class of base: replay_diagrams, decoded.
+
+    A running sum of more than P_SET_MAX_SIZE classes raises ValidationError.
+    """
+    return {decode(d): k for d, k in replay_diagrams(encode(base), word).items()}
 
 
 def standard_to_sigma(lam: SuperWeight) -> SuperWeight:

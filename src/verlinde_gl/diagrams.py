@@ -25,7 +25,12 @@ CLI build through it.  Every diagram the library derives from a valid
 diagram or super weight is built with _trusted, which skips the checks:
 encode (a valid super weight fixes them), permute (a bijection of the
 vertices), the cap slides of caps and the translation functors' table
-edits, which all keep p, the length and both block counts.
+edits, which all keep p, the length and both block counts.  In the other
+direction decode builds its weight with superweights._trusted_weight: the
+ladder of a valid diagram inverts to an admissible weight, so only the
+shape is checked.  The cap calculus works on diagrams end to end
+(caps.p_set_diagrams, kac_diagrams, replay_diagrams), and a weight is
+decoded only where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import NamedTuple
 from .alcove import ladder_weight
 from .errors import ValidationError
 from .fusion import check_prime
-from .superweights import SuperShape, SuperWeight, residue_data, second_block
+from .superweights import SuperShape, SuperWeight, _trusted_weight, residue_data, second_block
 
 EMPTY, LEFT, RIGHT, CROSS = "o", "<", ">", "x"
 _SYMBOLS = frozenset((EMPTY, LEFT, RIGHT, CROSS))
@@ -154,7 +159,7 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
     a, b = symbol_residues(d.symbols)
     mu = ladder_weight(a, d.s, d.p)
     nu = second_block(ladder_weight(b, d.r, d.p), len(a))
-    return SuperWeight(SuperShape(len(a), len(b), d.p), mu, nu)
+    return _trusted_weight(SuperShape(len(a), len(b), d.p), mu, nu)
 
 
 def cut(d: WeightDiagram, k: int) -> CutDiagram:

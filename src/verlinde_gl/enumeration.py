@@ -11,7 +11,7 @@ from itertools import accumulate, combinations_with_replacement, product
 from typing import Iterator
 
 from .fusion import check_prime
-from .superweights import SuperShape, SuperWeight
+from .superweights import SuperShape, SuperWeight, _trusted_weight
 
 # The suites sweep windows whose size grows like p^p: at p = 11 the
 # serganova suite alone would check about 2.6e8 pairs.
@@ -53,14 +53,18 @@ def super_shapes(p: int) -> list[tuple[int, int]]:
 def window_weights(
     p: int, window: tuple[int, int] | None = None, shapes: list[tuple[int, int]] | None = None
 ) -> Iterator[SuperWeight]:
-    """Yield every windowed admissible pair as a SuperWeight: by shape, then mu, then nu."""
+    """Yield every windowed admissible pair as a SuperWeight: by shape, then mu, then nu.
+
+    Each tuple is admissible by construction, so the weights skip
+    SuperWeight's checks (see superweights); each shape is validated once.
+    """
     lo, hi = window if window is not None else default_window(p)
     for m, n in shapes if shapes is not None else super_shapes(p):
         shape = SuperShape(m, n, p)
         nus = admissible_tuples(n, p, lo, hi)
         for mu in admissible_tuples(m, p, lo, hi):
             for nu in nus:
-                yield SuperWeight(shape, mu, nu)
+                yield _trusted_weight(shape, mu, nu)
 
 
 def super_suite(

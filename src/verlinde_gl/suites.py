@@ -18,8 +18,11 @@ sweep shares:
 - equivariance (criterion 4): one encode and one loop vector per window
   weight, shared by all p residues; the two-term order is read off the
   terms the equivariance core already returned.
-- filtration (criterion 5): kac_composition once per distinct alpha, and
-  the sweep's own p_set images answer BGG's converse for window weights.
+- filtration (criterion 5): kac_diagrams once per distinct alpha, and the
+  sweep's own p_set_diagrams images answer BGG's converse for window
+  weights; each distinct alpha is decoded once.
+- projective-word (criterion 6): the replay and the p-set are compared as
+  diagram classes, so only the word's base is decoded.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   keeps the walk states along common nu prefixes; each block's mask and
   block of mu - sum_odd_roots are built once per stage.
@@ -28,6 +31,13 @@ sweep shares:
   once, shared by every relation that reads it.  Like every diagram the
   library derives, the encode and the functor outputs skip WeightDiagram's
   checks (see diagrams).
+
+Criteria 4, 5 and 6 share the diagram space of caps and translation: they
+compare diagrams, or (symbols, s, r) keys for criterion 4's loop witness,
+which builds no diagram, and decode a weight only for a check that reads
+one or for a failure message.  Weights are validated at the boundary (see
+superweights): window and decoded weights skip SuperWeight's checks, as
+encoded and derived diagrams skip WeightDiagram's.
 """
 
 from __future__ import annotations
@@ -42,16 +52,16 @@ from .borel import GLXShape, TupleWeight, borel_translate, check_permutation, co
 from .caps import (
     cap_diagram,
     hat,
-    kac_composition,
+    kac_diagrams,
     lowest_weight,
     p_set,
-    projective_filtration,
+    p_set_diagrams,
     projective_word,
-    replay_word,
+    replay_diagrams,
     sigma_to_standard,
     standard_to_sigma,
 )
-from .diagrams import CROSS, assemble_symbols, decode, encode, symbol_residues
+from .diagrams import CROSS, WeightDiagram, assemble_symbols, decode, encode, symbol_residues
 from .enumeration import (
     SELFCHECK_MAX_P,
     admissible_tuples,
@@ -314,17 +324,22 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     Each window weight's atypicality is compared with the bilinear-form
     count of _form_atypicality before it sizes the p-set.
 
-    BGG reciprocity: each window weight lam lies in kac_composition(alpha)
-    for every alpha in p_set(lam); conversely, once per distinct alpha,
-    every reported factor lam has alpha in p_set(lam).  The sweep keeps
-    each window weight's p_set to answer that; factors outside the window
-    are checked through p_set directly.
+    BGG reciprocity is checked on diagrams, which stand for their weights
+    because encode is injective (criterion 2): each window weight's diagram
+    d lies in kac_diagrams(alpha) for every alpha in p_set_diagrams(d);
+    conversely, once per distinct alpha, every reported factor lam has
+    alpha in p_set_diagrams(lam).  The sweep keeps each window diagram's
+    p-set to answer that; factors outside the window are checked through
+    p_set_diagrams directly.  Each distinct alpha is decoded once, for the
+    dominance, degree, Casimir and strictness checks.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
-    kac_cache: dict[SuperWeight, tuple[set[SuperWeight], int]] = {}  # alpha -> (factors, Casimir residue)
-    window_psets: dict[SuperWeight, set[SuperWeight]] = {}  # lam -> p_set(lam) on the window
+    # alpha -> (its Kac factors, its weight, degree, sum(mu) and Casimir residue)
+    kac_cache: dict[WeightDiagram, tuple[set[WeightDiagram], SuperWeight, int, int, int]] = {}
+    window_psets: dict[WeightDiagram, set[WeightDiagram]] = {}  # d -> p_set_diagrams(d) on the window
     for lam in window_weights(p, window):
-        ps = window_psets[lam] = p_set(lam)
+        d = encode(lam)
+        ps = window_psets[d] = p_set_diagrams(d)
         atyp = atypicality(lam)
         res.checked += 2
         if atyp != _form_atypicality(lam):
@@ -332,26 +347,30 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
         if len(ps) != 2 ** atyp:
             res.fail(f"p-set size wrong at {(lam.mu, lam.nu)}")
             continue
-        cas = casimir_scalar(lam).residue
-        for alpha in ps:
+        degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
+        for alpha_d in ps:
             res.checked += 1
-            cached = kac_cache.get(alpha)
+            cached = kac_cache.get(alpha_d)
             if cached is None:
-                cached = kac_cache[alpha] = (kac_composition(alpha), casimir_scalar(alpha).residue)
-            comp, alpha_cas = cached
+                alpha = decode(alpha_d)
+                cached = kac_cache[alpha_d] = (
+                    kac_diagrams(alpha_d), alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue
+                )
+            comp, alpha, alpha_degree, alpha_mu_sum, alpha_cas = cached
             if not dominance_leq(lam, alpha):
                 res.fail(f"dominance fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if alpha.degree != lam.degree or alpha_cas != cas:
+            if alpha_degree != degree or alpha_cas != cas:
                 res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if alpha != lam and sum(alpha.mu) <= sum(lam.mu):
+            if alpha != lam and alpha_mu_sum <= mu_sum:
                 res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if lam not in comp:
+            if d not in comp:
                 res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
-    for alpha, (comp, _) in kac_cache.items():
+    for alpha_d, (comp, alpha, *_) in kac_cache.items():
         res.checked += 1
-        for lam in comp:
-            ps = window_psets.get(lam)
-            if alpha not in (p_set(lam) if ps is None else ps):
+        for lam_d in comp:
+            ps = window_psets.get(lam_d)
+            if alpha_d not in (p_set_diagrams(lam_d) if ps is None else ps):
+                lam = decode(lam_d)
                 res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
     return res
@@ -360,7 +379,12 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
 def suite_projective_word(
     p: int = 5, max_atypicality: int = 2, window: tuple[int, int] | None = None
 ) -> SuiteResult:
-    """Criterion 6: replaying the translation word rebuilds the filtration."""
+    """Criterion 6: replaying the translation word rebuilds the filtration.
+
+    The replay and the p-set are compared as diagram classes, each p-set
+    diagram with multiplicity 1; only projective_word decodes, once per
+    weight, for its base.
+    """
     res = SuiteResult(f"projective-word suite p={p}")
     for lam in window_weights(p, window):
         if atypicality(lam) > max_atypicality:
@@ -369,7 +393,7 @@ def suite_projective_word(
         base, word = projective_word(lam)
         if not is_typical(base):
             res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_word(base, word) != projective_filtration(lam):
+        elif replay_diagrams(encode(base), word) != dict.fromkeys(p_set_diagrams(encode(lam)), 1):
             res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 

@@ -12,11 +12,21 @@ read in reverse, of second_block(nu, m) = (n - m) - w0(nu), an admissible
 weight of the same rank.  So both blocks go through the one residue ladder
 alcove.weight_ladder / alcove.ladder_weight, and second_block, an
 involution, is the only code that writes the second block's offset.
+
+Super weights are validated once, at the boundary, as diagrams are: the
+public SuperWeight constructor checks both blocks for admissibility, and
+super_weight, the CLI and every label the library computes from raw
+coordinates (dual_simple_label, standard_to_sigma) build through it.  The
+two producers whose weights are admissible by construction build with
+_trusted_weight, which skips the checks: diagrams.decode (ladder_weight
+inverts the ladder of an admissible weight) and enumeration.window_weights
+(admissible_tuples yields only admissible tuples).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import NamedTuple
 
 from .alcove import is_admissible, weight_ladder
@@ -68,6 +78,20 @@ class SuperWeight:
         return sum(self.mu) + sum(self.nu)
 
 
+def _trusted_weight(shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
+    """A SuperWeight built without __post_init__.
+
+    Only for weights admissible by construction, with mu and nu already
+    tuples of ints of the shape's ranks: decode and window_weights.  The
+    fields are set in declaration order, as diagrams._trusted does.
+    """
+    lam = object.__new__(SuperWeight)
+    object.__setattr__(lam, "shape", shape)
+    object.__setattr__(lam, "mu", mu)
+    object.__setattr__(lam, "nu", nu)
+    return lam
+
+
 def super_weight(p: int, mu: tuple[int, ...] | list[int], nu: tuple[int, ...] | list[int]) -> SuperWeight:
     """Convenience constructor inferring the shape from the part lengths."""
     return SuperWeight(SuperShape(len(mu), len(nu), p), tuple(mu), tuple(nu))
@@ -106,9 +130,8 @@ def form(u: tuple[int, ...], v: tuple[int, ...], shape: SuperShape) -> int:
     k = shape.m + shape.n
     if len(u) != k or len(v) != k:
         raise ValidationError(f"vectors must have length {k}")
-    plus = sum(u[i] * v[i] for i in range(shape.m))
-    minus = sum(u[shape.m + j] * v[shape.m + j] for j in range(shape.n))
-    return plus - minus
+    m = shape.m
+    return sum(map(mul, u[:m], v[:m])) - sum(map(mul, u[m:], v[m:]))
 
 
 def second_block(nu: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -156,9 +179,8 @@ kac_irreducible = is_typical
 def casimir_scalar(lam: SuperWeight) -> Casimir:
     """Casimir eigenvalue <lam + 2*rho, lam> on the Kac module, with residue."""
     sh = lam.shape
-    r2 = rho2(sh)
-    vec = tuple(lam.vector[k] + r2[k] for k in range(sh.m + sh.n))
-    value = form(vec, lam.vector, sh)
+    vec = lam.vector
+    value = form(tuple(map(add, vec, rho2(sh))), vec, sh)
     return Casimir(value, value % sh.p)
 
 

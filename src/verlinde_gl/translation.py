@@ -227,11 +227,6 @@ def loop_e(c: int, v: LoopVector) -> list[LoopVector]:
     return out
 
 
-def _loop_term_to_diagram(v: LoopVector) -> WeightDiagram:
-    """Assemble the diagram carrying the same residue sets and label."""
-    return WeightDiagram(v.p, assemble_symbols(v.a, v.b, v.p), v.s, v.r)
-
-
 def _equivariant_terms(
     d: WeightDiagram, v: LoopVector, c: int
 ) -> tuple[tuple[WeightDiagram, ...], tuple[WeightDiagram, ...]] | None:
@@ -239,13 +234,13 @@ def _equivariant_terms(
 
     Terms are matched as (symbols, s, r), which determines the decoded super
     weight at fixed p.  The loop side comes only from loop_f/loop_e on the
-    residue tuples of v.
+    residue tuples of v, assembled into the same keys; it builds no diagram.
     """
     out = []
     for kind, loop in (("F", loop_f), ("E", loop_e)):
         terms = apply_functor(kind, c, d)
         lhs = sorted((t.symbols, t.s, t.r) for t in terms)
-        rhs = sorted((t.symbols, t.s, t.r) for t in map(_loop_term_to_diagram, loop(c, v)))
+        rhs = sorted((assemble_symbols(w.a, w.b, w.p), w.s, w.r) for w in loop(c, v))
         if lhs != rhs:
             return None
         out.append(terms)

@@ -4,7 +4,7 @@ from math import comb, perm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from verlinde_gl import caps
+from verlinde_gl import caps, diagrams, suites
 from verlinde_gl.caps import (
     KAC_COMPOSITION_MAX_NODES,
     P_SET_MAX_SIZE,
@@ -18,10 +18,13 @@ from verlinde_gl.caps import (
     hat,
     is_inner,
     kac_composition,
+    kac_diagrams,
     lowest_weight,
     p_set,
+    p_set_diagrams,
     projective_filtration,
     projective_word,
+    replay_diagrams,
     replay_word,
     sigma_to_standard,
     standard_to_sigma,
@@ -462,17 +465,66 @@ def test_hat_injective_on_strata():
 
 
 def test_filtration_suite_catches_a_non_factor(monkeypatch):
-    # BGG reciprocity is checked both ways: a Kac factor list with one extra
-    # weight (its mu block shifted, so the degree differs) must be refused.
-    import verlinde_gl.suites as suites
+    # BGG reciprocity is checked both ways: a Kac factor set with one extra
+    # diagram (its label shifted, so the degree differs) must be refused.
+    real = suites.kac_diagrams
 
-    real = suites.kac_composition
-
-    def with_non_factor(alpha):
-        shifted = SuperWeight(alpha.shape, tuple(x + 1 for x in alpha.mu), alpha.nu)
-        return real(alpha) | {shifted}
+    def with_non_factor(d):
+        return real(d) | {WeightDiagram(d.p, d.symbols, d.s + 1, d.r)}
 
     assert suites.suite_filtration(5, (-1, 1)).ok
-    monkeypatch.setattr(suites, "kac_composition", with_non_factor)
+    monkeypatch.setattr(suites, "kac_diagrams", with_non_factor)
     result = suites.suite_filtration(5, (-1, 1))
     assert not result.ok and "non-factor" in result.details
+
+
+def test_weight_level_calls_decode_the_diagram_core():
+    # p_set, kac_composition, projective_filtration and replay_word are the
+    # diagram-level cores with one encode and one decode per image.
+    for lam in window_weights(5, (-2, 2)):
+        d = encode(lam)
+        ps = p_set_diagrams(d)
+        assert {encode(a) for a in p_set(lam)} == ps
+        assert projective_filtration(lam) == {decode(a): 1 for a in ps}
+        for alpha in ps:
+            assert {encode(f) for f in kac_composition(decode(alpha))} == kac_diagrams(alpha)
+        base, word = projective_word(lam)
+        classes = replay_diagrams(encode(base), word)
+        assert classes == dict.fromkeys(ps, 1)
+        assert replay_word(base, word) == {decode(c): k for c, k in classes.items()}
+
+
+def _count_decodes(monkeypatch):
+    """Count decode calls from every module that imports it."""
+    calls = [0]
+    real = diagrams.decode
+
+    def counted(d, m=None, n=None):
+        calls[0] += 1
+        return real(d, m, n)
+
+    for module in (diagrams, caps, suites):
+        monkeypatch.setattr(module, "decode", counted)
+    return calls
+
+
+def test_filtration_suite_decodes_each_distinct_alpha_once(monkeypatch):
+    # BGG both ways runs on diagrams; only the checks that read a weight
+    # (dominance, degree, Casimir, strictness) decode, once per alpha.
+    alphas = set()
+    for lam in window_weights(5):
+        alphas |= p_set_diagrams(encode(lam))
+    assert len(alphas) == 4107
+    calls = _count_decodes(monkeypatch)
+    result = suites.suite_filtration(5)
+    assert result.ok and result.checked == 17583
+    assert calls[0] == len(alphas)
+
+
+def test_projective_word_suite_decodes_only_the_bases(monkeypatch):
+    # The replay and the p-set are compared as diagrams; projective_word
+    # decodes its base, once per window weight.
+    calls = _count_decodes(monkeypatch)
+    result = suites.suite_projective_word(5)
+    assert result.ok and result.checked == 3677
+    assert calls[0] == 3677

@@ -1,5 +1,5 @@
 import json
-import tracemalloc
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -207,16 +207,6 @@ def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
         build()
 
 
-def _traced_bytes(build, args):
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = [build(*a) for a in args]
-        return tracemalloc.get_traced_memory()[0] - before, kept
-    finally:
-        tracemalloc.stop()
-
-
 @dataclass(frozen=True)
 class _FourFields:
     """A fresh class with WeightDiagram's fields: the size a plain instance has."""
@@ -227,17 +217,30 @@ class _FourFields:
     r: int
 
 
+def _dict_bytes(diagrams):
+    """Instance-dict size of each diagram, and whether each dict shares its class's keys.
+
+    A dict that shares its keys with the class does not count them, so it
+    is smaller than a copy of itself, which owns its keys.
+    """
+    sizes = [sys.getsizeof(vars(d)) for d in diagrams]
+    shared = [size < sys.getsizeof(dict(vars(d))) for size, d in zip(sizes, diagrams)]
+    return sizes, shared
+
+
 def test_trusted_diagram_allocates_no_more_than_a_constructed_one():
-    # One diagram with an unshared __dict__ turns off key sharing for every
-    # later WeightDiagram, so both builders are held to a fresh class too.
-    # The first traced pass also counts one-off allocations: each builder is
-    # measured twice and the second pass is kept.
-    args = [(5, "x<>oo", s, s + 1) for s in range(1000, 3000)]
-    builders = (_trusted, WeightDiagram, _FourFields)
-    measured = {build: _traced_bytes(build, args) for build in builders * 2}
-    (trusted, kept), (built, kept_built), (plain, _) = (measured[build] for build in builders)
-    assert kept == kept_built
-    assert trusted <= built <= plain
+    # One diagram with an unshared __dict__ can turn off key sharing for
+    # every later WeightDiagram, so both builders are held to a fresh class
+    # too.  A shared-key dict is sized by its class's keys, which shrink a
+    # little with each new instance until about the 30th; sizes are read
+    # after 64 of each are built, so every class has reached that floor.
+    args = [(5, "x<>oo", s, s + 1) for s in range(64)]
+    built = {build: [build(*a) for a in args] for build in (_trusted, WeightDiagram, _FourFields)}
+    (trusted, trusted_shared), (constructed, constructed_shared), (plain, plain_shared) = map(
+        _dict_bytes, built.values()
+    )
+    assert all(trusted_shared) and all(constructed_shared) and all(plain_shared)
+    assert max(trusted) <= min(constructed) and max(constructed) <= min(plain)
 
 
 def test_from_json_accepts_integral_fields():

@@ -1,12 +1,16 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verlinde_gl.alcove import GLWeight, level_rank_D
+from verlinde_gl.caps import kac_diagrams, p_set_diagrams
+from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
     SuperShape,
+    SuperWeight,
     atypicality,
     beta,
     casimir_scalar,
@@ -168,3 +172,45 @@ def test_dominance():
     assert dominance_leq(a, b)
     assert not dominance_leq(b, a)
     assert not dominance_leq(super_weight(5, (1,), (1,)), b)
+
+
+def _assert_validated(lam):
+    """A weight built without SuperWeight's checks equals a validated rebuild."""
+    assert type(lam.mu) is tuple and type(lam.nu) is tuple
+    assert all(type(x) is int for x in lam.mu + lam.nu)
+    sh = lam.shape
+    assert lam == SuperWeight(SuperShape(sh.m, sh.n, sh.p), lam.mu, lam.nu)
+
+
+def test_window_weights_pass_the_public_constructor():
+    weights = list(window_weights(5))
+    assert len(weights) == 3677
+    for lam in weights:
+        _assert_validated(lam)
+
+
+def test_decoded_p_set_and_kac_images_pass_the_public_constructor():
+    # Every image the cap calculus builds on the p=5 window, decoded.
+    alphas, factors = set(), set()
+    for lam in window_weights(5):
+        alphas |= p_set_diagrams(encode(lam))
+    for alpha in alphas:
+        factors |= kac_diagrams(alpha)
+    assert len(alphas) == 4107 and len(factors) >= 3677
+    for d in alphas | factors:
+        _assert_validated(decode(d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_decoded_diagrams_pass_the_public_constructor(data):
+    p = data.draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    m = data.draw(st.integers(1, p - 2))
+    n = data.draw(st.integers(1, p - 1 - m))
+    a = data.draw(st.permutations(range(p)))[:m]
+    b = data.draw(st.permutations(range(p)))[:n]
+    s, r = data.draw(st.integers(-3 * p, 3 * p)), data.draw(st.integers(-3 * p, 3 * p))
+    d = WeightDiagram(p, assemble_symbols(a, b, p), s, r)
+    lam = decode(d)
+    _assert_validated(lam)
+    assert encode(lam) == d

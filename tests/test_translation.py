@@ -302,6 +302,25 @@ def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
     assert calls == {"encode": weights, "loop_vector": weights}
 
 
+def test_equivariance_suite_builds_no_diagram_through_the_constructor(monkeypatch):
+    # The loop witness is compared as (symbols, s, r) keys, and every diagram
+    # of the diagram side is derived, so the public constructor never runs.
+    calls = 0
+    real = WeightDiagram.__post_init__
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        real(self)
+
+    monkeypatch.setattr(WeightDiagram, "__post_init__", counted)
+    result = suite_equivariance(5)
+    assert result.ok and result.checked == 18385
+    assert calls == 0
+    WeightDiagram(5, "x<>oo", 0, 0)
+    assert calls == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_commutator_is_antisymmetric_with_no_zero_coefficient(data):
