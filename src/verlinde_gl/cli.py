@@ -8,6 +8,11 @@ deterministic human-readable line or, with --json, an envelope
 serialized with sorted keys.  Exit codes: 0 success, 1 validation error,
 2 contract error.  Weights are comma-separated integers; use --mu=-1,0 style
 for values starting with a minus sign.
+
+The command table, left out of --help: _COMMANDS maps each subcommand, in
+help order, to (help, arguments, handler).  A handler returns (json-ready
+result, text) and calls the library through its modules (caps.p_set) at call
+time, so the table shows the layer each subcommand adapts.
 """
 
 from __future__ import annotations
@@ -16,47 +21,19 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
 from typing import Any
 
-from . import __version__
-from .alcove import (
-    GLWeight,
-    chi_rotate,
-    is_admissible,
-    level_rank_D,
-    level_rank_D_inverse,
-    psi_data,
-    tensor_with_V,
-)
-from .borel import GLXShape, TupleWeight, borel_translate
-from .caps import (
-    P_SET_MAX_SIZE,
-    cap_diagram,
-    dual_simple,
-    hat,
-    is_inner,
-    kac_composition,
-    lowest_weight,
-    p_set,
-    projective_filtration,
-    projective_word,
-    render_caps,
-    standard_to_sigma,
-)
-from .diagrams import WeightDiagram, decode, encode, render_ascii, to_json
+from . import __version__, alcove, borel, caps, diagrams, fusion, serganova, superweights, translation
+from .alcove import GLWeight
+from .borel import GLXShape, TupleWeight
+from .caps import P_SET_MAX_SIZE
+from .diagrams import WeightDiagram
 from .enumeration import SELFCHECK_MAX_P
 from .errors import ContractError, ValidationError
-from .fusion import check_prime, fuse_simples
-from .serganova import ODDROOT_LEMMA_MAX_BLOCK, check_oddroot_lemma, serganova_hat, sh_nonzero
-from .superweights import (
-    SuperWeight,
-    atypicality,
-    casimir_scalar,
-    is_typical,
-    super_weight,
-)
-from .translation import translate_kac
+from .serganova import ODDROOT_LEMMA_MAX_BLOCK
+from .superweights import SuperWeight
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -72,11 +49,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _weight(args: argparse.Namespace) -> SuperWeight:
-    return super_weight(args.p, _ints(args.mu), _ints(args.nu))
+    return superweights.super_weight(args.p, _ints(args.mu), _ints(args.nu))
 
 
-def _pair(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict[str, list[int]]:
-    return {"mu": list(mu), "nu": list(nu)}
+def _gl(args: argparse.Namespace) -> GLWeight:
+    return GLWeight(_ints(args.weight), args.p)
 
 
 def _tuple_text(entries) -> str:
@@ -84,242 +61,224 @@ def _tuple_text(entries) -> str:
     return ",".join(map(str, entries))
 
 
-def _pair_text(mu, nu) -> str:
-    """'(1,0|-2)': a super weight or a raw coordinate pair."""
-    return f"({_tuple_text(mu)}|{_tuple_text(nu)})"
+Output = tuple[Any, str]  # (json-ready result, text)
 
 
-# Commands answering with a set of super weights (printed sorted), and
-# commands answering with one super weight or raw (mu, nu) coordinate pair.
-_WEIGHT_SET_COMMANDS = {"pset": p_set, "kac-factors": kac_composition}
-_PAIR_COMMANDS = {"hat": hat, "lowest": lowest_weight, "dual": dual_simple, "sigma": standard_to_sigma}
+def _weight_pair(w: SuperWeight | tuple[tuple[int, ...], tuple[int, ...]]) -> Output:
+    """A super weight or a raw (mu, nu) coordinate pair: {"mu", "nu"} and '(1,0|-2)'."""
+    mu, nu = (w.mu, w.nu) if isinstance(w, SuperWeight) else w
+    return {"mu": list(mu), "nu": list(nu)}, f"({_tuple_text(mu)}|{_tuple_text(nu)})"
 
 
-def _diagram_obj(d: WeightDiagram) -> dict[str, Any]:
-    return json.loads(to_json(d))
+def _weight_set(weights: Iterable[SuperWeight]) -> Output:
+    """A set of super weights, sorted."""
+    return _joined(map(_weight_pair, sorted((a.mu, a.nu) for a in weights)))
+
+
+def _scalar(value: bool | int) -> Output:
+    """A flag or a count, printed as JSON spells it: 'true', '2'."""
+    return value, json.dumps(value)
+
+
+def _entries(w: GLWeight) -> Output:
+    """The entries of a GL_n weight: [1, 0, -2] and '1,0,-2'."""
+    return list(w.entries), _tuple_text(w.entries)
+
+
+def _joined(outputs: Iterable[Output], sep: str = "; ") -> Output:
+    """A list of outputs: the list of their results, and their texts joined by sep."""
+    outputs = list(outputs)
+    return [result for result, _ in outputs], sep.join(text for _, text in outputs)
+
+
+def _fuse(args: argparse.Namespace) -> Output:
+    return _joined(((k, f"L{k}") for k in fusion.fuse_simples(args.i, args.j, args.p)), " ")
+
+
+def _alcove(args: argparse.Namespace) -> Output:
+    fusion.check_prime(args.p)
+    entries = _ints(args.weight)
+    return _scalar(alcove.is_admissible(entries, len(entries), args.p))
+
+
+def _level_rank(args: argparse.Namespace) -> Output:
+    image, parity = (alcove.level_rank_D_inverse if args.inverse else alcove.level_rank_D)(_gl(args))
+    return {"weight": list(image.entries), "parity": parity}, f"{_tuple_text(image.entries)} parity={parity}"
+
+
+def _psi(args: argparse.Namespace) -> Output:
+    t = alcove.psi_data(args.n, args.p)
+    weights = {"det": t.det_weight, "chi": t.chi_weight, "psi": t.psi_weight}
+    result = {name: list(w.entries) for name, w in weights.items()} | {"a": t.a, "b": t.b}
+    return result, f"psi={_tuple_text(t.psi_weight.entries)} (a={t.a}, b={t.b})"
+
+
+def _diagram_encode(args: argparse.Namespace) -> Output:
+    d = diagrams.encode(_weight(args))
+    return json.loads(diagrams.to_json(d)), diagrams.render_ascii(d)
+
+
+def _render(args: argparse.Namespace) -> Output:
+    text = diagrams.render_ascii(diagrams.encode(_weight(args)), args.cut)
+    return text, text
+
+
+def _caps(args: argparse.Namespace) -> Output:
+    cd = caps.cap_diagram(diagrams.encode(_weight(args)))
+    rows = [{"source": c.source, "tail": c.tail, "inner": caps.is_inner(cd, j)} for j, c in enumerate(cd.caps)]
+    text = f"{diagrams.render_ascii(cd.base)} {caps.render_caps(cd)}"
+    return {"caps": rows, "free": sorted(cd.free_circles)}, text
+
+
+def _casimir(args: argparse.Namespace) -> Output:
+    cas = superweights.casimir_scalar(_weight(args))
+    return {"value": cas.value, "residue": cas.residue}, f"{cas.value} (mod p: {cas.residue})"
+
+
+def _filtration(args: argparse.Namespace) -> Output:
+    table = caps.projective_filtration(_weight(args))
+    rows = []
+    for a in sorted(table, key=lambda w: (w.mu, w.nu)):
+        pair, text = _weight_pair(a)
+        rows.append(({**pair, "multiplicity": table[a]}, f"{text}:{table[a]}"))
+    return _joined(rows)
+
+
+def _projective_word(args: argparse.Namespace) -> Output:
+    base, word = caps.projective_word(_weight(args))
+    pair, text = _weight_pair(base)
+    steps = " ".join(f"{kind}{i}" for kind, i in word)
+    return {"base": pair, "word": [[kind, i] for kind, i in word]}, f"base={text} word={steps}"
+
+
+def _serganova(args: argparse.Namespace) -> Output:
+    mu, nu = _ints(args.mu), _ints(args.nu)
+    pair, text = _weight_pair(serganova.serganova_hat(mu, nu, args.p))
+    nonzero = serganova.sh_nonzero(mu, nu, args.p)
+    return {"hat": pair, "sh_nonzero": nonzero}, f"hat={text} sh_nonzero={json.dumps(nonzero)}"
+
+
+def _diagram_decode(args: argparse.Namespace) -> Output:
+    lam = diagrams.decode(WeightDiagram(args.p, args.symbols, args.s, args.r), args.m, args.n)
+    return _weight_pair(lam)[0], f"mu={_tuple_text(lam.mu)} nu={_tuple_text(lam.nu)}"
+
+
+def _translate(args: argparse.Namespace) -> Output:
+    ext = translation.translate_kac(args.kind, args.c, _weight(args))
+    terms = [(role, *_weight_pair(w)) for role, w in zip(("quotient", "sub"), ext.terms if ext else ())]
+    text = " ".join(f"{role}={text}" for role, _, text in terms)
+    return {"terms": [{role: pair} for role, pair, _ in terms]}, text or "0"
+
+
+def _borel_translate(args: argparse.Namespace) -> Output:
+    shape = GLXShape(args.p, _ints(args.types))
+    parts = tuple(GLWeight(_ints(text), args.p) for text in args.part)
+    w1 = _ints(args.w)
+    if sorted(w1) != list(range(1, shape.k + 1)):
+        raise ValidationError(f"{w1} is not a permutation of 1..{shape.k}")
+    out = borel.borel_translate(TupleWeight(shape, parts), tuple(x - 1 for x in w1))
+    return _joined(map(_entries, out.parts))
+
+
+def _selfcheck(args: argparse.Namespace) -> Output:
+    from .suites import SUITE_BUILDERS, run_suite  # only selfcheck loads the suites
+
+    names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
+    results = [run_suite(name, args.p) for name in names]
+    ok = all(r.ok for r in results)
+    text = "\n".join([r.line() for r in results] + [f"selfcheck: {'PASS' if ok else 'FAIL'}"])
+    if not ok:
+        raise ValidationError(text)
+    return [{**asdict(r), "ok": r.ok} for r in results], text
+
+
+Argument = tuple[str, dict[str, Any]]  # (flag, add_argument keywords)
+_REQUIRED: dict[str, Any] = {"required": True}
+_INT: dict[str, Any] = {"type": int, "required": True}
+_P: Argument = ("--p", _INT)
+_GL = (_P, ("--weight", _REQUIRED))
+_SUPER = (_P, ("--mu", _REQUIRED), ("--nu", _REQUIRED))
+_DIAGRAM = (
+    _P,
+    ("--symbols", {"required": True, "help": "p characters over o < > x, vertex 0 first"}),
+    ("--s", _INT),
+    ("--r", _INT),
+    ("--m", {"type": int}),
+    ("--n", {"type": int}),
+)
+_TUPLE_WEIGHT = (
+    _P,
+    ("--types", {"required": True, "help": "summand types, nondecreasing"}),
+    ("--part", {"action": "append", "required": True, "help": "one admissible part per summand"}),
+    ("--w", {"required": True, "help": "positions of the summands, 1-indexed"}),
+)
+_SUITE = (
+    ("--suite", {"default": "golden", "help": "a suite name or 'all'"}),
+    ("--p", {"type": int, "default": 5, "help": f"a prime from 5 to {SELFCHECK_MAX_P}"}),
+)
+_KIND: dict[str, Any] = {"choices": ("F", "E"), "required": True}
+_BLOCK_SIZE: dict[str, Any] = {**_INT, "help": f"at most {ODDROOT_LEMMA_MAX_BLOCK}"}
+_AT_MOST = f"(at most {P_SET_MAX_SIZE} weights)"
+
+# name -> (help, arguments after --json, handler), in help order.
+_COMMANDS: dict[str, tuple[str, tuple[Argument, ...], Callable[[argparse.Namespace], Output]]] = {
+    "fuse": ("fusion of two simples of Ver_p", (_P, ("--i", _INT), ("--j", _INT)), _fuse),
+    "alcove": ("admissibility of a GL_n weight", _GL, _alcove),
+    "tensor-v": ("summands of V_lambda (x) V", _GL, lambda a: _joined(map(_entries, alcove.tensor_with_V(_gl(a))))),
+    "level-rank": ("level-rank dual weight and parity", (*_GL, ("--inverse", {"action": "store_true"})), _level_rank),
+    "psi": ("invertible objects det, chi, psi for GL_n", (_P, ("--n", _INT)), _psi),
+    "chi-rotate": ("tensor with chi^k", (*_GL, ("--k", _INT)), lambda a: _entries(alcove.chi_rotate(_gl(a), a.k))),
+    "diagram-encode": ("weight diagram of a super weight", _SUPER, _diagram_encode),
+    "render": ("ASCII rendering of the weight diagram", (*_SUPER, ("--cut", {"type": int, "default": 0})), _render),
+    "caps": ("cap diagram, tau swaps and free circles", _SUPER, _caps),
+    "atypicality": ("number of crosses", _SUPER, lambda a: _scalar(superweights.atypicality(_weight(a)))),
+    "casimir": ("Casimir scalar and residue", _SUPER, _casimir),
+    "irreducible": ("typicality of the Kac label", _SUPER, lambda a: _scalar(superweights.is_typical(_weight(a)))),
+    "pset": (
+        f"standard-filtration support of the projective cover {_AT_MOST}",
+        _SUPER,
+        lambda a: _weight_set(caps.p_set(_weight(a))),
+    ),
+    "filtration": (f"standard-filtration multiplicities {_AT_MOST}", _SUPER, _filtration),
+    "kac-factors": (
+        "composition-factor labels of the Kac module", _SUPER, lambda a: _weight_set(caps.kac_composition(_weight(a)))
+    ),
+    "hat": ("highest weight of the projective cover", _SUPER, lambda a: _weight_pair(caps.hat(_weight(a)))),
+    "lowest": ("lowest weight of the simple", _SUPER, lambda a: _weight_pair(caps.lowest_weight(_weight(a)))),
+    "dual": ("label coordinates of the dual simple", _SUPER, lambda a: _weight_pair(caps.dual_simple(_weight(a)))),
+    "sigma": (
+        "opposite-Borel label of the same simple", _SUPER, lambda a: _weight_pair(caps.standard_to_sigma(_weight(a)))
+    ),
+    "projective-word": ("typical base and translation word", _SUPER, _projective_word),
+    "serganova": ("classical Serganova hat and Shapovalov test", _SUPER, _serganova),
+    "diagram-decode": ("super weight of a diagram", _DIAGRAM, _diagram_decode),
+    "translate": ("translation functor on a Kac class", (*_SUPER, ("--kind", _KIND), ("--c", _INT)), _translate),
+    "borel-translate": ("standard label of a w-highest weight", _TUPLE_WEIGHT, _borel_translate),
+    "selfcheck": ("run a batch suite", _SUITE, _selfcheck),
+    "oddroot-lemma": (
+        "partial-sum identity for the odd-root order",
+        (("--m", _BLOCK_SIZE), ("--n", _BLOCK_SIZE)),
+        lambda a: _scalar(serganova.check_oddroot_lemma(a.m, a.n)),
+    ),
+}
 
 
 def build_parser() -> _CliParser:
-    parser = _CliParser(prog="verlinde-gl", description=__doc__)
+    description = (__doc__ or "").partition("\n\nThe command table")[0]
+    parser = _CliParser(prog="verlinde-gl", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON envelope")
-
-    def cmd(name: str, **kwargs) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    c = cmd("fuse", help="fusion of two simples of Ver_p")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--i", type=int, required=True)
-    c.add_argument("--j", type=int, required=True)
-
-    c = cmd("alcove", help="admissibility of a GL_n weight")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--weight", required=True)
-
-    c = cmd("tensor-v", help="summands of V_lambda (x) V")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--weight", required=True)
-
-    c = cmd("level-rank", help="level-rank dual weight and parity")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--weight", required=True)
-    c.add_argument("--inverse", action="store_true")
-
-    c = cmd("psi", help="invertible objects det, chi, psi for GL_n")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-
-    c = cmd("chi-rotate", help="tensor with chi^k")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--weight", required=True)
-    c.add_argument("--k", type=int, required=True)
-
-    for name, help_text in (
-        ("diagram-encode", "weight diagram of a super weight"),
-        ("render", "ASCII rendering of the weight diagram"),
-        ("caps", "cap diagram, tau swaps and free circles"),
-        ("atypicality", "number of crosses"),
-        ("casimir", "Casimir scalar and residue"),
-        ("irreducible", "typicality of the Kac label"),
-        ("pset", f"standard-filtration support of the projective cover (at most {P_SET_MAX_SIZE} weights)"),
-        ("filtration", f"standard-filtration multiplicities (at most {P_SET_MAX_SIZE} weights)"),
-        ("kac-factors", "composition-factor labels of the Kac module"),
-        ("hat", "highest weight of the projective cover"),
-        ("lowest", "lowest weight of the simple"),
-        ("dual", "label coordinates of the dual simple"),
-        ("sigma", "opposite-Borel label of the same simple"),
-        ("projective-word", "typical base and translation word"),
-        ("serganova", "classical Serganova hat and Shapovalov test"),
-    ):
-        c = cmd(name, help=help_text)
-        c.add_argument("--p", type=int, required=True)
-        c.add_argument("--mu", required=True)
-        c.add_argument("--nu", required=True)
-        if name == "render":
-            c.add_argument("--cut", type=int, default=0)
-
-    c = cmd("diagram-decode", help="super weight of a diagram")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--symbols", required=True, help="p characters over o < > x, vertex 0 first")
-    c.add_argument("--s", type=int, required=True)
-    c.add_argument("--r", type=int, required=True)
-    c.add_argument("--m", type=int)
-    c.add_argument("--n", type=int)
-
-    c = cmd("translate", help="translation functor on a Kac class")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--mu", required=True)
-    c.add_argument("--nu", required=True)
-    c.add_argument("--kind", choices=("F", "E"), required=True)
-    c.add_argument("--c", type=int, required=True)
-
-    c = cmd("borel-translate", help="standard label of a w-highest weight")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--types", required=True, help="summand types, nondecreasing")
-    c.add_argument("--part", action="append", required=True, help="one admissible part per summand")
-    c.add_argument("--w", required=True, help="positions of the summands, 1-indexed")
-
-    c = cmd("selfcheck", help="run a batch suite")
-    c.add_argument("--suite", default="golden", help="a suite name or 'all'")
-    c.add_argument("--p", type=int, default=5, help=f"a prime from 5 to {SELFCHECK_MAX_P}")
-
-    c = cmd("oddroot-lemma", help="partial-sum identity for the odd-root order")
-    c.add_argument("--m", type=int, required=True, help=f"at most {ODDROOT_LEMMA_MAX_BLOCK}")
-    c.add_argument("--n", type=int, required=True, help=f"at most {ODDROOT_LEMMA_MAX_BLOCK}")
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--json", action="store_true", help="emit the JSON envelope")
+        for flag, kwargs in arguments:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
-def _execute(args: argparse.Namespace) -> tuple[Any, str]:
-    """Return (json-ready result, human text)."""
-    cmdname = args.command
-    if cmdname == "fuse":
-        out = fuse_simples(args.i, args.j, args.p)
-        return out, " ".join(f"L{k}" for k in out)
-    if cmdname == "alcove":
-        check_prime(args.p)
-        entries = _ints(args.weight)
-        ok = is_admissible(entries, len(entries), args.p)
-        return ok, str(ok).lower()
-    if cmdname == "tensor-v":
-        lam = GLWeight(_ints(args.weight), args.p)
-        out = [list(w.entries) for w in tensor_with_V(lam)]
-        return out, "; ".join(map(_tuple_text, out))
-    if cmdname == "level-rank":
-        lam = GLWeight(_ints(args.weight), args.p)
-        image, parity = (level_rank_D_inverse if args.inverse else level_rank_D)(lam)
-        return {"weight": list(image.entries), "parity": parity}, (
-            f"{_tuple_text(image.entries)} parity={parity}"
-        )
-    if cmdname == "psi":
-        t = psi_data(args.n, args.p)
-        out = {
-            "det": list(t.det_weight.entries),
-            "chi": list(t.chi_weight.entries),
-            "a": t.a,
-            "b": t.b,
-            "psi": list(t.psi_weight.entries),
-        }
-        return out, f"psi={_tuple_text(t.psi_weight.entries)} (a={t.a}, b={t.b})"
-    if cmdname == "chi-rotate":
-        lam = chi_rotate(GLWeight(_ints(args.weight), args.p), args.k)
-        return list(lam.entries), _tuple_text(lam.entries)
-    if cmdname == "diagram-encode":
-        d = encode(_weight(args))
-        return _diagram_obj(d), render_ascii(d)
-    if cmdname == "diagram-decode":
-        d = WeightDiagram(args.p, args.symbols, args.s, args.r)
-        lam = decode(d, args.m, args.n)
-        return _pair(lam.mu, lam.nu), f"mu={_tuple_text(lam.mu)} nu={_tuple_text(lam.nu)}"
-    if cmdname == "render":
-        text = render_ascii(encode(_weight(args)), args.cut)
-        return text, text
-    if cmdname == "caps":
-        cd = cap_diagram(encode(_weight(args)))
-        caps = [
-            {"source": c.source, "tail": c.tail, "inner": is_inner(cd, j)}
-            for j, c in enumerate(cd.caps)
-        ]
-        text = render_ascii(cd.base) + " " + render_caps(cd)
-        return {"caps": caps, "free": sorted(cd.free_circles)}, text
-    if cmdname == "atypicality":
-        k = atypicality(_weight(args))
-        return k, str(k)
-    if cmdname == "casimir":
-        cas = casimir_scalar(_weight(args))
-        return {"value": cas.value, "residue": cas.residue}, f"{cas.value} (mod p: {cas.residue})"
-    if cmdname == "irreducible":
-        ok = is_typical(_weight(args))
-        return ok, str(ok).lower()
-    if cmdname in _WEIGHT_SET_COMMANDS:
-        out = sorted((list(a.mu), list(a.nu)) for a in _WEIGHT_SET_COMMANDS[cmdname](_weight(args)))
-        return [{"mu": mu, "nu": nu} for mu, nu in out], "; ".join(_pair_text(mu, nu) for mu, nu in out)
-    if cmdname in _PAIR_COMMANDS:
-        out = _PAIR_COMMANDS[cmdname](_weight(args))
-        mu, nu = (out.mu, out.nu) if isinstance(out, SuperWeight) else out
-        return _pair(mu, nu), _pair_text(mu, nu)
-    if cmdname == "filtration":
-        table = projective_filtration(_weight(args))
-        rows = sorted((list(a.mu), list(a.nu), mult) for a, mult in table.items())
-        return [
-            {"mu": mu, "nu": nu, "multiplicity": mult} for mu, nu, mult in rows
-        ], "; ".join(f"{_pair_text(mu, nu)}:{mult}" for mu, nu, mult in rows)
-    if cmdname == "projective-word":
-        base, word = projective_word(_weight(args))
-        return {
-            "base": _pair(base.mu, base.nu),
-            "word": [[kind, i] for kind, i in word],
-        }, f"base={_pair_text(base.mu, base.nu)} word=" + " ".join(f"{kind}{i}" for kind, i in word)
-    if cmdname == "serganova":
-        mu, nu = _ints(args.mu), _ints(args.nu)
-        hmu, hnu = serganova_hat(mu, nu, args.p)
-        nz = sh_nonzero(mu, nu, args.p)
-        return {
-            "hat": _pair(hmu, hnu),
-            "sh_nonzero": nz,
-        }, f"hat={_pair_text(hmu, hnu)} sh_nonzero={str(nz).lower()}"
-    if cmdname == "oddroot-lemma":
-        ok = check_oddroot_lemma(args.m, args.n)
-        return ok, str(ok).lower()
-    if cmdname == "translate":
-        ext = translate_kac(args.kind, args.c, _weight(args))
-        if ext is None:
-            return {"terms": []}, "0"
-        terms = [{"quotient": _pair(ext.quotient.mu, ext.quotient.nu)}]
-        text = f"quotient={_pair_text(ext.quotient.mu, ext.quotient.nu)}"
-        if ext.sub is not None:
-            terms.append({"sub": _pair(ext.sub.mu, ext.sub.nu)})
-            text += f" sub={_pair_text(ext.sub.mu, ext.sub.nu)}"
-        return {"terms": terms}, text
-    if cmdname == "borel-translate":
-        types = _ints(args.types)
-        shape = GLXShape(args.p, types)
-        parts = tuple(GLWeight(_ints(text), args.p) for text in args.part)
-        w1 = _ints(args.w)
-        if sorted(w1) != list(range(1, shape.k + 1)):
-            raise ValidationError(f"{w1} is not a permutation of 1..{shape.k}")
-        out = borel_translate(TupleWeight(shape, parts), tuple(x - 1 for x in w1))
-        return [list(g.entries) for g in out.parts], "; ".join(_tuple_text(g.entries) for g in out.parts)
-    if cmdname == "selfcheck":
-        from .suites import SUITE_BUILDERS, run_suite  # only selfcheck loads the suites
-        names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
-        results = [run_suite(name, args.p) for name in names]
-        lines = [r.line() for r in results]
-        ok = all(r.ok for r in results)
-        payload = [{**asdict(r), "ok": r.ok} for r in results]
-        text = "\n".join(lines + [f"selfcheck: {'PASS' if ok else 'FAIL'}"])
-        if not ok:
-            raise ValidationError(text)
-        return payload, text
-    raise ValidationError(f"unknown command {cmdname!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        result, text = _execute(args)
+        args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
+        result, text = _COMMANDS[args.command][2](args)
     except ValidationError as exc:
         print(f"error VALIDATION: {exc}", file=sys.stderr)
         return 1

@@ -8,8 +8,13 @@ between vertices p-1 and 0 twists the label:
     '>' moved p-1 -> 0 gains t1^(-1);  '>' moved 0 -> p-1 gains t1.
     '<' moved p-1 -> 0 gains t2;       '<' moved 0 -> p-1 gains t2^(-1).
 
-apply_functor(kind, i, d) is the one body of both functors.  It returns a
-plain tuple of zero, one or two diagrams; a two-term tuple lists the
+With the label t1^(-s) t2^r, the twist is the change of block at vertex 0:
+s moves with '>' or 'x' there, r with '<' or 'x'.
+
+apply_functor(kind, i, d) is the one body of both functors.  It reads
+_F_TABLE, or _E_TABLE, which is _F_TABLE with both arrows reversed since E
+moves each arrow the way F moves the opposite one.  It returns a plain
+tuple of zero, one or two diagrams; a two-term tuple lists the
 dominance-smaller term first, in the order of its table row, so no output
 is sorted at run time: F moving '<' keeps sum(mu) while F moving '>' raises
 it by one, and E moving '>' lowers it by one while E moving '<' keeps it.
@@ -40,6 +45,8 @@ from .diagrams import (
     EMPTY,
     LEFT,
     RIGHT,
+    _FIRST_BLOCK,
+    _SECOND_BLOCK,
     WeightDiagram,
     _trusted,
     assemble_symbols,
@@ -49,28 +56,24 @@ from .diagrams import (
 from .errors import ContractError, ValidationError
 from .superweights import SuperWeight, residue_data
 
-# Rewrite tables: (x, y) -> list of (new_x, new_y, dt1, dt2) with the label
-# twist active only at i = p-1 (dt* are multiplied by that indicator).
+# F_i's rewrite table: (x, y) at vertices (i, i+1) -> the new pairs, in output order.
 _F_TABLE = {
-    (RIGHT, EMPTY): [(EMPTY, RIGHT, -1, 0)],
-    (EMPTY, LEFT): [(LEFT, EMPTY, 0, -1)],
-    (RIGHT, LEFT): [(CROSS, EMPTY, 0, -1), (EMPTY, CROSS, -1, 0)],
-    (CROSS, LEFT): [(LEFT, CROSS, -1, 0)],
-    (RIGHT, CROSS): [(CROSS, RIGHT, 0, -1)],
-    (CROSS, EMPTY): [(LEFT, RIGHT, -1, 0)],
-    (EMPTY, CROSS): [(LEFT, RIGHT, 0, -1)],
-}
-_E_TABLE = {
-    (LEFT, EMPTY): [(EMPTY, LEFT, 0, 1)],
-    (EMPTY, RIGHT): [(RIGHT, EMPTY, 1, 0)],
-    (LEFT, RIGHT): [(CROSS, EMPTY, 1, 0), (EMPTY, CROSS, 0, 1)],
-    (CROSS, RIGHT): [(RIGHT, CROSS, 0, 1)],
-    (LEFT, CROSS): [(CROSS, LEFT, 1, 0)],
-    (CROSS, EMPTY): [(RIGHT, LEFT, 0, 1)],
-    (EMPTY, CROSS): [(RIGHT, LEFT, 1, 0)],
+    (RIGHT, EMPTY): [(EMPTY, RIGHT)],
+    (EMPTY, LEFT): [(LEFT, EMPTY)],
+    (RIGHT, LEFT): [(CROSS, EMPTY), (EMPTY, CROSS)],
+    (CROSS, LEFT): [(LEFT, CROSS)],
+    (RIGHT, CROSS): [(CROSS, RIGHT)],
+    (CROSS, EMPTY): [(LEFT, RIGHT)],
+    (EMPTY, CROSS): [(LEFT, RIGHT)],
 }
 
 
+def _mirror(pair: tuple[str, str]) -> tuple[str, str]:
+    """The pair with both arrows reversed."""
+    return tuple({LEFT: RIGHT, RIGHT: LEFT}.get(sym, sym) for sym in pair)
+
+
+_E_TABLE = {_mirror(pair): [_mirror(row) for row in rows] for pair, rows in _F_TABLE.items()}
 _TABLES = {"F": _F_TABLE, "E": _E_TABLE}
 
 
@@ -91,14 +94,15 @@ def apply_functor(kind: str, i: int, d: WeightDiagram) -> tuple[WeightDiagram, .
     if i < p - 1:
         head, tail = syms[:i], syms[i + 2 :]
         return tuple(
-            _trusted(p, head + x + y + tail, d.s, d.r)
-            for x, y, _, _ in table.get((syms[i], syms[i + 1]), ())
+            _trusted(p, head + x + y + tail, d.s, d.r) for x, y in table.get((syms[i], syms[i + 1]), ())
         )
-    # Across the affine wall: the edited pair is (p-1, 0) and the label twists.
-    middle = syms[1:i]
+    # Across the affine wall the edited pair is (p-1, 0), and the label
+    # twists by the change of block at vertex 0.
+    old0, middle = syms[0], syms[1:i]
+    s0, r0 = d.s - (old0 in _FIRST_BLOCK), d.r - (old0 in _SECOND_BLOCK)
     return tuple(
-        _trusted(p, y + middle + x, d.s - dt1, d.r + dt2)
-        for x, y, dt1, dt2 in table.get((syms[i], syms[0]), ())
+        _trusted(p, y + middle + x, s0 + (y in _FIRST_BLOCK), r0 + (y in _SECOND_BLOCK))
+        for x, y in table.get((syms[i], old0), ())
     )
 
 

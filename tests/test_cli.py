@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import verlinde_gl
+from verlinde_gl.alcove import TENSOR_WITH_V_MAX_RANK
+from verlinde_gl.borel import BOREL_TRANSLATE_MAX_SUMMANDS
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE, PROJECTIVE_WORD_MAX_SYMBOLS
-from verlinde_gl.cli import main
+from verlinde_gl.cli import _COMMANDS, main
+from verlinde_gl.serganova import SERGANOVA_HAT_MAX_ROOTS
 
 
 def run(capsys, *argv):
@@ -236,6 +239,28 @@ def test_subcommand_output_is_pinned(capsys, argv, text, result):
 # --w is 1-indexed, and so are the messages refusing it.
 _BOREL_TRANSLATE = ("borel-translate", "--p", "5", "--types", "1,4", "--part", "1", "--part", "0,0,0,0")
 
+# One past each walk's limit; each is refused before the walk starts.
+_ZEROS_2001 = ",".join(["0"] * 2001)
+_SUMMANDS = BOREL_TRANSLATE_MAX_SUMMANDS + 1
+_OVER_WALK_LIMITS = [
+    (
+        ("serganova", "--p", "5", "--mu", _ZEROS_2001, "--nu", _ZEROS_2001),
+        f"2001x2001 odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {SERGANOVA_HAT_MAX_ROOTS}",
+    ),
+    (
+        (
+            "borel-translate", "--p", "5", "--types", ",".join(["1"] * _SUMMANDS),
+            *(["--part", "0"] * _SUMMANDS), "--w", ",".join(map(str, range(_SUMMANDS, 0, -1))),
+        ),
+        f"{_SUMMANDS} summands exceed BOREL_TRANSLATE_MAX_SUMMANDS = {BOREL_TRANSLATE_MAX_SUMMANDS}",
+    ),
+    (
+        ("tensor-v", "--p", "4003", "--weight", ",".join(["0"] * 4001)),
+        f"rank 4001 exceeds TENSOR_WITH_V_MAX_RANK = {TENSOR_WITH_V_MAX_RANK}",
+    ),
+]
+_OVER_WALK_LIMIT_IDS = ["serganova-over-root-limit", "borel-translate-over-summand-limit", "tensor-v-over-rank-limit"]
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -251,6 +276,7 @@ _BOREL_TRANSLATE = ("borel-translate", "--p", "5", "--types", "1,4", "--part", "
         ),
         (_BOREL_TRANSLATE + ("--w", "1,1"), "error VALIDATION: (1, 1) is not a permutation of 1..2"),
         (_BOREL_TRANSLATE + ("--w", "0"), "error VALIDATION: (0,) is not a permutation of 1..2"),
+        *_OVER_WALK_LIMITS,
     ],
     ids=[
         "selfcheck-p4",
@@ -261,6 +287,7 @@ _BOREL_TRANSLATE = ("borel-translate", "--p", "5", "--types", "1,4", "--part", "
         "kac-factors-over-node-budget",
         "borel-translate-w-repeats",
         "borel-translate-w-zero",
+        *_OVER_WALK_LIMIT_IDS,
     ],
 )
 def test_out_of_range_inputs_are_refused(capsys, argv, message):
@@ -278,6 +305,14 @@ def test_p_set_above_the_size_limit_is_refused_quickly(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.startswith("error VALIDATION") and f"P_SET_MAX_SIZE = {P_SET_MAX_SIZE}" in err
+
+
+@pytest.mark.parametrize("argv, message", _OVER_WALK_LIMITS, ids=_OVER_WALK_LIMIT_IDS)
+def test_walks_above_their_limits_are_refused_quickly(capsys, argv, message):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and message in err
 
 
 def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
@@ -390,6 +425,12 @@ def test_readme_example(capsys, argv, want):
         assert out.endswith(want[4:])
     else:
         assert out == want
+
+
+def test_readme_lists_the_subcommands_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("\nSubcommands: ", 1)[1].split(".\n", 1)[0]
+    assert [name.strip().strip("`") for name in listed.split(",")] == list(_COMMANDS)
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from verlinde_gl.alcove import GLWeight, level_rank_D
 from verlinde_gl.caps import kac_diagrams, p_set_diagrams
 from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
-from verlinde_gl.enumeration import window_weights
+from verlinde_gl.enumeration import admissible_tuples, default_window, super_shapes, window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import (
     SuperShape,
@@ -86,10 +86,15 @@ def test_typicality():
 
 
 def test_residue_distinctness_on_windows():
+    # a depends only on mu and b only on (m, nu), so each block of a shape is
+    # swept once against one fixed partner: the verdicts of every windowed pair.
     for p, window in ((5, None), (7, None), (11, (-3, 3))):
-        for lam in window_weights(p, window=window):
-            rd = residue_data(lam)
-            assert len(set(rd.a)) == lam.shape.m and len(set(rd.b)) == lam.shape.n
+        lo, hi = window or default_window(p)
+        for m, n in super_shapes(p):
+            mus, nus = admissible_tuples(m, p, lo, hi), admissible_tuples(n, p, lo, hi)
+            for mu, nu in [(mu, nus[0]) for mu in mus] + [(mus[0], nu) for nu in nus]:
+                rd = residue_data(super_weight(p, mu, nu))
+                assert len(set(rd.a)) == m and len(set(rd.b)) == n
 
 
 def test_rho_pairings_are_integral():

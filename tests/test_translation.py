@@ -343,7 +343,7 @@ def test_table_rows_keep_both_block_counts(table):
     # apply_functor skips the constructor's checks; this is why that is sound.
     for pair, rows in table.items():
         assert set(pair) <= set("o<>x")
-        for new_x, new_y, _, _ in rows:
+        for new_x, new_y in rows:
             assert {new_x, new_y} <= set("o<>x")
             assert _blocks(new_x + new_y) == _blocks(pair)
 
