@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import count
+from itertools import accumulate, count
 from operator import sub
 
 from .errors import ValidationError
@@ -234,7 +234,10 @@ def transpose_partition(parts: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     if any(x < 0 for x in parts):
         raise ValidationError(f"partition entries must be nonnegative: {parts}")
     width = parts[0] if parts else 0
-    return tuple(sum(1 for x in parts if x > j) for j in range(width))
+    at_value = [0] * (width + 1)  # the parts at each value, clamped at width
+    for x in parts:
+        at_value[min(x, width)] += 1
+    return tuple(accumulate(at_value[:0:-1]))[::-1]  # entry j: the parts above j
 
 
 def level_rank_D(lam: GLWeight) -> tuple[GLWeight, int]:

@@ -15,11 +15,12 @@ and converted with the lowest-weight machinery of the caps module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .alcove import GLWeight, level_rank_D
 from .caps import sigma_to_standard, standard_to_sigma
 from .errors import ContractError, ValidationError
-from .fusion import check_prime
+from .fusion import MAX_P, check_prime
 from .superweights import SuperShape, SuperWeight
 
 # A Borel choice: w[i] is the 0-indexed position of summand i.
@@ -194,7 +195,11 @@ def _swap_adjacent(
 # borel_translate makes one adjacent swap per inversion of w and scans all k
 # summands after each.  w reversed on types 1, 2 at p = 5 takes 0.23 s for
 # k = 100, 0.51 s for 150 and 0.77 s for 200; more summands are refused.
+# Each unequal-type swap is an odd reflection reading a diagram of p vertices:
+# one at p = 999,983 takes 1.8 s, 961 at p = 1009 take 1.3 s, 5,625 at p = 101
+# take 1.5 s.  Reflections times p above MAX_P are refused (one always answers).
 BOREL_TRANSLATE_MAX_SUMMANDS = 150
+BOREL_TRANSLATE_MAX_VERTEX_READS = MAX_P
 
 
 def borel_translate(
@@ -206,7 +211,9 @@ def borel_translate(
     swaps exchange entries, unequal-type swaps apply the odd reflection.
     rightmost_first picks a different reduced factorization of w (used by the
     well-definedness probe); the result should not depend on it.  More than
-    BOREL_TRANSLATE_MAX_SUMMANDS summands raise ValidationError.
+    BOREL_TRANSLATE_MAX_SUMMANDS summands, or odd reflections (the inverted
+    pairs of w of unequal type) times p above BOREL_TRANSLATE_MAX_VERTEX_READS,
+    raise ValidationError before the first swap.
     """
     shape = lam.shape
     if shape.k > BOREL_TRANSLATE_MAX_SUMMANDS:
@@ -215,6 +222,12 @@ def borel_translate(
     if not shape.is_canonical:
         raise ValidationError("borel_translate expects the canonical arrangement")
     w = check_permutation(w, shape.k)
+    reflections = sum(w[a] > w[b] and shape.types[a] != shape.types[b] for a, b in combinations(range(shape.k), 2))
+    if reflections * shape.p > BOREL_TRANSLATE_MAX_VERTEX_READS:
+        limit = BOREL_TRANSLATE_MAX_VERTEX_READS
+        raise ValidationError(
+            f"{reflections} odd reflections of {shape.p} vertices exceed BOREL_TRANSLATE_MAX_VERTEX_READS = {limit}"
+        )
     if not w_integrable(lam, w):
         raise ContractError("weight is not w-integrable")
     inv = _inverse(w)

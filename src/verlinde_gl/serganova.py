@@ -15,9 +15,9 @@ sees the running mu and the original nu_j alone.  One column step
 the state after column j depends only on (mu, nu_1, .., nu_j), and the
 hat is a left fold of the column step over nu.  serganova_hats is that
 fold, the only one: it walks many pairs, shares the state between all nu
-with a common prefix, and interns each walk state in a table local to the
-call, so one sweep steps each distinct (state, nu_j) once however many
-pairs reach it; serganova_hat is its one-pair case.  The
+with a common prefix, and keeps one row of column steps per walk state in
+a dict local to the call, so one sweep steps each distinct (state, nu_j)
+once however many pairs reach it; serganova_hat is its one-pair case.  The
 root-by-root walk in an arbitrary linear extension, which gives the same
 terminal weight, is the reference oracle of tests/test_serganova.py.
 
@@ -30,7 +30,6 @@ disjoint.  sh_nonzero tests this on two bitmasks.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import lru_cache
 
 from .errors import ValidationError
 from .fusion import check_prime
@@ -48,7 +47,6 @@ def check_blocks(mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]])
                 raise ValidationError(f"{name}={block} is not nonincreasing")
 
 
-@lru_cache(maxsize=None)
 def odd_root_order(m: int, n: int) -> tuple[OddRoot, ...]:
     """Canonical linear extension: j ascending, i descending."""
     if m < 1 or n < 1:
@@ -62,7 +60,7 @@ def rho_pair_root(m: int, n: int, root: OddRoot) -> int:
     return m - i - j + 1
 
 
-# check_oddroot_lemma takes O((m*n)^2) steps and caches the m*n roots.
+# check_oddroot_lemma makes one pass over the m*n roots; blocks above this size are refused.
 ODDROOT_LEMMA_MAX_BLOCK = 16
 
 
@@ -73,17 +71,12 @@ def check_oddroot_lemma(m: int, n: int) -> bool:
     """
     if m > ODDROOT_LEMMA_MAX_BLOCK or n > ODDROOT_LEMMA_MAX_BLOCK:
         raise ValidationError(f"block sizes must be at most {ODDROOT_LEMMA_MAX_BLOCK}, got ({m}, {n})")
-    order = odd_root_order(m, n)
-    for k in range(len(order)):
-        i_k, j_k = order[k]
-        lhs = 0
-        for i, j in order[:k]:
-            if i == i_k:
-                lhs += 1
-            if j == j_k:
-                lhs -= 1
-        if lhs != -rho_pair_root(m, n, order[k]):
+    in_row, in_column = [0] * (m + 1), [0] * (n + 1)  # earlier roots in row i and in column j
+    for i, j in odd_root_order(m, n):
+        if in_row[i] - in_column[j] != -rho_pair_root(m, n, (i, j)):
             return False
+        in_row[i] += 1
+        in_column[j] += 1
     return True
 
 
@@ -117,11 +110,11 @@ def serganova_hats(
 
     The hat is column_step folded over nu, so the walk states of the prefix
     a nu shares with the nu before it are kept and only the later columns
-    are stepped.  Each walk state is interned as a small int, and the
-    column step of (state, nu_j) is kept in a table local to this call, so
-    a sweep runs column_step once per distinct (state, nu_j) it meets; the
-    table dies with the call.  p and every block are validated once, and
-    the nus must share one length.  A mu whose pairs have more than
+    are stepped.  rows, a dict local to this call, maps each walk state to
+    its row {nu_j: (next state, next state's row, terminal nu_j)}, so a sweep
+    runs column_step once per distinct (state, nu_j) it meets and a repeated
+    step is one row lookup.  p and every block are validated once, and the
+    nus must share one length.  A mu whose pairs have more than
     SERGANOVA_HAT_MAX_ROOTS odd roots raises ValidationError before its walk.
     """
     check_prime(p)
@@ -136,37 +129,26 @@ def serganova_hats(
         while shared < n - 1 and nu[shared] == prev[shared]:
             shared += 1
         starts[k] = shared
-    ids: dict[tuple[int, ...], int] = {}  # walk state -> its id
-    states: list[tuple[int, ...]] = []  # id -> walk state
-    steps: list[dict[int, tuple[int, int]]] = []  # id -> {nu_j: (id of the next state, terminal nu_j)}
-    at_ids = [0] * (n + 1)  # state id after j columns of the current nu
-    at_hats: list[tuple[int, ...]] = [()] * (n + 1)  # terminal nu_1..nu_j after j columns
+    rows: dict[tuple[int, ...], dict[int, tuple]] = {}
+    at: list = [None] * (n + 1)  # at[j]: (state, its row, terminal nu_1..nu_j) after j columns of the current nu
     for mu in mus:
         mu = tuple(mu)
         if len(mu) * n > SERGANOVA_HAT_MAX_ROOTS:
             limit = SERGANOVA_HAT_MAX_ROOTS
             raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
-        sid = at_ids[0] = ids.setdefault(mu, len(states))
-        if sid == len(states):
-            states.append(mu)
-            steps.append({})
+        at[0] = mu, rows.setdefault(mu, {}), ()
         for nu, start in zip(nus, starts):
-            sid, hat_nu = at_ids[start], at_hats[start]
+            state, row, hat_nu = at[start]
             for j in range(start, n):
                 y = nu[j]
-                row = steps[sid]
                 step = row.get(y)
                 if step is None:
-                    state, y_out = column_step(states[sid], y, p)
-                    nid = ids.setdefault(state, len(states))
-                    if nid == len(states):
-                        states.append(state)
-                        steps.append({})
-                    step = row[y] = (nid, y_out)
-                sid, y_out = step
+                    nxt, y_out = column_step(state, y, p)
+                    step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
+                state, row, y_out = step
                 hat_nu += (y_out,)
-                at_ids[j + 1], at_hats[j + 1] = sid, hat_nu
-            yield states[sid], hat_nu
+                at[j + 1] = state, row, hat_nu
+            yield state, hat_nu
 
 
 def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -243,6 +243,21 @@ def test_transpose_partition():
     assert transpose_partition((1, 1)) == (2,)
 
 
+def transpose_by_columns(parts):
+    """The conjugate counted column by column, width x rank steps: the oracle."""
+    width = parts[0] if parts else 0
+    return tuple(sum(1 for x in parts if x > j) for j in range(width))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=10), st.booleans())
+def test_transpose_partition_matches_the_column_count(parts, ordered):
+    # Unsorted input too: both read the width off parts[0].
+    if ordered:
+        parts.sort(reverse=True)
+    assert transpose_partition(tuple(parts)) == transpose_by_columns(tuple(parts))
+
+
 def test_level_rank_examples():
     image, parity = level_rank_D(GLWeight((6, 5, 2), 7))
     assert image.entries == (5, 4, 2, 2) and parity == 1

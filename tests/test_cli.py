@@ -11,7 +11,7 @@ import pytest
 
 import verlinde_gl
 from verlinde_gl.alcove import TENSOR_WITH_V_MAX_RANK
-from verlinde_gl.borel import BOREL_TRANSLATE_MAX_SUMMANDS
+from verlinde_gl.borel import BOREL_TRANSLATE_MAX_SUMMANDS, BOREL_TRANSLATE_MAX_VERTEX_READS
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE, PROJECTIVE_WORD_MAX_SYMBOLS
 from verlinde_gl.cli import _COMMANDS, main
 from verlinde_gl.serganova import SERGANOVA_HAT_MAX_ROOTS
@@ -255,11 +255,26 @@ _OVER_WALK_LIMITS = [
         f"{_SUMMANDS} summands exceed BOREL_TRANSLATE_MAX_SUMMANDS = {BOREL_TRANSLATE_MAX_SUMMANDS}",
     ),
     (
+        # w reversed on 32 summands of type 1 and 32 of type 2: 32 x 32 odd
+        # reflections, each reading 1009 vertices.
+        (
+            "borel-translate", "--p", "1009", "--types", ",".join(["1"] * 32 + ["2"] * 32),
+            *(["--part", "0"] * 32), *(["--part", "0,0"] * 32), "--w", ",".join(map(str, range(64, 0, -1))),
+        ),
+        "1024 odd reflections of 1009 vertices exceed "
+        f"BOREL_TRANSLATE_MAX_VERTEX_READS = {BOREL_TRANSLATE_MAX_VERTEX_READS}",
+    ),
+    (
         ("tensor-v", "--p", "4003", "--weight", ",".join(["0"] * 4001)),
         f"rank 4001 exceeds TENSOR_WITH_V_MAX_RANK = {TENSOR_WITH_V_MAX_RANK}",
     ),
 ]
-_OVER_WALK_LIMIT_IDS = ["serganova-over-root-limit", "borel-translate-over-summand-limit", "tensor-v-over-rank-limit"]
+_OVER_WALK_LIMIT_IDS = [
+    "serganova-over-root-limit",
+    "borel-translate-over-summand-limit",
+    "borel-translate-over-reflection-limit",
+    "tensor-v-over-rank-limit",
+]
 
 
 @pytest.mark.parametrize(
@@ -313,6 +328,17 @@ def test_walks_above_their_limits_are_refused_quickly(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and message in err
+
+
+def test_level_rank_of_a_long_weight_answers_quickly(capsys):
+    # (w^13000, 0^13000) with w = p - n: the transpose has w parts of 13000,
+    # counted in one pass over the entries, not once per column.
+    n, p = 26_000, 52_009
+    weight = ",".join([str(p - n)] * (n // 2) + ["0"] * (n // 2))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "level-rank", "--p", str(p), "--weight", weight)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == ",".join(["13000"] * (p - n)) + " parity=0"
 
 
 def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
@@ -431,6 +457,22 @@ def test_readme_lists_the_subcommands_in_table_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("\nSubcommands: ", 1)[1].split(".\n", 1)[0]
     assert [name.strip().strip("`") for name in listed.split(",")] == list(_COMMANDS)
+
+
+def test_readme_names_every_input_bound():
+    # Every module-level *MAX* constant of the library is an input limit, and
+    # README's input-limits paragraph names it; suites.py is left out, as its
+    # CODEC_DECODE_MAX_WEIGHTS budgets a sweep rather than bounding an input.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = []
+    for path in sorted(Path(verlinde_gl.__file__).resolve().parent.glob("*.py")):
+        if path.name == "suites.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                names += [f"{path.stem}.{t.id}" for t in node.targets if isinstance(t, ast.Name) and "MAX" in t.id]
+    assert "fusion.MAX_P" in names
+    assert [name for name in names if f"`{name}`" not in readme] == []
 
 
 def test_closed_stdout_exits_without_traceback():

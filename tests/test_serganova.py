@@ -97,6 +97,20 @@ def test_oddroot_lemma_all_small_shapes():
             assert check_oddroot_lemma(m, n)
 
 
+def test_oddroot_lemma_check_fails_on_a_wrong_order(monkeypatch):
+    # Column 1 read with i ascending: root (1, 1) comes first, and the empty
+    # partial sum pairs with it as 0, not -<rho, (1, 1)> = -1.
+    real_order = serganova.odd_root_order
+
+    def swapped(m, n):
+        order = real_order(m, n)
+        return (order[1], order[0]) + order[2:]
+
+    monkeypatch.setattr(serganova, "odd_root_order", swapped)
+    assert swapped(2, 2) == ((1, 1), (2, 1), (2, 2), (1, 2))
+    assert not check_oddroot_lemma(2, 2)
+
+
 def test_serganova_hat_examples():
     assert serganova_hat((0,), (0,), 5) == ((0,), (0,))
     assert serganova_hat((1,), (0,), 5) == ((0,), (1,))
