@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .alcove import GLWeight, WedgeVector, add_box, chi_rotate, is_admissible, level_rank_D, level_rank_D_inverse, phi_wedge, psi_data, remove_box, tensor_with_V
 from .caps import Cap, CapDiagram, cap_diagram, dual_simple, dual_simple_label, hat, is_inner, kac_composition, lowest_weight, p_set, projective_filtration, projective_word, render_caps, replay_word, sigma_to_standard, standard_to_sigma
-from .borel import BorelPermutation, GLXShape, TupleWeight, borel_translate, conjugate_relabel, is_w_dominant, odd_reflect_pair, w_dominance_leq, w_integrable
+from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel, is_w_dominant, odd_reflect_pair, w_dominance_leq, w_integrable
 from .diagrams import WeightDiagram, cut, decode, encode, from_json, permute, render_ascii, to_json
 from .errors import ContractError, ValidationError
 from .fusion import fuse_simples, is_even_object

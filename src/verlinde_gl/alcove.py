@@ -217,11 +217,8 @@ def psi_data(n: int, p: int) -> InvertibleTriple:
     """det, chi and the unique degree-one invertible psi = det^a (x) chi^b.
 
     (a, b) is the unique solution of a*n + b*(p-n) = 1 with 0 <= b < n,
-    which exists since n and p-n are coprime.
+    which exists since n and p-n are coprime.  det_power checks p and n.
     """
-    check_prime(p)
-    if not 1 <= n <= p - 1:
-        raise ValidationError(f"rank {n} out of range 1..{p - 1}")
     det_w = det_power(n, p, 1)
     chi_w = GLWeight(((p - n),) + (0,) * (n - 1), p)
     b = next(b for b in range(n) if (1 - b * (p - n)) % n == 0)

@@ -23,10 +23,6 @@ from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
 from .superweights import SuperShape, SuperWeight
 
-# A Borel choice: w[i] is the 0-indexed position of summand i.
-BorelPermutation = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class GLXShape:
     """Summand types of X = X_1 + .. + X_k, each in 1..p-1."""

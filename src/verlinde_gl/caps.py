@@ -271,14 +271,15 @@ def hat(lam: SuperWeight) -> SuperWeight:
     return decode(_slide_crosses(cd.base, cd.caps, 1))
 
 
+def _beta_shift(lam: SuperWeight, sign: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(mu | nu) + sign * beta, as raw coordinates."""
+    shifted = tuple(x + sign * y for x, y in zip(lam.vector, beta(lam.shape)))
+    return shifted[: lam.shape.m], shifted[lam.shape.m :]
+
+
 def lowest_weight(lam: SuperWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lowest torus weight of the simple: hat(lam) - beta, as raw coordinates."""
-    h = hat(lam)
-    b = beta(lam.shape)
-    m = lam.shape.m
-    mu = tuple(h.mu[i] - b[i] for i in range(m))
-    nu = tuple(h.nu[j] - b[m + j] for j in range(lam.shape.n))
-    return mu, nu
+    return _beta_shift(hat(lam), -1)
 
 
 def dual_simple(lam: SuperWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -371,8 +372,7 @@ def replay_word(base: SuperWeight, word: tuple[tuple[str, int], ...]) -> dict[Su
 
 def standard_to_sigma(lam: SuperWeight) -> SuperWeight:
     """Opposite-Borel highest-weight label of the same simple: hat - beta."""
-    mu, nu = lowest_weight(lam)
-    return SuperWeight(lam.shape, mu, nu)
+    return SuperWeight(lam.shape, *lowest_weight(lam))
 
 
 def sigma_to_standard(kappa: SuperWeight) -> SuperWeight:
@@ -382,12 +382,5 @@ def sigma_to_standard(kappa: SuperWeight) -> SuperWeight:
     counterclockwise to its mirrored tail, undoing the label twists.  The
     suite of criterion 8 counts the roundtrip with standard_to_sigma.
     """
-    b = beta(kappa.shape)
-    m = kappa.shape.m
-    h = SuperWeight(
-        kappa.shape,
-        tuple(kappa.mu[i] + b[i] for i in range(m)),
-        tuple(kappa.nu[j] + b[m + j] for j in range(kappa.shape.n)),
-    )
-    d = encode(h)
+    d = encode(SuperWeight(kappa.shape, *_beta_shift(kappa, 1)))
     return decode(_slide_crosses(d, _match_caps(d, -1).caps, -1))

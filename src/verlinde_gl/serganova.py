@@ -17,9 +17,10 @@ hat is a left fold of the column step over nu.  serganova_hats is that
 fold, the only one: it walks many pairs, shares the state between all nu
 with a common prefix, and keeps one row of column steps per walk state in
 a dict local to the call, so one sweep steps each distinct (state, nu_j)
-once however many pairs reach it; serganova_hat is its one-pair case.  The
-root-by-root walk in an arbitrary linear extension, which gives the same
-terminal weight, is the reference oracle of tests/test_serganova.py.
+once however many pairs reach it, and clears the rows when the walk ends;
+serganova_hat is its one-pair case.  The root-by-root walk in an arbitrary
+linear extension, which gives the same terminal weight, is the reference
+oracle of tests/test_serganova.py.
 
 The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
 = (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
@@ -131,29 +132,34 @@ def serganova_hats(
         starts[k] = shared
     rows: dict[tuple[int, ...], dict[int, tuple]] = {}
     at: list = [None] * (n + 1)  # at[j]: (state, its row, terminal nu_1..nu_j) after j columns of the current nu
-    for mu in mus:
-        mu = tuple(mu)
-        if len(mu) * n > SERGANOVA_HAT_MAX_ROOTS:
-            limit = SERGANOVA_HAT_MAX_ROOTS
-            raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
-        at[0] = mu, rows.setdefault(mu, {}), ()
-        for nu, start in zip(nus, starts):
-            state, row, hat_nu = at[start]
-            for j in range(start, n):
-                y = nu[j]
-                step = row.get(y)
-                if step is None:
-                    nxt, y_out = column_step(state, y, p)
-                    step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
-                state, row, y_out = step
-                hat_nu += (y_out,)
-                at[j + 1] = state, row, hat_nu
-            yield state, hat_nu
+    try:
+        for mu in mus:
+            mu = tuple(mu)
+            if len(mu) * n > SERGANOVA_HAT_MAX_ROOTS:
+                limit = SERGANOVA_HAT_MAX_ROOTS
+                raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
+            at[0] = mu, rows.setdefault(mu, {}), ()
+            for nu, start in zip(nus, starts):
+                state, row, hat_nu = at[start]
+                for j in range(start, n):
+                    y = nu[j]
+                    step = row.get(y)
+                    if step is None:
+                        nxt, y_out = column_step(state, y, p)
+                        step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
+                    state, row, y_out = step
+                    hat_nu += (y_out,)
+                    at[j + 1] = state, row, hat_nu
+                yield state, hat_nu
+    finally:  # a state whose column step keeps it holds its own row: break those cycles
+        for row in rows.values():
+            row.clear()
 
 
 def serganova_hat(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Terminal weight of the root-subtraction recursion: the one pair of serganova_hats."""
-    return next(serganova_hats((mu,), (nu,), p))
+    (hat,) = serganova_hats((mu,), (nu,), p)
+    return hat
 
 
 def sh_mu_mask(mu: tuple[int, ...], p: int) -> int:

@@ -24,19 +24,19 @@ Validation happens at the boundary: apply_functor checks kind and residue,
 then builds its outputs with diagrams._trusted, skipping WeightDiagram's
 checks, because every table row keeps p, the length and both block counts
 of a valid diagram.  translation(d, compositions) composes two generators
-on one diagram, sharing the single steps; commutator and criterion 9 both
-read it.
+on one diagram, sharing the single steps, and keys each class by its
+diagram, as act_on_sum does; commutator and criterion 9 both read it.
 
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
 realizations are implemented independently; _equivariant_terms compares
 them term by term, labels included, for one encoded weight and its loop
-vector, and phi_equivariance_check runs it on a super weight.
+vector, and phi_equivariance_check runs it on a super weight.  Only this
+witness keys terms by (symbols, s, r), since its loop side builds no diagram.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -258,26 +258,24 @@ def phi_equivariance_check(lam: SuperWeight, c: int) -> bool:
 
 def act_on_sum(kind: str, i: int, classes: dict[WeightDiagram, int]) -> dict[WeightDiagram, int]:
     """Linear extension of F_i/E_i to integer combinations of diagrams."""
-    out: Counter[WeightDiagram] = Counter()
+    out: dict[WeightDiagram, int] = {}
     for d, mult in classes.items():
         for term in apply_functor(kind, i, d):
-            out[term] += mult
+            out[term] = out.get(term, 0) + mult
     return {t: k for t, k in out.items() if k}
 
 
 Generator = tuple[str, int]  # (kind, residue)
-TermKey = tuple[str, int, int]  # (symbols, s, r) of a diagram at known p
 
 
 def translation(
     d: WeightDiagram, compositions: Iterable[tuple[Generator, Generator]]
-) -> dict[tuple[Generator, Generator], dict[TermKey, int]]:
-    """x(y d) for each ordered generator pair (x, y), as a multiset of (symbols, s, r) keys.
+) -> dict[tuple[Generator, Generator], dict[WeightDiagram, int]]:
+    """x(y d) for each ordered generator pair (x, y), as a class {diagram: multiplicity}.
 
     Each single step y d is taken once and shared by every x applied after
     it, so a weight costs one apply_functor call per generator y and one per
-    (x, term of y d) pair.  Two multisets are equal exactly when the formal
-    sums are, since (symbols, s, r) determines the diagram at fixed p.
+    (x, term of y d) pair.
     """
     steps: dict[Generator, tuple[WeightDiagram, ...]] = {}
     table = {}
@@ -285,11 +283,10 @@ def translation(
         mids = steps.get(y)
         if mids is None:
             mids = steps[y] = apply_functor(*y, d)
-        terms: dict[TermKey, int] = {}
+        terms: dict[WeightDiagram, int] = {}
         for mid in mids:
             for t in apply_functor(*x, mid):
-                key = (t.symbols, t.s, t.r)
-                terms[key] = terms.get(key, 0) + 1
+                terms[t] = terms.get(t, 0) + 1
         table[x, y] = terms
     return table
 
@@ -298,6 +295,6 @@ def commutator(x: Generator, y: Generator, d: WeightDiagram) -> dict[WeightDiagr
     """[x, y] d = x(y d) - y(x d) for generators x, y = (kind, residue), as an exact formal sum."""
     table = translation(d, ((x, y), (y, x)))
     out = dict(table[x, y])
-    for key, k in table[y, x].items():
-        out[key] = out.get(key, 0) - k
-    return {_trusted(d.p, *key): k for key, k in out.items() if k}
+    for t, k in table[y, x].items():
+        out[t] = out.get(t, 0) - k
+    return {t: k for t, k in out.items() if k}

@@ -173,3 +173,25 @@ def test_factorization_independence_samples():
         right = borel_translate(lam, w, rightmost_first=True)
         assert left == right, f"factorization discrepancy at types={types}, w={w}"
     assert hits > 50
+
+
+@pytest.mark.parametrize("types", [(2, 2), (1, 3)])
+def test_swap_adjacent_is_an_involution(types):
+    # s_q^2 = id, from either order of the two summands.  On (1, 3) the
+    # small-type-left start takes the odd_reflect_pair(x, y, "to_sigma")
+    # branch, which borel_translate never reaches: it swaps only inverted
+    # neighbours of a canonical shape, so the big type is always on the left.
+    from verlinde_gl.borel import _swap_adjacent
+    from verlinde_gl.enumeration import admissible_tuples
+
+    p = 5
+    shape = GLXShape(p, types)
+    firsts, seconds = ([GLWeight(e, p) for e in admissible_tuples(t, p, -2, 2)] for t in types)
+    for x in firsts:
+        for y in seconds:
+            for start in ([(0, x), (1, y)], [(1, y), (0, x)]):
+                entries = list(start)
+                _swap_adjacent(entries, 0, shape)
+                assert [i for i, _ in entries] == [i for i, _ in reversed(start)]
+                _swap_adjacent(entries, 0, shape)
+                assert entries == start

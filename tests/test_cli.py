@@ -1,10 +1,12 @@
 import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -473,6 +475,30 @@ def test_readme_names_every_input_bound():
                 names += [f"{path.stem}.{t.id}" for t in node.targets if isinstance(t, ast.Name) and "MAX" in t.id]
     assert "fusion.MAX_P" in names
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_every_top_level_name_has_a_use():
+    # Each module-level function, class and assignment of the library appears,
+    # as a whole word, somewhere besides its definition and the package
+    # re-export: in the library, the tests, the benchmark scripts or README.
+    root = Path(__file__).resolve().parents[1]
+    modules = [path for path in sorted((root / "src" / "verlinde_gl").glob("*.py")) if path.name != "__init__.py"]
+    others = [*sorted((root / "tests").glob("*.py")), *sorted((root / "perfbench").glob("*.py")), root / "README.md"]
+    texts = {path: path.read_text() for path in modules + others}
+    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
+    unused = []
+    for path in modules:
+        for node in ast.parse(texts[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names if words[name] == 1]  # the definition alone
+    assert unused == []
 
 
 def test_closed_stdout_exits_without_traceback():

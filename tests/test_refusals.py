@@ -1,0 +1,75 @@
+"""Every bad input ends in a library error with a message, never a traceback
+from deeper code: one row per refusal, as (call, error class, message
+fragment)."""
+
+import pytest
+
+from verlinde_gl.alcove import (
+    GLWeight,
+    WedgeVector,
+    det_power,
+    is_admissible,
+    level_rank_degree_zero,
+    transpose_partition,
+    wedge_to_weight,
+)
+from verlinde_gl.borel import (
+    GLXShape,
+    TupleWeight,
+    borel_translate,
+    check_permutation,
+    odd_reflect_pair,
+    w_dominance_leq,
+    w_integrable,
+)
+from verlinde_gl.errors import ContractError, ValidationError
+from verlinde_gl.serganova import check_blocks, odd_root_order
+from verlinde_gl.superweights import casimir_unsuper, dominance_leq, super_weight
+from verlinde_gl.translation import LoopVector, loop_e, loop_f, translate_projective
+
+
+def _tuple_weight(p, types, parts):
+    return TupleWeight(GLXShape(p, types), tuple(GLWeight(e, p) for e in parts))
+
+
+LOOP = LoopVector(5, (0,), 0, (1,), 0)
+ONE_PART = _tuple_weight(5, (1,), [(0,)])
+RANK_TWO_PART = _tuple_weight(5, (2,), [(0, 0)])
+NONCANONICAL = _tuple_weight(5, (2, 1), [(0, 0), (0,)])
+ZERO5 = super_weight(5, (0,), (0,))
+
+REFUSALS = [
+    ("is_admissible-rank", lambda: is_admissible((0,) * 5, 5, 5), ValidationError, "rank 5 out of range 1..4"),
+    ("GLWeight-inadmissible", lambda: GLWeight((5, 0), 5), ValidationError, "is not admissible for rank 2, p=5"),
+    ("WedgeVector-repeated", lambda: WedgeVector((1, 1), 0, 5), ValidationError, "wedge residues must be distinct"),
+    ("wedge_to_weight-size", lambda: wedge_to_weight(set(), 0, 5), ValidationError, "residue set size 0 out of"),
+    ("wedge_to_weight-range", lambda: wedge_to_weight({5}, 0, 5), ValidationError, "residues must lie in 0..4"),
+    ("det_power-rank", lambda: det_power(5, 5, 1), ValidationError, "rank 5 out of range 1..4"),
+    ("transpose_partition-negative", lambda: transpose_partition((2, -1)), ValidationError, "must be nonnegative"),
+    ("level_rank_degree_zero", lambda: level_rank_degree_zero(GLWeight((1, 0), 5)), ValidationError, "degree-zero"),
+    ("TupleWeight-count", lambda: _tuple_weight(5, (1, 2), [(0,)]), ValidationError, "expected 2 parts, got 1"),
+    ("TupleWeight-p", lambda: TupleWeight(ONE_PART.shape, (GLWeight((0,), 7),)), ValidationError, "characteristic"),
+    ("check_permutation", lambda: check_permutation((0, 0), 2), ValidationError, "is not a permutation of 0..1"),
+    ("w_dominance_leq-shapes", lambda: w_dominance_leq(ONE_PART, RANK_TWO_PART, (0,)), ValidationError, "a shape"),
+    ("w_integrable-canonical", lambda: w_integrable(NONCANONICAL, (0, 1)), ValidationError, "canonical arrangement"),
+    ("borel_translate-canonical", lambda: borel_translate(NONCANONICAL, (0, 1)), ValidationError, "canonical"),
+    ("odd_reflect_pair-p", lambda: odd_reflect_pair(GLWeight((0,), 5), GLWeight((0, 0), 7), "to_sigma"),
+     ValidationError, "must share the characteristic"),
+    ("check_blocks-empty", lambda: check_blocks([()], [(0,)]), ValidationError, "both blocks must be nonempty"),
+    ("odd_root_order-size", lambda: odd_root_order(0, 1), ValidationError, "block sizes must be positive"),
+    ("casimir_unsuper-mu", lambda: casimir_unsuper((5, 0), (0,), 5), ValidationError, "mu=(5, 0) not admissible"),
+    ("casimir_unsuper-pi", lambda: casimir_unsuper((0,), (5, 0), 5), ValidationError, "pi=(5, 0) not admissible"),
+    ("dominance_leq-shapes", lambda: dominance_leq(ZERO5, super_weight(5, (0, 0), (0,))), ValidationError, "shapes"),
+    ("translate_projective-killed", lambda: translate_projective("F", 0, super_weight(5, (1,), (1,))),
+     ContractError, "functor kills the diagram"),
+    ("LoopVector-repeated", lambda: LoopVector(5, (1, 1), 0, (), 0), ValidationError, "distinct within a factor"),
+    ("loop_f-residue", lambda: loop_f(5, LOOP), ValidationError, "residue 5 out of range 0..4"),
+    ("loop_e-residue", lambda: loop_e(-1, LOOP), ValidationError, "residue -1 out of range 0..4"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", [row[1:] for row in REFUSALS], ids=[row[0] for row in REFUSALS])
+def test_bad_input_is_refused(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and fragment in str(info.value)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -272,6 +273,26 @@ def test_suite_serganova_sweeps_the_shipped_walk(monkeypatch):
     monkeypatch.setattr(serganova, "column_step", wrong_order)
     result = suites.suite_serganova((5,))
     assert not result.ok and result.checked == 675617
+
+
+def test_serganova_walk_leaves_no_reference_cycles():
+    # A walk state whose column step keeps it holds its own row; the rows are
+    # cleared when the walk ends, also when a sweep stops pulling early as
+    # criterion 7's zip does, so nothing is left for the cyclic collector.
+    reps = residue_representatives(2, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        hats = serganova_hats(reps, reps, 5)
+        for _mu in reps:
+            for _pair in zip(reps, hats):
+                pass
+        del hats
+        assert gc.collect() == 0
+        serganova_hat((0, 0), (0, 0), 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_suite_serganova_steps_each_distinct_input_once_per_sweep(monkeypatch):
