@@ -124,8 +124,9 @@ def remove_box(lam: GLWeight, c: int) -> GLWeight | None:
     return _move_box(lam, c, -1)
 
 
-# tensor_with_V checks the whole weight once per row: rank 2,000 takes 0.24 s,
-# 3,000 takes 0.56 s and 4,000 takes 0.99 s; larger ranks are refused.
+# tensor_with_V checks the whole weight once per row; with distinct entries
+# every row takes a box: rank 2,000 takes 0.8 s, 3,000 1.8 s and 4,000 3.2 s
+# (0.2 / 0.5 / 0.8 s with equal entries).  Larger ranks are refused.
 TENSOR_WITH_V_MAX_RANK = 4_000
 
 

@@ -13,15 +13,17 @@ sweep shares:
 
 - codec (criteria 2, 3): the codec factorizes into block ladders and one
   assembly, so each block weight and each residue-set pair is checked once,
-  not once per pair it appears in; stage (d) runs the shipped encode and
-  decode once per weight.
+  not once per pair it appears in; one ladder per block weight drives both
+  its roundtrip and its form-route mask, and stage (c) runs the shipped
+  encode and decode once per weight.
 - equivariance (criterion 4): one encode and one loop vector per window
   weight, shared by all p residues; the two-term order is read off the
   terms the equivariance core already returned.
 - filtration (criterion 5): kac_diagrams once per distinct alpha, and the
   sweep's own p_set_diagrams images answer BGG's converse for window
   weights; each distinct alpha is decoded once.
-- projective-word (criterion 6): the replay and the p-set are compared as
+- projective-word (criterion 6): each weight is encoded once, for its
+  cross count and its p-set; the replay and the p-set are compared as
   diagram classes, so only the word's base is decoded.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   keeps the walk states along common nu prefixes; each block's mask and
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alcove import GLWeight, ladder_weight, level_rank_D, psi_data, weight_ladder
-from .borel import GLXShape, TupleWeight, borel_translate, check_permutation, conjugate_relabel, w_integrable
+from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel
 from .caps import (
     cap_diagram,
     hat,
@@ -61,7 +63,7 @@ from .caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from .diagrams import CROSS, WeightDiagram, assemble_symbols, decode, encode, symbol_residues
+from .diagrams import CROSS, WeightDiagram, assemble_symbols, decode, encode, render_ascii, symbol_residues
 from .enumeration import (
     SELFCHECK_MAX_P,
     admissible_tuples,
@@ -146,20 +148,18 @@ def suite_golden() -> SuiteResult:
     expect("psi weight p=7 n=3", lambda: psi_data(3, 7).psi_weight.entries, (3, -1, -1))
 
     fig = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
-    expect("figure diagram cut", lambda: encode(fig).symbols[3:] + encode(fig).symbols[:3], "o<ox>>x<oo>")
+    expect("figure diagram cut", lambda: render_ascii(encode(fig), 3), "o<ox>>x<oo> @3 t1^-3 t2^2")
     expect("figure label", lambda: (encode(fig).s, encode(fig).r), (3, 2))
     expect("figure decode", lambda: (decode(encode(fig)).mu, decode(encode(fig)).nu), (fig.mu, fig.nu))
     expect("caps", lambda: tuple(cap_diagram(encode(fig)).caps), ((9, 0), (6, 1)))
     expect("free circles", lambda: sorted(cap_diagram(encode(fig)).free_circles), [3, 5])
-    want_ps = set()
-    for syms3, s, r in (
-        ("o<ox>>x<oo>", 3, 2),
-        ("o<ox>>o<xo>", 4, 3),
-        ("o<oo>>x<ox>", 4, 3),
-        ("o<oo>>o<xx>", 5, 4),
-    ):
-        want_ps.add((syms3[-3:] + syms3[:-3], s, r))
-    expect("p-set diagrams", lambda: {(d.symbols, d.s, d.r) for d in map(encode, p_set(fig))}, want_ps)
+    want_ps = {
+        "o<ox>>x<oo> @3 t1^-3 t2^2",
+        "o<ox>>o<xo> @3 t1^-4 t2^3",
+        "o<oo>>x<ox> @3 t1^-4 t2^3",
+        "o<oo>>o<xx> @3 t1^-5 t2^4",
+    }
+    expect("p-set diagrams", lambda: {render_ascii(encode(alpha), 3) for alpha in p_set(fig)}, want_ps)
     expect("hat", lambda: (hat(fig).mu, hat(fig).nu), ((19, 19, 15, 15, 15), (-15, -15, -17, -22)))
     expect("hat label", lambda: (encode(hat(fig)).s, encode(hat(fig)).r), (5, 4))
     expect(
@@ -182,7 +182,7 @@ def _mask(residues) -> int:
     return out
 
 
-# Stage (d) of the codec suite runs encode and decode once per weight, about
+# Stage (c) of the codec suite runs encode and decode once per weight, about
 # 18 us each: the whole window at p = 5 and 7 (3,677 and 127,555 weights),
 # [-2, 2] at p = 11 (164,651 of the window's 87.4M) and [-1, 1] at p = 13.
 CODEC_DECODE_MAX_WEIGHTS = 200_000
@@ -198,40 +198,42 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     own (ladder_weight, then second_block).  So decode o encode = id on a
     window follows from its parts, which the suite verifies exhaustively:
 
-      (a) block roundtrips for every windowed block weight of every rank,
+      (a) one ladder per windowed block weight of every rank, as a first
+          block and as a second block of every shape: its roundtrip, and
+          the form-route atypicality mask against its residues,
       (b) assembly/extraction and cross counting over *all* residue-set
           pairs of every shape (a superset of what the window produces),
-      (c) the form-route atypicality count against the block ladders,
-      (d) decode(encode(lam)) == lam with the shipped encode and decode, on
+      (c) decode(encode(lam)) == lam with the shipped encode and decode, on
           the widest window [-k, k] inside the suite's whose weights number
           at most CODEC_DECODE_MAX_WEIGHTS.
 
-    The identity also gives injectivity of encode over the window, and (b)
-    with (c) gives the cross-count agreement of the two atypicality routes
+    The identity also gives injectivity of encode over the window, and (a)
+    with (b) gives the cross-count agreement of the two atypicality routes
     for every pair.
     """
     lo, hi = window if window is not None else default_window(p)
     res = SuiteResult(f"codec+atypicality suite p={p}")
     blocks = {rank: admissible_tuples(rank, p, lo, hi) for rank in range(1, p - 1)}
 
-    # Stage (a): block roundtrips, both as a first and as a second block.
-    # Rows keep (weight, residues); a second block's rows are keyed (m, rank).
-    mu_rows: dict[int, list[tuple]] = {rank: [] for rank in blocks}
-    for rank, weights in blocks.items():
+    # Stage (a): each ladder checks its block's roundtrip and its form-route
+    # mask, which shifts the residues by m, the rank of the first block; a
+    # first block of rank m is its own shift.
+    for m, weights in blocks.items():
         for w in weights:
-            res.checked += 1
+            res.checked += 2
             a, s = weight_ladder(w, p)
             if ladder_weight(a, s, p) != w:
                 res.fail(f"mu-block roundtrip failed at p={p}, {w}")
-            mu_rows[rank].append((w, a))
-    nu_rows: dict[tuple[int, int], list[tuple]] = {shape: [] for shape in super_shapes(p)}
-    for m, rank in nu_rows:
-        for w in blocks[rank]:
-            res.checked += 1
+            if sh_mu_mask(w, p) != _mask([(k + m) % p for k in a]):
+                res.fail(f"form-route mu mask mismatch at p={p}, {w}")
+    for m, n in super_shapes(p):
+        for w in blocks[n]:
+            res.checked += 2
             b, r = weight_ladder(second_block(w, m), p)
             if second_block(ladder_weight(b, r, p), m) != w:
                 res.fail(f"nu-block roundtrip failed at p={p}, m={m}, {w}")
-            nu_rows[(m, rank)].append((w, b))
+            if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
+                res.fail(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
 
     # Stage (b): assembly, extraction and cross count over all set pairs.
     for m, n in super_shapes(p):
@@ -243,21 +245,7 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
                 if symbol_residues(text) != (a, b) or text.count(CROSS) != (amask & bmask).bit_count():
                     res.fail(f"assembly failed at p={p}, masks {amask:b}/{bmask:b}")
 
-    # Stage (c): the form-route count uses masks shifted by m, the rank of
-    # the first block; equality with the ladder masks is checked per block,
-    # making the two atypicality routes agree pairwise.
-    for m in range(1, p - 1):
-        for w, a in mu_rows[m]:
-            res.checked += 1
-            if sh_mu_mask(w, p) != _mask([(k + m) % p for k in a]):
-                res.fail(f"form-route mu mask mismatch at p={p}, {w}")
-        for n in range(1, p - m):
-            for w, b in nu_rows[(m, n)]:
-                res.checked += 1
-                if sh_nu_mask(w, p) != _mask([(k + m) % p for k in b]):
-                    res.fail(f"form-route nu mask mismatch at p={p}, m={m}, {w}")
-
-    # Stage (d): the shipped codec end to end, one weight at a time, on the
+    # Stage (c): the shipped codec end to end, one weight at a time, on the
     # widest window [-k, k] inside the suite's that fits the budget.
     k = max(-lo, hi)
     while True:
@@ -381,19 +369,21 @@ def suite_projective_word(
 ) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
-    The replay and the p-set are compared as diagram classes, each p-set
-    diagram with multiplicity 1; only projective_word decodes, once per
-    weight, for its base.
+    Each weight is encoded once; its cross count is its atypicality
+    (criterion 3).  The replay and the p-set are compared as diagram
+    classes, each p-set diagram with multiplicity 1; only projective_word
+    decodes, once per weight, for its base.
     """
     res = SuiteResult(f"projective-word suite p={p}")
     for lam in window_weights(p, window):
-        if atypicality(lam) > max_atypicality:
+        d = encode(lam)
+        if d.cross_count > max_atypicality:
             continue
         res.checked += 1
         base, word = projective_word(lam)
         if not is_typical(base):
             res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_diagrams(encode(base), word) != dict.fromkeys(p_set_diagrams(encode(lam)), 1):
+        elif replay_diagrams(encode(base), word) != dict.fromkeys(p_set_diagrams(d), 1):
             res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 
@@ -449,18 +439,19 @@ def _random_admissible(rank: int, p: int, rng: random.Random) -> GLWeight:
     return GLWeight(tuple(entries), p)
 
 
-def _random_tuple_weight(
-    shape: GLXShape, w: tuple[int, ...], rng: random.Random
-) -> TupleWeight:
-    """Random parts arranged to make the weight w-integrable."""
-    parts = [_random_admissible(t, shape.p, rng) for t in shape.types]
+def _random_probe(p: int, types: tuple[int, ...], rng: random.Random) -> tuple[TupleWeight, tuple[int, ...]]:
+    """A random block permutation w and random parts arranged to make the weight w-integrable."""
+    shape = GLXShape(p, types)
+    w = list(range(shape.k))
+    rng.shuffle(w)
+    parts = [_random_admissible(t, p, rng) for t in types]
     arranged = list(parts)
     for block in shape.blocks():
         members = sorted(block, key=lambda i: w[i])
         block_parts = sorted((parts[i] for i in block), key=lambda g: -g.degree)
         for i, part in zip(members, block_parts):
             arranged[i] = part
-    return TupleWeight(shape, tuple(arranged))
+    return TupleWeight(shape, tuple(arranged)), tuple(w)
 
 
 def suite_odd_reflection(p: int = 5, window: tuple[int, int] | None = None, trials: int = 1000) -> SuiteResult:
@@ -473,24 +464,13 @@ def suite_odd_reflection(p: int = 5, window: tuple[int, int] | None = None, tria
     rng = random.Random(2024)
     for _ in range(trials):
         k = rng.randint(2, 4)
-        base_type = rng.randint(1, p - 1)
-        shape = GLXShape(p, (base_type,) * k)
-        w = list(range(k))
-        rng.shuffle(w)
-        w = check_permutation(tuple(w), k)
-        lam = _random_tuple_weight(shape, w, rng)
+        lam, w = _random_probe(p, (rng.randint(1, p - 1),) * k, rng)
         res.checked += 1
         if borel_translate(lam, w) != conjugate_relabel(lam, w):
-            res.fail(f"W0 mismatch for types {shape.types}, w={w}")
+            res.fail(f"W0 mismatch for types {lam.shape.types}, w={w}")
     for _ in range(trials // 4):
         types = tuple(sorted(rng.randint(1, p - 1) for _ in range(rng.randint(2, 4))))
-        shape = GLXShape(p, types)
-        w = list(range(shape.k))
-        rng.shuffle(w)
-        w = tuple(w)
-        lam = _random_tuple_weight(shape, w, rng)
-        if not w_integrable(lam, w):
-            continue
+        lam, w = _random_probe(p, types, rng)
         res.checked += 1
         left = borel_translate(lam, w)
         right = borel_translate(lam, w, rightmost_first=True)

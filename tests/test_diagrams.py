@@ -251,10 +251,13 @@ def test_from_json_accepts_integral_fields():
 
 def test_codec_suite_catches_an_unreversed_second_block(monkeypatch):
     # Still an involution, but the ladder of a block with distinct entries
-    # no longer decreases, so its roundtrip must fail.
+    # no longer decreases, so its roundtrip must fail; (1, 0) still
+    # roundtrips, but its residues disagree with the form-route mask.
     monkeypatch.setattr(suites, "second_block", lambda nu, m: tuple(len(nu) - m - y for y in nu))
     result = suites.suite_codec(5, (-1, 1))
-    assert not result.ok and result.details.startswith("nu-block roundtrip failed")
+    assert not result.ok and result.details.startswith(
+        "form-route nu mask mismatch at p=5, m=1, (1, 0); nu-block roundtrip failed at p=5, m=1, (1, -1)"
+    )
 
 
 def test_codec_suite_catches_a_shifted_residue(monkeypatch):

@@ -1,0 +1,63 @@
+"""Every suite failure path fails once: one broken library name per row."""
+
+import pytest
+
+from verlinde_gl import suites
+from verlinde_gl.superweights import Casimir
+
+
+def _golden():
+    return suites.suite_golden()
+
+
+def _filtration():
+    return suites.suite_filtration(5, (-1, 1))
+
+
+def _projective_word():
+    return suites.suite_projective_word(5, 2, (-1, 1))
+
+
+def _serganova():
+    return suites.suite_serganova((5,))
+
+
+def _odd_reflection():
+    return suites.suite_odd_reflection(5, (-1, 1), trials=20)
+
+
+def _fixed_left(real):
+    def translate(lam, w, *, rightmost_first=False):
+        return lam if rightmost_first else real(lam, w)
+
+    return translate
+
+
+ROWS = [
+    ("fuse_simples", lambda real: lambda i, j, p: [0], _golden, "fusion L3*L3 at p=5: got [0], want [1, 3]"),
+    ("dominance_leq", lambda real: lambda alpha, lam: False, _filtration, "dominance fails"),
+    (
+        "casimir_scalar",
+        lambda real: lambda lam: Casimir(real(lam).value, sum(lam.mu)),
+        _filtration,
+        "linkage fails",
+    ),
+    # Strictness compares sum(alpha.mu) with sum(lam.mu); a zero sum ties them.
+    ("sum", lambda real: lambda values: 0, _filtration, "strictness fails"),
+    ("kac_diagrams", lambda real: lambda d: set(), _filtration, "BGG inversion misses"),
+    ("is_typical", lambda real: lambda lam: False, _projective_word, "base not typical"),
+    ("replay_diagrams", lambda real: lambda d, word: {}, _projective_word, "replay mismatch"),
+    ("check_oddroot_lemma", lambda real: lambda m, n: False, _serganova, "odd-root lemma fails"),
+    ("sh_nonzero", lambda real: lambda mu, nu, p: not real(mu, nu, p), _serganova, "typicality transfer fails"),
+    ("standard_to_sigma", lambda real: suites.hat, _odd_reflection, "sigma roundtrip fails"),
+    ("conjugate_relabel", lambda real: lambda lam, w: None, _odd_reflection, "W0 mismatch"),
+    ("borel_translate", _fixed_left, _odd_reflection, "factorization discrepancy"),
+]
+
+
+@pytest.mark.parametrize("name, broken, run, message", ROWS, ids=[row[0] for row in ROWS])
+def test_suite_failure_path_fails(monkeypatch, name, broken, run, message):
+    real = getattr(suites, name, None)
+    monkeypatch.setattr(suites, name, broken(real), raising=False)
+    result = run()
+    assert not result.ok and message in result.details
