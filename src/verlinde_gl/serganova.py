@@ -14,13 +14,12 @@ sees the running mu and the original nu_j alone.  One column step
 (mu_state, nu_j) -> (mu_state', nu_j') therefore carries the whole walk:
 the state after column j depends only on (mu, nu_1, .., nu_j), and the
 hat is a left fold of the column step over nu.  serganova_hats is that
-fold, the only one: it walks many pairs, shares the state between all nu
-with a common prefix, and keeps one row of column steps per walk state in
-a dict local to the call, so one sweep steps each distinct (state, nu_j)
-once however many pairs reach it, and clears the rows when the walk ends;
-serganova_hat is its one-pair case.  The root-by-root walk in an arbitrary
-linear extension, which gives the same terminal weight, is the reference
-oracle of tests/test_serganova.py.
+fold, the only one: it walks many pairs and keeps one row of column steps
+per walk state in a dict local to the call, so one sweep steps each
+distinct (state, nu_j) once however many pairs reach it, and clears the
+rows when the walk ends; serganova_hat is its one-pair case.  The
+root-by-root walk in an arbitrary linear extension, which gives the same
+terminal weight, is the reference oracle of tests/test_serganova.py.
 
 The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
 = (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
@@ -39,13 +38,16 @@ OddRoot = tuple[int, int]  # (i, j), both 1-indexed
 
 
 def check_blocks(mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]]) -> None:
-    """Validate blocks: every mu in mus and nu in nus nonempty and nonincreasing."""
+    """Validate blocks: each nonempty and nonincreasing, and every nu in nus of one length."""
     if not all(mus) or not all(nus):
         raise ValidationError("both blocks must be nonempty")
     for name, blocks in (("mu", mus), ("nu", nus)):
         for block in blocks:
             if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
                 raise ValidationError(f"{name}={block} is not nonincreasing")
+    for nu in nus:
+        if len(nu) != len(nus[0]):
+            raise ValidationError(f"every nu must have length {len(nus[0])}, got nu={nu}")
 
 
 def odd_root_order(m: int, n: int) -> tuple[OddRoot, ...]:
@@ -99,8 +101,8 @@ def column_step(state: tuple[int, ...], y: int, p: int) -> tuple[tuple[int, ...]
 
 
 # A pair walks m*n odd roots, one column step per distinct (state, nu_j).
-# With distinct nu entries, m = n = 1,000 takes 0.19 s, 2,000 takes 0.78 s
-# and 3,000 takes 1.84 s; pairs of more than this many roots are refused.
+# With distinct nu entries, m = n = 1,000 takes 0.12 s, 2,000 takes 0.50 s
+# and 3,000 takes 1.15 s; pairs of more than this many roots are refused.
 SERGANOVA_HAT_MAX_ROOTS = 4_000_000
 
 
@@ -109,48 +111,35 @@ def serganova_hats(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield serganova_hat(mu, nu, p) for every mu in mus and nu in nus, mu outer.
 
-    The hat is column_step folded over nu, so the walk states of the prefix
-    a nu shares with the nu before it are kept and only the later columns
-    are stepped.  rows, a dict local to this call, maps each walk state to
-    its row {nu_j: (next state, next state's row, terminal nu_j)}, so a sweep
-    runs column_step once per distinct (state, nu_j) it meets and a repeated
-    step is one row lookup.  p and every block are validated once, and the
-    nus must share one length.  A mu whose pairs have more than
-    SERGANOVA_HAT_MAX_ROOTS odd roots raises ValidationError before its walk.
+    The hat is column_step folded over nu.  rows, a dict local to this call,
+    maps each walk state to its row {nu_j: (next state, next state's row,
+    terminal nu_j)}, and each nu walks from its mu's row with one row lookup
+    per column, so a sweep runs column_step once per distinct (state, nu_j)
+    it meets.  p and every block are validated once, and the nus must share
+    one length.  A mu whose pairs have more than SERGANOVA_HAT_MAX_ROOTS odd
+    roots raises ValidationError before its walk.
     """
     check_prime(p)
     check_blocks(mus, nus)
     n = len(nus[0]) if nus else 0
-    starts = [0] * len(nus)  # starts[k]: the first column nus[k] does not share with nus[k - 1]
-    for k in range(1, len(nus)):
-        prev, nu = nus[k - 1], nus[k]
-        if len(nu) != n:
-            raise ValidationError(f"every nu must have length {n}, got nu={nu}")
-        shared = 0
-        while shared < n - 1 and nu[shared] == prev[shared]:
-            shared += 1
-        starts[k] = shared
     rows: dict[tuple[int, ...], dict[int, tuple]] = {}
-    at: list = [None] * (n + 1)  # at[j]: (state, its row, terminal nu_1..nu_j) after j columns of the current nu
     try:
         for mu in mus:
             mu = tuple(mu)
             if len(mu) * n > SERGANOVA_HAT_MAX_ROOTS:
                 limit = SERGANOVA_HAT_MAX_ROOTS
                 raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
-            at[0] = mu, rows.setdefault(mu, {}), ()
-            for nu, start in zip(nus, starts):
-                state, row, hat_nu = at[start]
-                for j in range(start, n):
-                    y = nu[j]
+            mu_row = rows.setdefault(mu, {})
+            for nu in nus:
+                state, row, hat_nu = mu, mu_row, []
+                for y in nu:
                     step = row.get(y)
                     if step is None:
                         nxt, y_out = column_step(state, y, p)
                         step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
                     state, row, y_out = step
-                    hat_nu += (y_out,)
-                    at[j + 1] = state, row, hat_nu
-                yield state, hat_nu
+                    hat_nu.append(y_out)
+                yield state, tuple(hat_nu)
     finally:  # a state whose column step keeps it holds its own row: break those cycles
         for row in rows.values():
             row.clear()

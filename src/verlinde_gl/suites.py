@@ -26,8 +26,8 @@ sweep shares:
   cross count and its p-set; the replay and the p-set are compared as
   diagram classes, so only the word's base is decoded.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
-  keeps the walk states along common nu prefixes; each block's mask and
-  block of mu - sum_odd_roots are built once per stage.
+  steps each distinct (walk state, nu_j) once per sweep; each block's mask
+  and block of mu - sum_odd_roots are built once per stage.
 - kac-moody (criterion 9): one encode and one translation table per window
   weight: the 2p single steps once, then each ordered composition x(y d)
   once, shared by every relation that reads it.  Like every diagram the

@@ -1,11 +1,16 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from verlinde_gl import borel
 from verlinde_gl.alcove import GLWeight
 from verlinde_gl.borel import (
     GLXShape,
     TupleWeight,
+    _inverse,
+    _swap_adjacent,
     borel_translate,
     conjugate_relabel,
     is_w_dominant,
@@ -195,3 +200,73 @@ def test_swap_adjacent_is_an_involution(types):
                 assert [i for i, _ in entries] == [i for i, _ in reversed(start)]
                 _swap_adjacent(entries, 0, shape)
                 assert entries == start
+
+
+def _rescan_translate(lam, w, rightmost_first):
+    """Reference: rescan every summand after each swap and take the leftmost (or rightmost) inversion."""
+    if not w_integrable(lam, w):
+        raise ContractError("weight is not w-integrable")
+    inv = _inverse(w)
+    entries = [(inv[q], lam.parts[inv[q]]) for q in range(lam.shape.k)]
+    while True:
+        inversions = [q for q in range(lam.shape.k - 1) if entries[q][0] > entries[q + 1][0]]
+        if not inversions:
+            return TupleWeight(lam.shape, tuple(part for _, part in entries))
+        borel._swap_adjacent(entries, inversions[-1] if rightmost_first else inversions[0], lam.shape)
+
+
+def _outcome(translate, lam, w, rightmost_first):
+    try:
+        return translate(lam, w, rightmost_first=rightmost_first)
+    except (ContractError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def borel_probes(draw):
+    """A canonical shape of up to 6 summands at p <= 13, admissible parts and a permutation w.
+
+    Half the draws arrange each isotypic block's parts by w, so the weight is
+    w-integrable; the others keep the drawn order and may be refused.
+    """
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    types = tuple(sorted(draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=6))))
+    parts = []
+    for t in types:
+        entries = [draw(st.integers(-p, p))]
+        for _ in range(t - 1):
+            entries.append(draw(st.integers(max(entries[-1] - 2, entries[0] - (p - t)), entries[-1])))
+        parts.append(GLWeight(tuple(entries), p))
+    w = tuple(draw(st.permutations(range(len(types)))))
+    if draw(st.booleans()):
+        for block in GLXShape(p, types).blocks():
+            by_degree = sorted((parts[i] for i in block), key=lambda g: -g.degree)
+            for i, part in zip(sorted(block, key=lambda i: w[i]), by_degree):
+                parts[i] = part
+    return TupleWeight(GLXShape(p, types), tuple(parts)), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(borel_probes())
+def test_borel_translate_matches_the_rescan_loop(probe):
+    # Insertion sort from either end makes the rescan loop's swaps in its
+    # order, one _swap_adjacent call per inversion of w, with equal outcomes.
+    lam, w = probe
+    inversions = sum(w[a] > w[b] for a, b in combinations(range(len(w)), 2))
+    calls = []
+
+    def recording_swap(entries, q, shape):
+        calls.append(q)
+        _swap_adjacent(entries, q, shape)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(borel, "_swap_adjacent", recording_swap)
+        for rightmost_first in (False, True):
+            want = _outcome(_rescan_translate, lam, w, rightmost_first)
+            want_swaps = calls[:]
+            calls.clear()
+            assert _outcome(borel_translate, lam, w, rightmost_first) == want
+            assert calls == want_swaps
+            if isinstance(want, TupleWeight):
+                assert len(calls) == inversions
+            calls.clear()

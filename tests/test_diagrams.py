@@ -309,7 +309,7 @@ def test_codec_suite_runs_the_shipped_decode(monkeypatch):
 
 
 def test_codec_suite_counts_one_decode_per_window_weight():
-    # Stage (d) adds exactly the window weights to the block and assembly stages.
+    # Stage (c) adds exactly the window weights to the block and assembly stages.
     weights = sum(1 for _ in window_weights(5))
     assert weights == 3677
     assert suites.suite_codec(5).checked == 873 + weights

@@ -216,6 +216,9 @@ def test_serganova_hats_edge_inputs():
     assert list(serganova_hats([], [], 5)) == []
     with pytest.raises(ValidationError, match="every nu must have length 2"):
         list(serganova_hats([(0,)], [(1, 0), (1,)], 5))
+    hats = serganova_hats([(0,)], [(1, 0), (0, 0), (2, 1), (1,)], 5)
+    with pytest.raises(ValidationError, match=r"every nu must have length 2, got nu=\(1,\)"):
+        next(hats)
     with pytest.raises(ValidationError, match="not nonincreasing"):
         list(serganova_hats([(0,)], [(1, 0), (0, 1)], 5))
     with pytest.raises(ValidationError, match="p must be prime"):
