@@ -9,7 +9,10 @@ Modules:
     caps          cap diagrams, projective filtrations, lowest weights
     serganova     the classical-root-subtraction algorithm
     borel         tuple weights and Borel relabeling via odd reflections
-    cli           command-line surface and batch self-checks
+    enumeration   weight windows: admissible tuples, super shapes, window weights
+    suites        batch self-check suites behind selfcheck and the acceptance gate
+    errors        ValidationError (malformed input) and ContractError
+    cli           command-line surface; selfcheck runs the suites
 """
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import sub
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .fusion import check_prime
@@ -48,20 +49,23 @@ def is_admissible(entries: tuple[int, ...] | list[int], n: int, p: int) -> bool:
     return entries[0] - entries[-1] <= p - n
 
 
-@dataclass(frozen=True)
-class GLWeight:
-    """An admissible highest weight for GL_n in characteristic p."""
+class GLWeight(NamedTuple("GLWeight", [("entries", tuple[int, ...]), ("p", int)])):
+    """An admissible highest weight for GL_n in characteristic p.
 
-    entries: tuple[int, ...]
-    p: int
+    A tuple: it equals, hashes and iterates as (entries, p).  Pickle and copy
+    rebuild it through __new__; namedtuple's _make and _replace skip it.
+    """
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not is_admissible(self.entries, len(self.entries), self.p):
-            raise ValidationError(
-                f"{self.entries} is not admissible for rank {len(self.entries)}, p={self.p}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[int, ...], p: int) -> GLWeight:
+        check_prime(p)
+        entries = tuple(entries)
+        if not all(type(x) is int for x in entries):
+            raise ValidationError(f"{entries} must have integer entries")
+        if not is_admissible(entries, len(entries), p):
+            raise ValidationError(f"{entries} is not admissible for rank {len(entries)}, p={p}")
+        return tuple.__new__(cls, (entries, p))
 
     @property
     def n(self) -> int:

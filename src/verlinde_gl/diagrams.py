@@ -18,26 +18,25 @@ symbol_residues, inverts each block with alcove.ladder_weight and maps the
 second one back with superweights.second_block.  These two helpers are the
 only place symbols and residue sets are converted.
 
-Diagrams are validated once, at the boundary: the public WeightDiagram
-constructor checks p, that its symbols are a string of known symbols,
-both block counts and that s and r are integers, and from_json and the
-CLI build through it.  Every diagram the library derives from a valid
-diagram or super weight is built with _trusted, which skips the checks:
-encode (a valid super weight fixes them), permute (a bijection of the
-vertices), the cap slides of caps and the translation functors' table
-edits, which all keep p, the length and both block counts.  In the other
-direction decode builds its weight with superweights._trusted_weight: the
-ladder of a valid diagram inverts to an admissible weight, so only the
-shape is checked.  The cap calculus works on diagrams end to end
-(caps.p_set_diagrams, kac_diagrams, replay_diagrams), and a weight is
-decoded only where a caller asks for one.
+Diagrams are validated once, at the boundary.  A WeightDiagram is an
+immutable tuple (p, symbols, s, r): its constructor checks p, that its
+symbols are a string of known symbols, both block counts and that s and r
+are integers, and from_json and the CLI build through it.  Every diagram
+the library derives from a valid diagram or super weight is one
+tuple.__new__ in _trusted, which skips the checks: encode (a valid super
+weight fixes them), permute (a bijection of the vertices), the cap slides
+of caps and the translation functors' table edits, which all keep p, the
+length and both block counts.  In the other direction decode builds its
+weight with superweights._trusted_weight: the ladder of a valid diagram
+inverts to an admissible weight, so only the shape is checked.  The cap
+calculus works on diagrams end to end (caps.p_set_diagrams, kac_diagrams,
+replay_diagrams), and a weight is decoded only where a caller asks for one.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alcove import ladder_weight
@@ -51,31 +50,32 @@ _FIRST_BLOCK = RIGHT + CROSS
 _SECOND_BLOCK = LEFT + CROSS
 
 
-@dataclass(frozen=True)
-class WeightDiagram:
-    """Symbols at vertices 0..p-1 plus the label exponents (s, r)."""
+class WeightDiagram(NamedTuple("WeightDiagram", [("p", int), ("symbols", str), ("s", int), ("r", int)])):
+    """Symbols at vertices 0..p-1 plus the label exponents (s, r).
 
-    p: int
-    symbols: str
-    s: int
-    r: int
+    A tuple: it equals, hashes and iterates as (p, symbols, s, r).  Pickle and
+    copy rebuild it through __new__; namedtuple's _make and _replace skip it.
+    """
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        for name in ("s", "r"):
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, p: int, symbols: str, s: int, r: int) -> WeightDiagram:
+        d = tuple.__new__(cls, (p, symbols, s, r))
+        check_prime(p)
+        for name, value in (("s", s), ("r", r)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.symbols, str):
-            raise ValidationError(f"symbols must be a string, got {self.symbols!r}")
-        if len(self.symbols) != self.p:
-            raise ValidationError(f"need {self.p} symbols, got {len(self.symbols)}")
-        unknown = set(self.symbols) - _SYMBOLS
+        if not isinstance(symbols, str):
+            raise ValidationError(f"symbols must be a string, got {symbols!r}")
+        if len(symbols) != p:
+            raise ValidationError(f"need {p} symbols, got {len(symbols)}")
+        unknown = set(symbols) - _SYMBOLS
         if unknown:
             raise ValidationError(f"unknown symbols {sorted(unknown)}")
-        m, n = self.m, self.n
-        if m < 1 or n < 1 or m + n >= self.p:
-            raise ValidationError(f"symbol counts m={m}, n={n} invalid for p={self.p}")
+        m, n = d.m, d.n
+        if m < 1 or n < 1 or m + n >= p:
+            raise ValidationError(f"symbol counts m={m}, n={n} invalid for p={p}")
+        return d
 
     @property
     def m(self) -> int:
@@ -95,19 +95,10 @@ class WeightDiagram:
 
 
 def _trusted(p: int, symbols: str, s: int, r: int) -> WeightDiagram:
-    """A WeightDiagram built without __post_init__.
-
-    Only for diagrams the library derives from a valid diagram or super
-    weight, with p, the length and both block counts kept valid.  The
-    fields are set one by one in declaration order, as the generated
-    __init__ does, so every diagram keeps the class's shared-key __dict__.
-    """
-    d = object.__new__(WeightDiagram)
-    object.__setattr__(d, "p", p)
-    object.__setattr__(d, "symbols", symbols)
-    object.__setattr__(d, "s", s)
-    object.__setattr__(d, "r", r)
-    return d
+    """A WeightDiagram without its checks, for diagrams the library derives
+    from a valid diagram or super weight, keeping p, the length and both
+    block counts valid."""
+    return tuple.__new__(WeightDiagram, (p, symbols, s, r))
 
 
 class CutDiagram(NamedTuple):

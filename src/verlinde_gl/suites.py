@@ -37,9 +37,10 @@ sweep shares:
 Criteria 4, 5 and 6 share the diagram space of caps and translation: they
 compare diagrams, or (symbols, s, r) keys for criterion 4's loop witness,
 which builds no diagram, and decode a weight only for a check that reads
-one or for a failure message.  Weights are validated at the boundary (see
-superweights): window and decoded weights skip SuperWeight's checks, as
-encoded and derived diagrams skip WeightDiagram's.
+one or for a failure message.  Labels are tuples, validated at the boundary
+(see diagrams, superweights): window and decoded weights are one
+tuple.__new__ each, skipping SuperWeight's checks, as encoded and derived
+diagrams skip WeightDiagram's; a label compares as the tuple of its fields.
 """
 
 from __future__ import annotations

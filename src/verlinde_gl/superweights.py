@@ -13,14 +13,16 @@ weight of the same rank.  So both blocks go through the one residue ladder
 alcove.weight_ladder / alcove.ladder_weight, and second_block, an
 involution, is the only code that writes the second block's offset.
 
-Super weights are validated once, at the boundary, as diagrams are: the
-public SuperWeight constructor checks both blocks for admissibility, and
+Super weights are validated once, at the boundary, as diagrams are.  A
+SuperWeight is an immutable tuple (shape, mu, nu): its constructor checks
+that both blocks have integer entries and are admissible, and
 super_weight, the CLI and every label the library computes from raw
 coordinates (dual_simple_label, standard_to_sigma) build through it.  The
 two producers whose weights are admissible by construction build with
-_trusted_weight, which skips the checks: diagrams.decode (ladder_weight
-inverts the ladder of an admissible weight) and enumeration.window_weights
-(admissible_tuples yields only admissible tuples).
+_trusted_weight, one tuple.__new__ that skips the checks: diagrams.decode
+(ladder_weight inverts the ladder of an admissible weight) and
+enumeration.window_weights (admissible_tuples yields only admissible
+tuples).
 """
 
 from __future__ import annotations
@@ -52,22 +54,23 @@ class SuperShape:
             )
 
 
-@dataclass(frozen=True)
-class SuperWeight:
-    """A pair (mu | nu) of admissible weights labeling a simple/Kac/projective."""
+class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple[int, ...]), ("nu", tuple[int, ...])])):
+    """A pair (mu | nu) of admissible weights labeling a simple/Kac/projective.
 
-    shape: SuperShape
-    mu: tuple[int, ...]
-    nu: tuple[int, ...]
+    A tuple: it equals, hashes and iterates as (shape, mu, nu).  Pickle and
+    copy rebuild it through __new__; namedtuple's _make and _replace skip it.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(self.mu))
-        object.__setattr__(self, "nu", tuple(self.nu))
-        sh = self.shape
-        if not is_admissible(self.mu, sh.m, sh.p):
-            raise ValidationError(f"mu={self.mu} not admissible for rank {sh.m}, p={sh.p}")
-        if not is_admissible(self.nu, sh.n, sh.p):
-            raise ValidationError(f"nu={self.nu} not admissible for rank {sh.n}, p={sh.p}")
+    __slots__ = ()
+
+    def __new__(cls, shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
+        mu, nu = tuple(mu), tuple(nu)
+        for name, block, rank in (("mu", mu, shape.m), ("nu", nu, shape.n)):
+            if not all(type(x) is int for x in block):
+                raise ValidationError(f"{name}={block} must have integer entries")
+            if not is_admissible(block, rank, shape.p):
+                raise ValidationError(f"{name}={block} not admissible for rank {rank}, p={shape.p}")
+        return tuple.__new__(cls, (shape, mu, nu))
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -79,17 +82,10 @@ class SuperWeight:
 
 
 def _trusted_weight(shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
-    """A SuperWeight built without __post_init__.
-
-    Only for weights admissible by construction, with mu and nu already
-    tuples of ints of the shape's ranks: decode and window_weights.  The
-    fields are set in declaration order, as diagrams._trusted does.
-    """
-    lam = object.__new__(SuperWeight)
-    object.__setattr__(lam, "shape", shape)
-    object.__setattr__(lam, "mu", mu)
-    object.__setattr__(lam, "nu", nu)
-    return lam
+    """A SuperWeight without its checks, for weights admissible by construction
+    whose mu and nu are already tuples of ints of the shape's ranks: decode
+    and window_weights."""
+    return tuple.__new__(SuperWeight, (shape, mu, nu))
 
 
 def super_weight(p: int, mu: tuple[int, ...] | list[int], nu: tuple[int, ...] | list[int]) -> SuperWeight:

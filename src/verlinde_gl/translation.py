@@ -21,11 +21,11 @@ it by one, and E moving '>' lowers it by one while E moving '<' keeps it.
 suite_equivariance checks this order on every two-term output.
 
 Validation happens at the boundary: apply_functor checks kind and residue,
-then builds its outputs with diagrams._trusted, skipping WeightDiagram's
-checks, because every table row keeps p, the length and both block counts
-of a valid diagram.  translation(d, compositions) composes two generators
-on one diagram, sharing the single steps, and keys each class by its
-diagram, as act_on_sum does; commutator and criterion 9 both read it.
+then builds each output as one tuple.__new__ in diagrams._trusted, since
+every table row keeps p, the length and both block counts of a valid
+diagram.  translation(d, compositions) composes two generators on one
+diagram, sharing the single steps, and keys each class by its diagram, a
+tuple, as act_on_sum does; commutator and criterion 9 both read it.
 
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both

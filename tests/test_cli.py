@@ -409,6 +409,31 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
+    # WeightDiagram and SuperWeight are tuples checked in their __new__; a
+    # derived label is one tuple.__new__ in _trusted or _trusted_weight, and
+    # nothing sets fields on a half-built object.
+    forced, trusted = [], []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.split('.')[0]}.{node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            owner, attr = node.func.value.id, node.func.attr
+            if owner == "object" and attr in ("__setattr__", "__new__"):
+                forced.append(f"{where}: object.{attr}")
+            first = node.args[0] if node.args else None
+            if owner == "tuple" and attr == "__new__" and isinstance(first, ast.Name) and first.id in ("WeightDiagram", "SuperWeight"):
+                trusted.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert forced == []
+    assert trusted == ["diagrams._trusted", "superweights._trusted_weight"]
+
+
 def test_column_step_is_used_only_by_the_batch_walk():
     # The Serganova hat is one fold of column_step, in serganova_hats; every
     # other walk in the package, the suites' included, goes through it.

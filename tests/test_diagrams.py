@@ -1,6 +1,5 @@
 import json
-import sys
-from dataclasses import dataclass
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from verlinde_gl.diagrams import (
 )
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
-from verlinde_gl.superweights import SuperShape, SuperWeight, residue_data, super_weight
+from verlinde_gl.superweights import SuperShape, SuperWeight, _trusted_weight, residue_data, super_weight
 
 FIG = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
 
@@ -207,40 +206,28 @@ def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
         build()
 
 
-@dataclass(frozen=True)
-class _FourFields:
-    """A fresh class with WeightDiagram's fields: the size a plain instance has."""
-
-    p: int
-    symbols: str
-    s: int
-    r: int
-
-
-def _dict_bytes(diagrams):
-    """Instance-dict size of each diagram, and whether each dict shares its class's keys.
-
-    A dict that shares its keys with the class does not count them, so it
-    is smaller than a copy of itself, which owns its keys.
-    """
-    sizes = [sys.getsizeof(vars(d)) for d in diagrams]
-    shared = [size < sys.getsizeof(dict(vars(d))) for size, d in zip(sizes, diagrams)]
-    return sizes, shared
-
-
-def test_trusted_diagram_allocates_no_more_than_a_constructed_one():
-    # One diagram with an unshared __dict__ can turn off key sharing for
-    # every later WeightDiagram, so both builders are held to a fresh class
-    # too.  A shared-key dict is sized by its class's keys, which shrink a
-    # little with each new instance until about the 30th; sizes are read
-    # after 64 of each are built, so every class has reached that floor.
-    args = [(5, "x<>oo", s, s + 1) for s in range(64)]
-    built = {build: [build(*a) for a in args] for build in (_trusted, WeightDiagram, _FourFields)}
-    (trusted, trusted_shared), (constructed, constructed_shared), (plain, plain_shared) = map(
-        _dict_bytes, built.values()
-    )
-    assert all(trusted_shared) and all(constructed_shared) and all(plain_shared)
-    assert max(trusted) <= min(constructed) and max(constructed) <= min(plain)
+@pytest.mark.parametrize(
+    "build, trusted, fields, bad",
+    [
+        (WeightDiagram, _trusted, (5, "x<>oo", 1, -2), (5, "x<>o?", 1, -2)),
+        (SuperWeight, _trusted_weight, (SuperShape(2, 1, 5), (1, 0), (0,)), (SuperShape(2, 1, 5), (0, 1), (0,))),
+    ],
+    ids=["diagram", "super-weight"],
+)
+def test_trusted_label_is_the_constructed_tuple(build, trusted, fields, bad):
+    constructed, derived = build(*fields), trusted(*fields)
+    assert derived == constructed and hash(derived) == hash(constructed)
+    assert type(derived) is type(constructed) is build
+    for label in (constructed, derived):
+        assert not hasattr(label, "__dict__")
+        for name in (label._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(label, name, 7)
+        assert pickle.loads(pickle.dumps(label)) == label
+    # Unpickling calls the checking constructor, so a label that would
+    # fail its checks does not come back.
+    with pytest.raises(ValidationError):
+        pickle.loads(pickle.dumps(trusted(*bad)))
 
 
 def test_from_json_accepts_integral_fields():

@@ -38,6 +38,23 @@ def test_shape_validation():
         super_weight(5, (0, 1), (0,))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GLWeight((0.5,), 5),
+        lambda: GLWeight(("a",), 5),
+        lambda: GLWeight((True, 0), 5),
+        lambda: super_weight(5, (True,), (0,)),
+        lambda: super_weight(5, (0,), (1.0,)),
+        lambda: encode(super_weight(5, (0.5,), (0,))),
+    ],
+    ids=["gl-float", "gl-str", "gl-bool", "super-bool", "super-float-nu", "encode-float"],
+)
+def test_weight_constructors_refuse_non_integer_entries(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_rho2():
     assert rho2(SuperShape(1, 1, 5)) == (-1, 1)
     assert rho2(SuperShape(5, 4, 11)) == (0, -2, -4, -6, -8, 8, 6, 4, 2)

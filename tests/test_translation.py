@@ -306,14 +306,14 @@ def test_equivariance_suite_builds_no_diagram_through_the_constructor(monkeypatc
     # The loop witness is compared as (symbols, s, r) keys, and every diagram
     # of the diagram side is derived, so the public constructor never runs.
     calls = 0
-    real = WeightDiagram.__post_init__
+    real = WeightDiagram.__new__
 
-    def counted(self):
+    def counted(cls, *fields):
         nonlocal calls
         calls += 1
-        real(self)
+        return real(cls, *fields)
 
-    monkeypatch.setattr(WeightDiagram, "__post_init__", counted)
+    monkeypatch.setattr(WeightDiagram, "__new__", counted)
     result = suite_equivariance(5)
     assert result.ok and result.checked == 18385
     assert calls == 0
