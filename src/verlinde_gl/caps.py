@@ -22,8 +22,12 @@ clockwise slide; kac_diagrams and sigma_to_standard slide back.
 The calculus works in diagram space.  p_set_diagrams, kac_diagrams and
 replay_diagrams take and return WeightDiagrams; p_set, kac_composition,
 projective_filtration and replay_word are their weight-level wrappers, one
-encode, one call of the core and one decode per image.  Criteria 5 and 6
-sweep the cores and decode a weight only where a check reads one.
+encode, one call of the core and one decode per image.  The p-set and Kac
+cores are label-free up to a shift: the label enters only through
+_slide_crosses, which adds step * wraps to s and r whatever the label, so
+core(d) is the core at d's symbols and label (0, 0), shifted by (d.s, d.r).
+Criteria 5 and 6 sweep both cores through label_rows tables, one row per
+symbol string, and decode a weight only where a check reads one.
 
 kac_diagrams inverts p_set_diagrams without trying candidates.  A factor
 lam of d has a first free circle f; cut there, lam's caps nest inside one
@@ -35,6 +39,7 @@ KAC_COMPOSITION_MAX_NODES readings.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -166,6 +171,22 @@ def p_set_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
     return {
         _slide_crosses(d, caps, 1) for size in range(len(cd.caps) + 1) for caps in combinations(cd.caps, size)
     }
+
+
+def label_rows(core: Callable[[WeightDiagram], set[WeightDiagram]]) -> Callable[[WeightDiagram], set[WeightDiagram]]:
+    """p_set_diagrams or kac_diagrams as a table for one sweep: core runs once
+    per symbol string, at label (0, 0), and each answer is that row of plain
+    (symbols, s, r) tuples shifted by (d.s, d.r)."""
+    rows: dict[str, list[tuple[str, int, int]]] = {}
+
+    def shifted(d: WeightDiagram) -> set[WeightDiagram]:
+        p, symbols, s, r = d
+        row = rows.get(symbols)
+        if row is None:
+            row = rows[symbols] = [(e.symbols, e.s, e.r) for e in core(_trusted(p, symbols, 0, 0))]
+        return {_trusted(p, e, s + ds, r + dr) for e, ds, dr in row}
+
+    return shifted
 
 
 def p_set(lam: SuperWeight) -> set[SuperWeight]:

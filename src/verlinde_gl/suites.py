@@ -19,12 +19,13 @@ sweep shares:
 - equivariance (criterion 4): one encode and one loop vector per window
   weight, shared by all p residues; the two-term order is read off the
   terms the equivariance core already returned.
-- filtration (criterion 5): kac_diagrams once per distinct alpha, and the
-  sweep's own p_set_diagrams images answer BGG's converse for window
-  weights; each distinct alpha is decoded once.
+- filtration (criterion 5): both directions of BGG read p_set_diagrams and
+  kac_diagrams through one caps.label_rows table each, so each core runs
+  once per symbol string; each distinct alpha is decoded once.
 - projective-word (criterion 6): each weight is encoded once, for its
-  cross count and its p-set; the replay and the p-set are compared as
-  diagram classes, so only the word's base is decoded.
+  cross count and its p-set, read from a label_rows table of
+  p_set_diagrams; the replay and the p-set are compared as diagram
+  classes, so only the word's base is decoded.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   steps each distinct (walk state, nu_j) once per sweep; each block's mask
   and block of mu - sum_odd_roots are built once per stage.
@@ -56,6 +57,7 @@ from .caps import (
     cap_diagram,
     hat,
     kac_diagrams,
+    label_rows,
     lowest_weight,
     p_set,
     p_set_diagrams,
@@ -150,8 +152,8 @@ def suite_golden() -> SuiteResult:
 
     fig = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
     expect("figure diagram cut", lambda: render_ascii(encode(fig), 3), "o<ox>>x<oo> @3 t1^-3 t2^2")
-    expect("figure label", lambda: (encode(fig).s, encode(fig).r), (3, 2))
-    expect("figure decode", lambda: (decode(encode(fig)).mu, decode(encode(fig)).nu), (fig.mu, fig.nu))
+    expect("figure label", lambda: encode(fig)[2:], (3, 2))
+    expect("figure decode", lambda: decode(encode(fig))[1:], (fig.mu, fig.nu))
     expect("caps", lambda: tuple(cap_diagram(encode(fig)).caps), ((9, 0), (6, 1)))
     expect("free circles", lambda: sorted(cap_diagram(encode(fig)).free_circles), [3, 5])
     want_ps = {
@@ -161,8 +163,8 @@ def suite_golden() -> SuiteResult:
         "o<oo>>o<xx> @3 t1^-5 t2^4",
     }
     expect("p-set diagrams", lambda: {render_ascii(encode(alpha), 3) for alpha in p_set(fig)}, want_ps)
-    expect("hat", lambda: (hat(fig).mu, hat(fig).nu), ((19, 19, 15, 15, 15), (-15, -15, -17, -22)))
-    expect("hat label", lambda: (encode(hat(fig)).s, encode(hat(fig)).r), (5, 4))
+    expect("hat", lambda: hat(fig)[1:], ((19, 19, 15, 15, 15), (-15, -15, -17, -22)))
+    expect("hat label", lambda: encode(hat(fig))[2:], (5, 4))
     expect(
         "lowest weight",
         lambda: lowest_weight(fig),
@@ -317,18 +319,18 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     because encode is injective (criterion 2): each window weight's diagram
     d lies in kac_diagrams(alpha) for every alpha in p_set_diagrams(d);
     conversely, once per distinct alpha, every reported factor lam has
-    alpha in p_set_diagrams(lam).  The sweep keeps each window diagram's
-    p-set to answer that; factors outside the window are checked through
-    p_set_diagrams directly.  Each distinct alpha is decoded once, for the
-    dominance, degree, Casimir and strictness checks.
+    alpha in p_set_diagrams(lam).  Both cores are read through one
+    label_rows table each, so each runs once per symbol string of the
+    sweep.  Each distinct alpha is decoded once, for the dominance, degree,
+    Casimir and strictness checks.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
-    # alpha -> (its Kac factors, its weight, degree, sum(mu) and Casimir residue)
-    kac_cache: dict[WeightDiagram, tuple[set[WeightDiagram], SuperWeight, int, int, int]] = {}
-    window_psets: dict[WeightDiagram, set[WeightDiagram]] = {}  # d -> p_set_diagrams(d) on the window
+    psets, kacs = label_rows(p_set_diagrams), label_rows(kac_diagrams)
+    # alpha -> (its weight, degree, sum(mu) and Casimir residue)
+    alphas: dict[WeightDiagram, tuple[SuperWeight, int, int, int]] = {}
     for lam in window_weights(p, window):
         d = encode(lam)
-        ps = window_psets[d] = p_set_diagrams(d)
+        ps = psets(d)
         atyp = atypicality(lam)
         res.checked += 2
         if atyp != _form_atypicality(lam):
@@ -339,26 +341,23 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
         degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
         for alpha_d in ps:
             res.checked += 1
-            cached = kac_cache.get(alpha_d)
+            cached = alphas.get(alpha_d)
             if cached is None:
                 alpha = decode(alpha_d)
-                cached = kac_cache[alpha_d] = (
-                    kac_diagrams(alpha_d), alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue
-                )
-            comp, alpha, alpha_degree, alpha_mu_sum, alpha_cas = cached
+                cached = alphas[alpha_d] = (alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue)
+            alpha, alpha_degree, alpha_mu_sum, alpha_cas = cached
             if not dominance_leq(lam, alpha):
                 res.fail(f"dominance fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha_degree != degree or alpha_cas != cas:
                 res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha != lam and alpha_mu_sum <= mu_sum:
                 res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if d not in comp:
+            if d not in kacs(alpha_d):
                 res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
-    for alpha_d, (comp, alpha, *_) in kac_cache.items():
+    for alpha_d, (alpha, *_) in alphas.items():
         res.checked += 1
-        for lam_d in comp:
-            ps = window_psets.get(lam_d)
-            if alpha_d not in (p_set_diagrams(lam_d) if ps is None else ps):
+        for lam_d in kacs(alpha_d):
+            if alpha_d not in psets(lam_d):
                 lam = decode(lam_d)
                 res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
@@ -371,11 +370,13 @@ def suite_projective_word(
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
     Each weight is encoded once; its cross count is its atypicality
-    (criterion 3).  The replay and the p-set are compared as diagram
-    classes, each p-set diagram with multiplicity 1; only projective_word
-    decodes, once per weight, for its base.
+    (criterion 3).  The replay and the p-set, read from a label_rows table
+    of p_set_diagrams, are compared as diagram classes, each p-set diagram
+    with multiplicity 1; only projective_word decodes, once per weight, for
+    its base.
     """
     res = SuiteResult(f"projective-word suite p={p}")
+    psets = label_rows(p_set_diagrams)
     for lam in window_weights(p, window):
         d = encode(lam)
         if d.cross_count > max_atypicality:
@@ -384,7 +385,7 @@ def suite_projective_word(
         base, word = projective_word(lam)
         if not is_typical(base):
             res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_diagrams(encode(base), word) != dict.fromkeys(p_set_diagrams(d), 1):
+        elif replay_diagrams(encode(base), word) != dict.fromkeys(psets(d), 1):
             res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 

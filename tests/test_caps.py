@@ -19,6 +19,7 @@ from verlinde_gl.caps import (
     is_inner,
     kac_composition,
     kac_diagrams,
+    label_rows,
     lowest_weight,
     p_set,
     p_set_diagrams,
@@ -462,6 +463,27 @@ def test_hat_injective_on_strata():
     for lam in window_weights(5, window=(-2, 2)):
         key = (lam.shape, atypicality(lam), hat(lam))
         assert seen.setdefault(key, lam) == lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cores_are_their_label_zero_row_shifted(data):
+    # Witness for label_rows, whose one row per symbol string criteria 5 and
+    # 6 share across labels: p_set_diagrams and kac_diagrams read a label
+    # only as the shift (s, r) of the row at label (0, 0).
+    p, symbols = _random_symbols(data, (5, 7, 11, 13))
+    s, r = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+    assume((s, r) != (0, 0))
+    d = WeightDiagram(p, symbols, s, r)
+    other = WeightDiagram(p, symbols, r - 1, s + 2)
+    for core in (p_set_diagrams, kac_diagrams):
+        row = core(WeightDiagram(p, symbols, 0, 0))
+        assert core(d) == {WeightDiagram(p, e.symbols, e.s + s, e.r + r) for e in row}
+        calls = []
+        table = label_rows(lambda e: calls.append(e) or core(e))
+        assert table(d) == core(d)
+        assert table(other) == core(other)
+        assert calls == [WeightDiagram(p, symbols, 0, 0)]
 
 
 def test_filtration_suite_catches_a_non_factor(monkeypatch):

@@ -434,6 +434,41 @@ def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
     assert trusted == ["diagrams._trusted", "superweights._trusted_weight"]
 
 
+def _unbounded_caches(source: str) -> list[int]:
+    """Lines that use functools.cache, or lru_cache without an integer maxsize."""
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(id(node.func))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            if node.attr == "cache" or (node.attr == "lru_cache" and id(node) not in bounded):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "lru_cache" and id(node) not in bounded:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_library_caches_are_bounded():
+    # A cache in the library has an explicit bound: no functools.cache, and
+    # every lru_cache names an integer maxsize.
+    bad = "from functools import cache, lru_cache\nimport functools\n@lru_cache\n@lru_cache(None)\n@functools.cache\ndef f(): pass\n"
+    good = "from functools import lru_cache\nimport functools\n@lru_cache(64)\n@functools.lru_cache(maxsize=8)\ndef f(): pass\n"
+    assert _unbounded_caches(bad) == [1, 3, 4, 5] and _unbounded_caches(good) == []
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py"))
+        for line in _unbounded_caches(path.read_text())
+    ]
+    assert found == []
+
+
 def test_column_step_is_used_only_by_the_batch_walk():
     # The Serganova hat is one fold of column_step, in serganova_hats; every
     # other walk in the package, the suites' included, goes through it.

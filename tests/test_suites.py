@@ -45,6 +45,9 @@ ROWS = [
     # Strictness compares sum(alpha.mu) with sum(lam.mu); a zero sum ties them.
     ("sum", lambda real: lambda values: 0, _filtration, "strictness fails"),
     ("kac_diagrams", lambda real: lambda d: set(), _filtration, "BGG inversion misses"),
+    # A p-set of the diagram alone is short at every atypical weight.
+    ("p_set_diagrams", lambda real: lambda d: {d}, _filtration, "p-set size wrong"),
+    ("p_set_diagrams", lambda real: lambda d: {d}, _projective_word, "replay mismatch"),
     ("is_typical", lambda real: lambda lam: False, _projective_word, "base not typical"),
     ("replay_diagrams", lambda real: lambda d, word: {}, _projective_word, "replay mismatch"),
     ("check_oddroot_lemma", lambda real: lambda m, n: False, _serganova, "odd-root lemma fails"),
@@ -55,7 +58,13 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("name, broken, run, message", ROWS, ids=[row[0] for row in ROWS])
+def _row_id(row) -> str:
+    """The broken name, and the suite's where one name breaks two suites."""
+    name, _, run, _ = row
+    return name if [r[0] for r in ROWS].count(name) == 1 else f"{name}{run.__name__}"
+
+
+@pytest.mark.parametrize("name, broken, run, message", ROWS, ids=map(_row_id, ROWS))
 def test_suite_failure_path_fails(monkeypatch, name, broken, run, message):
     real = getattr(suites, name, None)
     monkeypatch.setattr(suites, name, broken(real), raising=False)
