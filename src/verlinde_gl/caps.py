@@ -26,8 +26,8 @@ encode, one call of the core and one decode per image.  The p-set and Kac
 cores are label-free up to a shift: the label enters only through
 _slide_crosses, which adds step * wraps to s and r whatever the label, so
 core(d) is the core at d's symbols and label (0, 0), shifted by (d.s, d.r).
-Criteria 5 and 6 sweep both cores through label_rows tables, one row per
-symbol string, and decode a weight only where a check reads one.
+Criteria 5 and 6 read both cores as label_rows rows, by keys relative to
+the label, and decode a weight only where a check reads one.
 
 kac_diagrams inverts p_set_diagrams without trying candidates.  A factor
 lam of d has a first free circle f; cut there, lam's caps nest inside one
@@ -173,20 +173,19 @@ def p_set_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
     }
 
 
-def label_rows(core: Callable[[WeightDiagram], set[WeightDiagram]]) -> Callable[[WeightDiagram], set[WeightDiagram]]:
-    """p_set_diagrams or kac_diagrams as a table for one sweep: core runs once
-    per symbol string, at label (0, 0), and each answer is that row of plain
-    (symbols, s, r) tuples shifted by (d.s, d.r)."""
-    rows: dict[str, list[tuple[str, int, int]]] = {}
+def label_rows(core: Callable[[WeightDiagram], set[WeightDiagram]]) -> Callable[[str], frozenset[tuple[str, int, int]]]:
+    """p_set_diagrams or kac_diagrams as a table for one sweep: row(symbols)
+    is core at label (0, 0) as plain (symbols, s, r) tuples, computed once
+    per symbol string; core(d) is row(d.symbols) shifted by (d.s, d.r)."""
+    rows: dict[str, frozenset[tuple[str, int, int]]] = {}
 
-    def shifted(d: WeightDiagram) -> set[WeightDiagram]:
-        p, symbols, s, r = d
-        row = rows.get(symbols)
-        if row is None:
-            row = rows[symbols] = [(e.symbols, e.s, e.r) for e in core(_trusted(p, symbols, 0, 0))]
-        return {_trusted(p, e, s + ds, r + dr) for e, ds, dr in row}
+    def row(symbols: str) -> frozenset[tuple[str, int, int]]:
+        got = rows.get(symbols)
+        if got is None:
+            got = rows[symbols] = frozenset(e[1:] for e in core(_trusted(len(symbols), symbols, 0, 0)))
+        return got
 
-    return shifted
+    return row
 
 
 def p_set(lam: SuperWeight) -> set[SuperWeight]:

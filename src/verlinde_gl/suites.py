@@ -20,12 +20,12 @@ sweep shares:
   weight, shared by all p residues; the two-term order is read off the
   terms the equivariance core already returned.
 - filtration (criterion 5): both directions of BGG read p_set_diagrams and
-  kac_diagrams through one caps.label_rows table each, so each core runs
-  once per symbol string; each distinct alpha is decoded once.
+  kac_diagrams as caps.label_rows rows, once per symbol string, and compare
+  keys relative to the label; each distinct alpha is decoded once.
 - projective-word (criterion 6): each weight is encoded once, for its
-  cross count and its p-set, read from a label_rows table of
-  p_set_diagrams; the replay and the p-set are compared as diagram
-  classes, so only the word's base is decoded.
+  cross count and its p-set row, read from a label_rows table of
+  p_set_diagrams; the replay is compared with that row shifted to the
+  weight's label, so only the word's base is decoded.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   steps each distinct (walk state, nu_j) once per sweep; each block's mask
   and block of mu - sum_odd_roots are built once per stage.
@@ -35,10 +35,11 @@ sweep shares:
   library derives, the encode and the functor outputs skip WeightDiagram's
   checks (see diagrams).
 
-Criteria 4, 5 and 6 share the diagram space of caps and translation: they
-compare diagrams, or (symbols, s, r) keys for criterion 4's loop witness,
-which builds no diagram, and decode a weight only for a check that reads
-one or for a failure message.  Labels are tuples, validated at the boundary
+Criteria 4, 5 and 6 share the diagram space of caps and translation, where
+a diagram compares as the tuple (p, symbols, s, r): criterion 4's loop
+witness builds no diagram, criteria 5 and 6 read label-free rows, and a
+weight is decoded only for a check that reads one or for a failure message.
+Labels are tuples, validated at the boundary
 (see diagrams, superweights): window and decoded weights are one
 tuple.__new__ each, skipping SuperWeight's checks, as encoded and derived
 diagrams skip WeightDiagram's; a label compares as the tuple of its fields.
@@ -66,7 +67,7 @@ from .caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from .diagrams import CROSS, WeightDiagram, assemble_symbols, decode, encode, render_ascii, symbol_residues
+from .diagrams import CROSS, _trusted, assemble_symbols, decode, encode, render_ascii, symbol_residues
 from .enumeration import (
     SELFCHECK_MAX_P,
     admissible_tuples,
@@ -319,18 +320,19 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     because encode is injective (criterion 2): each window weight's diagram
     d lies in kac_diagrams(alpha) for every alpha in p_set_diagrams(d);
     conversely, once per distinct alpha, every reported factor lam has
-    alpha in p_set_diagrams(lam).  Both cores are read through one
-    label_rows table each, so each runs once per symbol string of the
-    sweep.  Each distinct alpha is decoded once, for the dominance, degree,
-    Casimir and strictness checks.
+    alpha in p_set_diagrams(lam).  Both cores are read as label_rows rows,
+    once per symbol string: for (t, ds, dr) in the row of d = (p, symbols,
+    s, r), alpha is (p, t, s + ds, r + dr), and d in kac_diagrams(alpha)
+    reads (symbols, -ds, -dr) in the Kac row of t.  Each distinct alpha is
+    decoded once, for the dominance, degree, Casimir and strictness checks.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
     psets, kacs = label_rows(p_set_diagrams), label_rows(kac_diagrams)
-    # alpha -> (its weight, degree, sum(mu) and Casimir residue)
-    alphas: dict[WeightDiagram, tuple[SuperWeight, int, int, int]] = {}
+    # alpha's (symbols, s, r) -> (its weight, degree, sum(mu) and Casimir residue)
+    alphas: dict[tuple[str, int, int], tuple[SuperWeight, int, int, int]] = {}
     for lam in window_weights(p, window):
-        d = encode(lam)
-        ps = psets(d)
+        _, symbols, s, r = encode(lam)
+        ps = psets(symbols)
         atyp = atypicality(lam)
         res.checked += 2
         if atyp != _form_atypicality(lam):
@@ -339,12 +341,13 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
             res.fail(f"p-set size wrong at {(lam.mu, lam.nu)}")
             continue
         degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
-        for alpha_d in ps:
+        for t, ds, dr in ps:
             res.checked += 1
-            cached = alphas.get(alpha_d)
+            key = (t, s + ds, r + dr)
+            cached = alphas.get(key)
             if cached is None:
-                alpha = decode(alpha_d)
-                cached = alphas[alpha_d] = (alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue)
+                alpha = decode(_trusted(p, *key))
+                cached = alphas[key] = (alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue)
             alpha, alpha_degree, alpha_mu_sum, alpha_cas = cached
             if not dominance_leq(lam, alpha):
                 res.fail(f"dominance fails: {(lam.mu, lam.nu)} vs {alpha}")
@@ -352,13 +355,13 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha != lam and alpha_mu_sum <= mu_sum:
                 res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if d not in kacs(alpha_d):
+            if (symbols, -ds, -dr) not in kacs(t):
                 res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
-    for alpha_d, (alpha, *_) in alphas.items():
+    for (t, s, r), (alpha, *_) in alphas.items():
         res.checked += 1
-        for lam_d in kacs(alpha_d):
-            if alpha_d not in psets(lam_d):
-                lam = decode(lam_d)
+        for u, ds, dr in kacs(t):
+            if (t, -ds, -dr) not in psets(u):
+                lam = decode(_trusted(p, u, s + ds, r + dr))
                 res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
     return res
@@ -370,10 +373,10 @@ def suite_projective_word(
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
     Each weight is encoded once; its cross count is its atypicality
-    (criterion 3).  The replay and the p-set, read from a label_rows table
-    of p_set_diagrams, are compared as diagram classes, each p-set diagram
-    with multiplicity 1; only projective_word decodes, once per weight, for
-    its base.
+    (criterion 3).  The replay is compared with the p-set row, read from a
+    label_rows table of p_set_diagrams and shifted to the weight's label,
+    each p-set diagram with multiplicity 1; only projective_word decodes,
+    once per weight, for its base.
     """
     res = SuiteResult(f"projective-word suite p={p}")
     psets = label_rows(p_set_diagrams)
@@ -385,7 +388,7 @@ def suite_projective_word(
         base, word = projective_word(lam)
         if not is_typical(base):
             res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_diagrams(encode(base), word) != dict.fromkeys(psets(d), 1):
+        elif replay_diagrams(encode(base), word) != {(p, t, d.s + ds, d.r + dr): 1 for t, ds, dr in psets(d.symbols)}:
             res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 

@@ -31,8 +31,8 @@ The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
 realizations are implemented independently; _equivariant_terms compares
 them term by term, labels included, for one encoded weight and its loop
-vector, and phi_equivariance_check runs it on a super weight.  Only this
-witness keys terms by (symbols, s, r), since its loop side builds no diagram.
+vector, and phi_equivariance_check runs it on a super weight.  Its loop
+side builds no diagram, only plain tuples that a diagram compares equal to.
 """
 
 from __future__ import annotations
@@ -236,16 +236,14 @@ def _equivariant_terms(
 ) -> tuple[tuple[WeightDiagram, ...], tuple[WeightDiagram, ...]] | None:
     """(F_c d, E_c d) when both equal the loop action on v at residue c, else None.
 
-    Terms are matched as (symbols, s, r), which determines the decoded super
-    weight at fixed p.  The loop side comes only from loop_f/loop_e on the
-    residue tuples of v, assembled into the same keys; it builds no diagram.
+    Terms are matched as the tuples (p, symbols, s, r) they are.  The loop
+    side comes only from loop_f/loop_e on the residue tuples of v, assembled
+    into plain tuples of the same fields; it builds no diagram.
     """
     out = []
     for kind, loop in (("F", loop_f), ("E", loop_e)):
         terms = apply_functor(kind, c, d)
-        lhs = sorted((t.symbols, t.s, t.r) for t in terms)
-        rhs = sorted((assemble_symbols(w.a, w.b, w.p), w.s, w.r) for w in loop(c, v))
-        if lhs != rhs:
+        if sorted(terms) != sorted((w.p, assemble_symbols(w.a, w.b, w.p), w.s, w.r) for w in loop(c, v)):
             return None
         out.append(terms)
     return out[0], out[1]

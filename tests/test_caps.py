@@ -474,15 +474,12 @@ def test_cores_are_their_label_zero_row_shifted(data):
     p, symbols = _random_symbols(data, (5, 7, 11, 13))
     s, r = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
     assume((s, r) != (0, 0))
-    d = WeightDiagram(p, symbols, s, r)
-    other = WeightDiagram(p, symbols, r - 1, s + 2)
+    labels = (WeightDiagram(p, symbols, s, r), WeightDiagram(p, symbols, r - 1, s + 2))
     for core in (p_set_diagrams, kac_diagrams):
-        row = core(WeightDiagram(p, symbols, 0, 0))
-        assert core(d) == {WeightDiagram(p, e.symbols, e.s + s, e.r + r) for e in row}
         calls = []
-        table = label_rows(lambda e: calls.append(e) or core(e))
-        assert table(d) == core(d)
-        assert table(other) == core(other)
+        row = label_rows(lambda e: calls.append(e) or core(e))
+        for d in labels:
+            assert core(d) == {WeightDiagram(p, t, d.s + ds, d.r + dr) for t, ds, dr in row(symbols)}
         assert calls == [WeightDiagram(p, symbols, 0, 0)]
 
 
@@ -541,6 +538,27 @@ def test_filtration_suite_decodes_each_distinct_alpha_once(monkeypatch):
     result = suites.suite_filtration(5)
     assert result.ok and result.checked == 17583
     assert calls[0] == len(alphas)
+
+
+def test_filtration_suite_builds_no_shifted_diagram(monkeypatch):
+    # Criterion 5 compares label-free rows by relative keys: caps builds the
+    # label-(0, 0) diagram of each row and the row's entries, and nothing else.
+    def rows(core, symbol_strings):
+        return {t: core(WeightDiagram(5, t, 0, 0)) for t in symbol_strings}
+
+    psets = rows(p_set_diagrams, {encode(lam).symbols for lam in window_weights(5)})
+    kacs = rows(kac_diagrams, {a.symbols for row in psets.values() for a in row})
+    psets |= rows(p_set_diagrams, {lam.symbols for row in kacs.values() for lam in row})
+    calls = [0]
+    real = caps._trusted
+
+    def counted(*fields):
+        calls[0] += 1
+        return real(*fields)
+
+    monkeypatch.setattr(caps, "_trusted", counted)
+    assert suites.suite_filtration(5).ok
+    assert calls[0] == sum(1 + len(row) for table in (psets, kacs) for row in table.values()) == 1690
 
 
 def test_projective_word_suite_decodes_only_the_bases(monkeypatch):
