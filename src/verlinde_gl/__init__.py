@@ -13,16 +13,40 @@ Modules:
     suites        batch self-check suites behind selfcheck and the acceptance gate
     errors        ValidationError (malformed input) and ContractError
     cli           command-line surface; selfcheck runs the suites
+
+The public names below resolve on first use (PEP 562): importing the package
+loads no layer, and reading verlinde_gl.encode imports diagrams once and keeps
+the function in the package namespace.  `from verlinde_gl import encode`
+works as for any module attribute.
 """
 
 __version__ = "0.1.0"
 
-from .alcove import GLWeight, WedgeVector, add_box, chi_rotate, is_admissible, level_rank_D, level_rank_D_inverse, phi_wedge, psi_data, remove_box, tensor_with_V
-from .caps import Cap, CapDiagram, cap_diagram, dual_simple, dual_simple_label, hat, is_inner, kac_composition, lowest_weight, p_set, projective_filtration, projective_word, render_caps, replay_word, sigma_to_standard, standard_to_sigma
-from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel, is_w_dominant, odd_reflect_pair, w_dominance_leq, w_integrable
-from .diagrams import WeightDiagram, cut, decode, encode, from_json, permute, render_ascii, to_json
-from .errors import ContractError, ValidationError
-from .fusion import fuse_simples, is_even_object
-from .serganova import check_oddroot_lemma, odd_root_order, serganova_hat, serganova_hats, sh_nonzero
-from .superweights import SuperShape, SuperWeight, atypicality, beta, casimir_scalar, casimir_unsuper, dominance_leq, form, is_typical, kac_irreducible, residue_data, rho2, super_weight
-from .translation import KacExtension, LoopVector, apply_E, apply_F, loop_e, loop_f, loop_vector, phi_equivariance_check, translate_kac, translate_projective, translate_simple
+# defining module -> the public names it exports through the package
+_EXPORTS = {
+    "alcove": "GLWeight WedgeVector add_box chi_rotate is_admissible level_rank_D level_rank_D_inverse phi_wedge psi_data remove_box tensor_with_V",
+    "caps": "Cap CapDiagram cap_diagram dual_simple dual_simple_label hat is_inner kac_composition lowest_weight p_set projective_filtration projective_word render_caps replay_word sigma_to_standard standard_to_sigma",
+    "borel": "GLXShape TupleWeight borel_translate conjugate_relabel is_w_dominant odd_reflect_pair w_dominance_leq w_integrable",
+    "diagrams": "WeightDiagram cut decode encode from_json permute render_ascii to_json",
+    "errors": "ContractError ValidationError",
+    "fusion": "fuse_simples is_even_object",
+    "serganova": "check_oddroot_lemma odd_root_order serganova_hat serganova_hats sh_nonzero",
+    "superweights": "SuperShape SuperWeight atypicality beta casimir_scalar casimir_unsuper dominance_leq form is_typical kac_irreducible residue_data rho2 super_weight",
+    "translation": "KacExtension LoopVector apply_E apply_F loop_e loop_f loop_vector phi_equivariance_check translate_kac translate_projective translate_simple",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

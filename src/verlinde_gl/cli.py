@@ -13,6 +13,12 @@ The command table, left out of --help: _COMMANDS maps each subcommand, in
 help order, to (help, arguments, handler).  A handler returns (json-ready
 result, text) and calls the library through its modules (caps.p_set) at call
 time, so the table shows the layer each subcommand adapts.
+
+A call loads only the layers its subcommand calls.  The module names here are
+_Layer handles that import their module on first attribute read, and
+build_parser builds only the subparser that argv names (all of them for
+--help, no arguments or an unknown name).  Help texts quote a bound as
+{caps.P_SET_MAX_SIZE}, read when its own subparser is built.
 """
 
 from __future__ import annotations
@@ -21,19 +27,27 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import asdict
+from collections.abc import Callable, Iterable, Sequence
+from importlib import import_module
 from typing import Any
 
-from . import __version__, alcove, borel, caps, diagrams, fusion, serganova, superweights, translation
-from .alcove import GLWeight
-from .borel import GLXShape, TupleWeight
-from .caps import P_SET_MAX_SIZE
-from .diagrams import WeightDiagram
-from .enumeration import SELFCHECK_MAX_P
+from . import __version__
 from .errors import ContractError, ValidationError
-from .serganova import ODDROOT_LEMMA_MAX_BLOCK
-from .superweights import SuperWeight
+
+
+class _Layer:
+    """A library module, imported on the first read of one of its attributes."""
+
+    def __init__(self, name: str) -> None:
+        self._module = f"{__package__}.{name}"
+
+    def __getattr__(self, attr: str) -> Any:
+        return getattr(import_module(self._module), attr)
+
+
+alcove, borel, caps, diagrams, enumeration, fusion, serganova, superweights, translation = map(
+    _Layer, ("alcove", "borel", "caps", "diagrams", "enumeration", "fusion", "serganova", "superweights", "translation")
+)
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -48,12 +62,12 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _weight(args: argparse.Namespace) -> SuperWeight:
+def _weight(args: argparse.Namespace) -> superweights.SuperWeight:
     return superweights.super_weight(args.p, _ints(args.mu), _ints(args.nu))
 
 
-def _gl(args: argparse.Namespace) -> GLWeight:
-    return GLWeight(_ints(args.weight), args.p)
+def _gl(args: argparse.Namespace) -> alcove.GLWeight:
+    return alcove.GLWeight(_ints(args.weight), args.p)
 
 
 def _tuple_text(entries) -> str:
@@ -64,13 +78,13 @@ def _tuple_text(entries) -> str:
 Output = tuple[Any, str]  # (json-ready result, text)
 
 
-def _weight_pair(w: SuperWeight | tuple[tuple[int, ...], tuple[int, ...]]) -> Output:
-    """A super weight or a raw (mu, nu) coordinate pair: {"mu", "nu"} and '(1,0|-2)'."""
-    mu, nu = (w.mu, w.nu) if isinstance(w, SuperWeight) else w
+def _weight_pair(w: superweights.SuperWeight | tuple[tuple[int, ...], tuple[int, ...]]) -> Output:
+    """A super weight (shape, mu, nu) or a raw (mu, nu) coordinate pair: {"mu", "nu"} and '(1,0|-2)'."""
+    mu, nu = w[-2:]
     return {"mu": list(mu), "nu": list(nu)}, f"({_tuple_text(mu)}|{_tuple_text(nu)})"
 
 
-def _weight_set(weights: Iterable[SuperWeight]) -> Output:
+def _weight_set(weights: Iterable[superweights.SuperWeight]) -> Output:
     """A set of super weights, sorted."""
     return _joined(map(_weight_pair, sorted((a.mu, a.nu) for a in weights)))
 
@@ -80,7 +94,7 @@ def _scalar(value: bool | int) -> Output:
     return value, json.dumps(value)
 
 
-def _entries(w: GLWeight) -> Output:
+def _entries(w: alcove.GLWeight) -> Output:
     """The entries of a GL_n weight: [1, 0, -2] and '1,0,-2'."""
     return list(w.entries), _tuple_text(w.entries)
 
@@ -159,7 +173,7 @@ def _serganova(args: argparse.Namespace) -> Output:
 
 
 def _diagram_decode(args: argparse.Namespace) -> Output:
-    lam = diagrams.decode(WeightDiagram(args.p, args.symbols, args.s, args.r), args.m, args.n)
+    lam = diagrams.decode(diagrams.WeightDiagram(args.p, args.symbols, args.s, args.r), args.m, args.n)
     return _weight_pair(lam)[0], f"mu={_tuple_text(lam.mu)} nu={_tuple_text(lam.nu)}"
 
 
@@ -171,16 +185,18 @@ def _translate(args: argparse.Namespace) -> Output:
 
 
 def _borel_translate(args: argparse.Namespace) -> Output:
-    shape = GLXShape(args.p, _ints(args.types))
-    parts = tuple(GLWeight(_ints(text), args.p) for text in args.part)
+    shape = borel.GLXShape(args.p, _ints(args.types))
+    parts = tuple(alcove.GLWeight(_ints(text), args.p) for text in args.part)
     w1 = _ints(args.w)
     if sorted(w1) != list(range(1, shape.k + 1)):
         raise ValidationError(f"{w1} is not a permutation of 1..{shape.k}")
-    out = borel.borel_translate(TupleWeight(shape, parts), tuple(x - 1 for x in w1))
+    out = borel.borel_translate(borel.TupleWeight(shape, parts), tuple(x - 1 for x in w1))
     return _joined(map(_entries, out.parts))
 
 
 def _selfcheck(args: argparse.Namespace) -> Output:
+    from dataclasses import asdict
+
     from .suites import SUITE_BUILDERS, run_suite  # only selfcheck loads the suites
 
     names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
@@ -214,11 +230,11 @@ _TUPLE_WEIGHT = (
 )
 _SUITE = (
     ("--suite", {"default": "golden", "help": "a suite name or 'all'"}),
-    ("--p", {"type": int, "default": 5, "help": f"a prime from 5 to {SELFCHECK_MAX_P}"}),
+    ("--p", {"type": int, "default": 5, "help": "a prime from 5 to {enumeration.SELFCHECK_MAX_P}"}),
 )
 _KIND: dict[str, Any] = {"choices": ("F", "E"), "required": True}
-_BLOCK_SIZE: dict[str, Any] = {**_INT, "help": f"at most {ODDROOT_LEMMA_MAX_BLOCK}"}
-_AT_MOST = f"(at most {P_SET_MAX_SIZE} weights)"
+_BLOCK_SIZE: dict[str, Any] = {**_INT, "help": "at most {serganova.ODDROOT_LEMMA_MAX_BLOCK}"}
+_AT_MOST = "(at most {caps.P_SET_MAX_SIZE} weights)"
 
 # name -> (help, arguments after --json, handler), in help order.
 _COMMANDS: dict[str, tuple[str, tuple[Argument, ...], Callable[[argparse.Namespace], Output]]] = {
@@ -263,21 +279,30 @@ _COMMANDS: dict[str, tuple[str, tuple[Argument, ...], Callable[[argparse.Namespa
 }
 
 
-def build_parser() -> _CliParser:
+def _quote(text: str) -> str:
+    """A help text with its {layer.CONSTANT} fields read, which imports those layers."""
+    return text.format_map(globals())
+
+
+def build_parser(argv: Sequence[str] = ()) -> _CliParser:
+    """The parser of argv: with argv[0]'s subparser alone when it names one, else with all."""
     description = (__doc__ or "").partition("\n\nThe command table")[0]
     parser = _CliParser(prog="verlinde-gl", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, _) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
+    for name in argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS:
+        help_text, arguments, _ = _COMMANDS[name]
+        cmd = sub.add_parser(name, help=_quote(help_text))
         cmd.add_argument("--json", action="store_true", help="emit the JSON envelope")
         for flag, kwargs in arguments:
-            cmd.add_argument(flag, **kwargs)
+            cmd.add_argument(flag, **{key: _quote(v) if key == "help" else v for key, v in kwargs.items()})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
+        args = build_parser(argv).parse_args(argv)
         result, text = _COMMANDS[args.command][2](args)
     except ValidationError as exc:
         print(f"error VALIDATION: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from verlinde_gl import alcove
 from verlinde_gl.alcove import (
     GLWeight,
     add_box,
@@ -118,10 +119,41 @@ def test_tensor_with_V():
     assert by_content == set(expected)
 
 
-@settings(max_examples=300, deadline=None)
+def _tensor_with_V_reference(lam):
+    """The former loop: is_admissible on each lam + e_i, then GLWeight's own check."""
+    out = []
+    for i in range(lam.n):
+        cand = list(lam.entries)
+        cand[i] += 1
+        if is_admissible(tuple(cand), lam.n, lam.p):
+            out.append(GLWeight(tuple(cand), lam.p))
+    return out
+
+
+@settings(max_examples=500, deadline=None)
 @given(admissible_weights())
+@example(GLWeight((4, 0, 0), 7))  # spread at its bound: e_0 would widen it
+@example(GLWeight((3,), 5))  # rank one: e_0 is always a summand
 def test_tensor_with_V_summand_count(lam):
-    assert 1 <= len(tensor_with_V(lam)) <= lam.n
+    out = tensor_with_V(lam)
+    assert 1 <= len(out) <= lam.n
+    assert out == _tensor_with_V_reference(lam)
+
+
+def test_tensor_with_V_checks_each_summand_once(monkeypatch):
+    # The neighbour test is O(1); the only full scan is GLWeight's, once per summand.
+    calls = []
+
+    def counted(entries, n, p):
+        calls.append(entries)
+        return is_admissible(entries, n, p)
+
+    monkeypatch.setattr(alcove, "is_admissible", counted)
+    for entries, p in [((2, 1, 0), 7), ((0, 0, 0), 7), ((4, 0, 0), 7), ((9, 8, 8, 5, 5, 5), 11), ((3,), 5)]:
+        lam = GLWeight(entries, p)
+        calls.clear()
+        out = tensor_with_V(lam)
+        assert calls == [w.entries for w in out]
 
 
 def test_phi_wedge_examples():

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -12,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import verlinde_gl
+from verlinde_gl import caps, enumeration, serganova
 from verlinde_gl.alcove import TENSOR_WITH_V_MAX_RANK
 from verlinde_gl.borel import BOREL_TRANSLATE_MAX_SUMMANDS, BOREL_TRANSLATE_MAX_VERTEX_READS
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE, PROJECTIVE_WORD_MAX_SYMBOLS
-from verlinde_gl.cli import _COMMANDS, main
+from verlinde_gl.cli import _COMMANDS, build_parser, main
 from verlinde_gl.serganova import SERGANOVA_HAT_MAX_ROOTS
 
 
@@ -353,12 +356,110 @@ def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
     assert err.startswith("error VALIDATION") and f"exceeds {PROJECTIVE_WORD_MAX_SYMBOLS} symbol copies" in err
 
 
-def test_cli_import_leaves_the_suites_unloaded():
-    # Only selfcheck needs the suites; every other subcommand skips their import.
+# One call per subcommand: the first pinned one, else one on the figure weight.
+_ONE_CALL = {argv[0]: argv for argv, _, _ in reversed(PINNED_OUTPUTS)} | {
+    name: (name, *FIG_ARGS) for name in ("pset", "hat", "lowest")
+} | {"selfcheck": ("selfcheck", "--suite", "golden")}
+# The verlinde_gl modules a subcommand may load, where the test pins a bound.
+_MAY_LOAD = {
+    "fuse": {"cli", "errors", "fusion"},
+    "serganova": {"cli", "errors", "fusion", "serganova"},
+    "render": {"alcove", "cli", "diagrams", "errors", "fusion", "superweights"},  # no caps, translation, borel
+}
+_LOAD_PROBE = """
+import contextlib, importlib, io, sys
+module = importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        module.main(sys.argv[2:])
+print(" ".join(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlinde_gl.")))
+"""
+
+
+def _loaded_modules(module, *argv):
+    """The verlinde_gl submodules a fresh interpreter holds after importing module and, if given, cli.main(argv)."""
     env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
-    probe = "import sys, verlinde_gl.cli; print('verlinde_gl.suites' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, module, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_layer():
+    assert _loaded_modules("verlinde_gl") == set()
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # Importing the CLI loads errors alone; each subcommand loads its own layers when called.
+    assert _loaded_modules("verlinde_gl.cli") == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_subcommand_loads_only_the_layers_it_calls(name):
+    loaded = _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name])
+    assert ("suites" in loaded) == (name == "selfcheck")  # only selfcheck loads the suites
+    assert loaded <= _MAY_LOAD.get(name, loaded)
+
+
+# The package exports as nine eager import lines named them, before they resolved on first use.
+_EAGER_EXPORTS = """
+from .alcove import GLWeight, WedgeVector, add_box, chi_rotate, is_admissible, level_rank_D, level_rank_D_inverse
+from .alcove import phi_wedge, psi_data, remove_box, tensor_with_V
+from .caps import Cap, CapDiagram, cap_diagram, dual_simple, dual_simple_label, hat, is_inner, kac_composition
+from .caps import lowest_weight, p_set, projective_filtration, projective_word, render_caps, replay_word
+from .caps import sigma_to_standard, standard_to_sigma
+from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel, is_w_dominant, odd_reflect_pair
+from .borel import w_dominance_leq, w_integrable
+from .diagrams import WeightDiagram, cut, decode, encode, from_json, permute, render_ascii, to_json
+from .errors import ContractError, ValidationError
+from .fusion import fuse_simples, is_even_object
+from .serganova import check_oddroot_lemma, odd_root_order, serganova_hat, serganova_hats, sh_nonzero
+from .superweights import SuperShape, SuperWeight, atypicality, beta, casimir_scalar, casimir_unsuper
+from .superweights import dominance_leq, form, is_typical, kac_irreducible, residue_data, rho2, super_weight
+from .translation import KacExtension, LoopVector, apply_E, apply_F, loop_e, loop_f, loop_vector
+from .translation import phi_equivariance_check, translate_kac, translate_projective, translate_simple
+"""
+
+
+def test_package_exports_resolve_to_the_defining_module():
+    exported = {alias.name: node.module for node in ast.parse(_EAGER_EXPORTS).body for alias in node.names}
+    assert len(exported) == 76
+    assert sorted(verlinde_gl.__all__) == sorted(exported)
+    listed = dir(verlinde_gl)
+    for name, module in exported.items():
+        assert getattr(verlinde_gl, name) is getattr(importlib.import_module(f"verlinde_gl.{module}"), name), name
+        assert name in listed and name in vars(verlinde_gl)  # read once, then a plain attribute
+    from verlinde_gl import encode
+
+    assert encode is verlinde_gl.diagrams.encode
+    with pytest.raises(AttributeError):
+        verlinde_gl.no_such_name
+
+
+def _subcommand(parser, name):
+    """(the subparser of name, its one-line help in the parent's listing)."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (listing,) = [a.help for a in action._choices_actions if a.dest == name]
+    return action.choices[name], listing
+
+
+def test_one_subparser_matches_the_full_parser():
+    full = build_parser()
+    for name in _COMMANDS:
+        single, listing = _subcommand(build_parser([name]), name)
+        full_single, full_listing = _subcommand(full, name)
+        assert (single.format_help(), listing) == (full_single.format_help(), full_listing), name
+
+
+def test_help_quotes_the_live_bounds(monkeypatch):
+    # Each bound is read when its subparser is built, not when cli is imported.
+    monkeypatch.setattr(caps, "P_SET_MAX_SIZE", 1234)
+    monkeypatch.setattr(enumeration, "SELFCHECK_MAX_P", 4321)
+    monkeypatch.setattr(serganova, "ODDROOT_LEMMA_MAX_BLOCK", 99)
+    for parser in (build_parser(), build_parser(["pset"])):
+        assert _subcommand(parser, "pset")[1].endswith("(at most 1234 weights)")
+    assert "a prime from 5 to 4321" in _subcommand(build_parser(["selfcheck"]), "selfcheck")[0].format_help()
+    assert "at most 99" in _subcommand(build_parser(["oddroot-lemma"]), "oddroot-lemma")[0].format_help()
 
 
 def test_selfcheck(capsys):
