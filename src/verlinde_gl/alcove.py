@@ -29,7 +29,6 @@ symmetric-power operation is exposed beyond the chi construction.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import sub
 from typing import NamedTuple
@@ -76,21 +75,18 @@ class GLWeight(NamedTuple("GLWeight", [("entries", tuple[int, ...]), ("p", int)]
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class WedgeVector:
+class WedgeVector(NamedTuple("WedgeVector", [("residues", tuple[int, ...]), ("loop_exponent", int), ("p", int)])):
     """Residues a_1..a_n (in weight order) and the loop exponent s."""
 
-    residues: tuple[int, ...]
-    loop_exponent: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.residues)) != len(self.residues):
-            raise ValidationError(f"wedge residues must be distinct: {self.residues}")
+    def __new__(cls, residues: tuple[int, ...], loop_exponent: int, p: int) -> WedgeVector:
+        if len(set(residues)) != len(residues):
+            raise ValidationError(f"wedge residues must be distinct: {residues}")
+        return tuple.__new__(cls, (residues, loop_exponent, p))
 
 
-@dataclass(frozen=True)
-class InvertibleTriple:
+class InvertibleTriple(NamedTuple):
     """The invertible objects det, chi and the degree-one generator psi."""
 
     det_weight: GLWeight

@@ -14,8 +14,8 @@ and converted with the lowest-weight machinery of the caps module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .alcove import GLWeight, level_rank_D
 from .caps import sigma_to_standard, standard_to_sigma
@@ -23,19 +23,18 @@ from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
 from .superweights import SuperShape, SuperWeight
 
-@dataclass(frozen=True)
-class GLXShape:
+class GLXShape(NamedTuple("GLXShape", [("p", int), ("types", tuple[int, ...])])):
     """Summand types of X = X_1 + .. + X_k, each in 1..p-1."""
 
-    p: int
-    types: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if not self.types:
+    def __new__(cls, p: int, types: tuple[int, ...]) -> GLXShape:
+        check_prime(p)
+        if not types:
             raise ValidationError("shape needs at least one summand")
-        if any(not 1 <= t <= self.p - 1 for t in self.types):
-            raise ValidationError(f"types must lie in 1..{self.p - 1}: {self.types}")
+        if any(not 1 <= t <= p - 1 for t in types):
+            raise ValidationError(f"types must lie in 1..{p - 1}: {types}")
+        return tuple.__new__(cls, (p, types))
 
     @property
     def k(self) -> int:
@@ -56,23 +55,20 @@ class GLXShape:
         return out
 
 
-@dataclass(frozen=True)
-class TupleWeight:
+class TupleWeight(NamedTuple("TupleWeight", [("shape", GLXShape), ("parts", tuple[GLWeight, ...])])):
     """One admissible part per summand, part i of rank types[i]."""
 
-    shape: GLXShape
-    parts: tuple[GLWeight, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.parts) != self.shape.k:
-            raise ValidationError(f"expected {self.shape.k} parts, got {len(self.parts)}")
-        for i, part in enumerate(self.parts):
-            if part.p != self.shape.p:
+    def __new__(cls, shape: GLXShape, parts: tuple[GLWeight, ...]) -> TupleWeight:
+        if len(parts) != shape.k:
+            raise ValidationError(f"expected {shape.k} parts, got {len(parts)}")
+        for i, part in enumerate(parts):
+            if part.p != shape.p:
                 raise ValidationError("part characteristic differs from the shape")
-            if part.n != self.shape.types[i]:
-                raise ValidationError(
-                    f"part {i} has rank {part.n}, summand type is {self.shape.types[i]}"
-                )
+            if part.n != shape.types[i]:
+                raise ValidationError(f"part {i} has rank {part.n}, summand type is {shape.types[i]}")
+        return tuple.__new__(cls, (shape, parts))
 
     @property
     def degrees(self) -> tuple[int, ...]:

@@ -40,7 +40,6 @@ KAC_COMPOSITION_MAX_NODES readings.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -64,8 +63,7 @@ class Cap(NamedTuple):
     tail: int
 
 
-@dataclass(frozen=True)
-class CapDiagram:
+class CapDiagram(NamedTuple):
     """Caps in swap order (inner first) plus the circles left free."""
 
     base: WeightDiagram

@@ -27,7 +27,6 @@ tuples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 from typing import NamedTuple
 
@@ -36,22 +35,18 @@ from .errors import ValidationError
 from .fusion import check_prime
 
 
-@dataclass(frozen=True)
-class SuperShape:
+class SuperShape(NamedTuple("SuperShape", [("m", int), ("n", int), ("p", int)])):
     """Block sizes (m, n) and the characteristic, with m + n < p."""
 
-    m: int
-    n: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_prime(self.p)
-        if self.m < 1 or self.n < 1:
-            raise ValidationError(f"block sizes must be positive: ({self.m}, {self.n})")
-        if self.m + self.n >= self.p:
-            raise ValidationError(
-                f"need m + n < p, got m={self.m}, n={self.n}, p={self.p}"
-            )
+    def __new__(cls, m: int, n: int, p: int) -> SuperShape:
+        check_prime(p)
+        if m < 1 or n < 1:
+            raise ValidationError(f"block sizes must be positive: ({m}, {n})")
+        if m + n >= p:
+            raise ValidationError(f"need m + n < p, got m={m}, n={n}, p={p}")
+        return tuple.__new__(cls, (m, n, p))
 
 
 class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple[int, ...]), ("nu", tuple[int, ...])])):
@@ -93,8 +88,7 @@ def super_weight(p: int, mu: tuple[int, ...] | list[int], nu: tuple[int, ...] | 
     return SuperWeight(SuperShape(len(mu), len(nu), p), tuple(mu), tuple(nu))
 
 
-@dataclass(frozen=True)
-class ResidueData:
+class ResidueData(NamedTuple):
     """Residues and label exponents of a super weight."""
 
     a: tuple[int, ...]

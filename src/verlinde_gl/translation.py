@@ -38,7 +38,7 @@ side builds no diagram, only plain tuples that a diagram compares equal to.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagrams import (
     CROSS,
@@ -116,8 +116,7 @@ def apply_E(i: int, d: WeightDiagram) -> tuple[WeightDiagram, ...]:
     return apply_functor("E", i, d)
 
 
-@dataclass(frozen=True)
-class KacExtension:
+class KacExtension(NamedTuple):
     """Effect of a translation functor on a Kac class.
 
     One term: T K(lam) = K(quotient), sub is None.  Two terms: a short exact
@@ -169,8 +168,7 @@ def translate_projective(kind: str, i: int, lam: SuperWeight) -> SuperWeight:
     return decode(terms[0])
 
 
-@dataclass(frozen=True)
-class LoopVector:
+class LoopVector(NamedTuple("LoopVector", [("p", int), ("a", tuple[int, ...]), ("s", int), ("b", tuple[int, ...]), ("r", int)])):
     """Basis tensor (wedge over a) t1^(-s) (x) (dual wedge over b) t2^r.
 
     Residues are stored in the weight order of residue_data; every super
@@ -178,15 +176,12 @@ class LoopVector:
     convention, so no coefficient is stored.
     """
 
-    p: int
-    a: tuple[int, ...]
-    s: int
-    b: tuple[int, ...]
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.a)) != len(self.a) or len(set(self.b)) != len(self.b):
+    def __new__(cls, p: int, a: tuple[int, ...], s: int, b: tuple[int, ...], r: int) -> LoopVector:
+        if len(set(a)) != len(a) or len(set(b)) != len(b):
             raise ValidationError("wedge residues must be distinct within a factor")
+        return tuple.__new__(cls, (p, a, s, b, r))
 
 
 def loop_vector(lam: SuperWeight) -> LoopVector:

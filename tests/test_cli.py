@@ -372,12 +372,13 @@ module = importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         module.main(sys.argv[2:])
-print(" ".join(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlinde_gl.")))
+print(*(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlinde_gl.")), *{"dataclasses"} & sys.modules.keys())
 """
 
 
 def _loaded_modules(module, *argv):
-    """The verlinde_gl submodules a fresh interpreter holds after importing module and, if given, cli.main(argv)."""
+    """The verlinde_gl submodules, and dataclasses if loaded, that a fresh interpreter
+    holds after importing module and, if given, cli.main(argv)."""
     env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _LOAD_PROBE, module, *argv], env=env, capture_output=True, text=True, check=True
@@ -398,6 +399,7 @@ def test_cli_import_leaves_the_suites_unloaded():
 def test_subcommand_loads_only_the_layers_it_calls(name):
     loaded = _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name])
     assert ("suites" in loaded) == (name == "selfcheck")  # only selfcheck loads the suites
+    assert ("dataclasses" in loaded) == (name == "selfcheck")  # records are tuples; SuiteResult is the one dataclass
     assert loaded <= _MAY_LOAD.get(name, loaded)
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import suites
-from verlinde_gl.alcove import ladder_weight
+from verlinde_gl.alcove import GLWeight, WedgeVector, ladder_weight
+from verlinde_gl.borel import GLXShape, TupleWeight
 from verlinde_gl.diagrams import (
     WeightDiagram,
     _trusted,
@@ -21,6 +22,7 @@ from verlinde_gl.diagrams import (
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
 from verlinde_gl.superweights import SuperShape, SuperWeight, _trusted_weight, residue_data, super_weight
+from verlinde_gl.translation import LoopVector
 
 FIG = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
 
@@ -206,17 +208,31 @@ def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
         build()
 
 
+_GLX = GLXShape(5, (1, 4))
+
+
 @pytest.mark.parametrize(
     "build, trusted, fields, bad",
     [
         (WeightDiagram, _trusted, (5, "x<>oo", 1, -2), (5, "x<>o?", 1, -2)),
         (SuperWeight, _trusted_weight, (SuperShape(2, 1, 5), (1, 0), (0,)), (SuperShape(2, 1, 5), (0, 1), (0,))),
+        # The checked records follow the same rules as the labels.
+        (WedgeVector, lambda *f: tuple.__new__(WedgeVector, f), ((1, 0, 3), 0, 5), ((1, 1, 3), 0, 5)),
+        (SuperShape, lambda *f: tuple.__new__(SuperShape, f), (2, 1, 5), (2, 3, 5)),
+        (LoopVector, lambda *f: tuple.__new__(LoopVector, f), (5, (1, 0), 0, (2,), 0), (5, (1, 0), 0, (2, 2), 0)),
+        (GLXShape, lambda *f: tuple.__new__(GLXShape, f), (5, (1, 4)), (5, (1, 5))),
+        (
+            TupleWeight,
+            lambda *f: tuple.__new__(TupleWeight, f),
+            (_GLX, (GLWeight((1,), 5), GLWeight((0, 0, 0, 0), 5))),
+            (_GLX, (GLWeight((1,), 5), GLWeight((0, 0, 0), 5))),
+        ),
     ],
-    ids=["diagram", "super-weight"],
+    ids=["diagram", "super-weight", "wedge-vector", "super-shape", "loop-vector", "glx-shape", "tuple-weight"],
 )
 def test_trusted_label_is_the_constructed_tuple(build, trusted, fields, bad):
     constructed, derived = build(*fields), trusted(*fields)
-    assert derived == constructed and hash(derived) == hash(constructed)
+    assert derived == constructed == fields and hash(derived) == hash(constructed) == hash(fields)
     assert type(derived) is type(constructed) is build
     for label in (constructed, derived):
         assert not hasattr(label, "__dict__")

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,7 +276,7 @@ def test_untwisted_loop_f_fails_the_equivariance_suite(monkeypatch):
         out = real(c, v)
         if c != v.p - 1:
             return out
-        return [replace(t, s=v.s) if t.a != v.a else t for t in out]
+        return [t._replace(s=v.s) if t.a != v.a else t for t in out]
 
     monkeypatch.setattr(translation, "loop_f", untwisted)
     result = suite_equivariance(5, (-1, 1))
