@@ -18,7 +18,9 @@ sweep shares:
   encode and decode once per weight.
 - equivariance (criterion 4): one encode and one loop vector per window
   weight, shared by all p residues; the two-term order is read off the
-  terms the equivariance core already returned.
+  terms the equivariance core already returned, and each distinct
+  two-term output is decoded once per sweep, the dominance check still
+  running on every output.
 - filtration (criterion 5): both directions of BGG read p_set_diagrams and
   kac_diagrams as caps.label_rows rows, once per symbol string, and compare
   keys relative to the label; each distinct alpha is decoded once.
@@ -67,7 +69,7 @@ from .caps import (
     sigma_to_standard,
     standard_to_sigma,
 )
-from .diagrams import CROSS, _trusted, assemble_symbols, decode, encode, render_ascii, symbol_residues
+from .diagrams import CROSS, WeightDiagram, _trusted, assemble_symbols, decode, encode, render_ascii, symbol_residues
 from .enumeration import (
     SELFCHECK_MAX_P,
     admissible_tuples,
@@ -268,19 +270,27 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     return res
 
 
-def _two_term_order_ok(terms) -> bool:
-    """A two-term output has equal cross counts and a strictly dominance-smaller first term."""
+def _two_term_order_ok(terms, weights: dict[WeightDiagram, SuperWeight]) -> bool:
+    """A two-term output has equal cross counts and a strictly dominance-smaller first term.
+
+    weights holds the sweep's decoded terms; a term not in it is decoded
+    and added, so each distinct term is decoded once per sweep.
+    """
     if len(terms) < 2:
         return True
-    lo, hi = map(decode, terms)
-    same_crosses = terms[0].cross_count == terms[1].cross_count
-    return same_crosses and dominance_leq(lo, hi) and not dominance_leq(hi, lo)
+    for t in terms:
+        if t not in weights:
+            weights[t] = decode(t)
+    lo, hi = terms
+    wlo, whi = weights[lo], weights[hi]
+    return lo.cross_count == hi.cross_count and dominance_leq(wlo, whi) and not dominance_leq(whi, wlo)
 
 
 def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 4: diagram action equals loop action for every residue, and
     every two-term F/E output lists its dominance-smaller term first."""
     res = SuiteResult(f"equivariance suite p={p}")
+    weights: dict[WeightDiagram, SuperWeight] = {}
     for lam in window_weights(p, window):
         d, v = encode(lam), loop_vector(lam)
         for c in range(p):
@@ -288,7 +298,7 @@ def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteRe
             terms = _equivariant_terms(d, v, c)
             if terms is None:
                 res.fail(f"equivariance failed at {(lam.mu, lam.nu)}, c={c}")
-            elif not all(map(_two_term_order_ok, terms)):
+            elif not (_two_term_order_ok(terms[0], weights) and _two_term_order_ok(terms[1], weights)):
                 res.fail(f"two-term order failed at {(lam.mu, lam.nu)}, c={c}")
     return res
 

@@ -21,11 +21,12 @@ it by one, and E moving '>' lowers it by one while E moving '<' keeps it.
 suite_equivariance checks this order on every two-term output.
 
 Validation happens at the boundary: apply_functor checks kind and residue,
-then builds each output as one tuple.__new__ in diagrams._trusted, since
-every table row keeps p, the length and both block counts of a valid
-diagram.  translation(d, compositions) composes two generators on one
-diagram, sharing the single steps, and keys each class by its diagram, a
-tuple, as act_on_sum does; commutator and criterion 9 both read it.
+returns () at once for a pair with no table row, then builds each output
+as one tuple.__new__ in diagrams._trusted, since every table row keeps p,
+the length and both block counts of a valid diagram.  translation(d,
+compositions) composes two generators on one diagram, sharing the single
+steps, and keys each class by its diagram, a tuple, as act_on_sum does;
+commutator and criterion 9 both read it.
 
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
@@ -33,6 +34,12 @@ realizations are implemented independently; _equivariant_terms compares
 them term by term, labels included, for one encoded weight and its loop
 vector, and phi_equivariance_check runs it on a super weight.  Its loop
 side builds no diagram, only plain tuples that a diagram compares equal to.
+The loop side is validated the same way: loop_vector builds through
+LoopVector's checks, and loop_f/loop_e build each output as one
+tuple.__new__ in _trusted_loop.  That is sound because a move replaces a
+residue only by one its factor lacks, so both factors stay distinct; were
+an output bad, assemble_symbols would drop a symbol and the comparison
+would still fail.
 """
 
 from __future__ import annotations
@@ -87,23 +94,24 @@ def apply_functor(kind: str, i: int, d: WeightDiagram) -> tuple[WeightDiagram, .
     table = _TABLES.get(kind)
     if table is None:
         raise ValidationError(f"kind must be 'F' or 'E', got {kind!r}")
-    p = d.p
+    p, syms, s, r = d
     if not 0 <= i < p:
         raise ValidationError(f"residue {i} out of range 0..{p - 1}")
-    syms = d.symbols
     if i < p - 1:
+        rows = table.get((syms[i], syms[i + 1]))
+        if rows is None:
+            return ()
         head, tail = syms[:i], syms[i + 2 :]
-        return tuple(
-            _trusted(p, head + x + y + tail, d.s, d.r) for x, y in table.get((syms[i], syms[i + 1]), ())
-        )
+        return tuple([_trusted(p, head + x + y + tail, s, r) for x, y in rows])
     # Across the affine wall the edited pair is (p-1, 0), and the label
     # twists by the change of block at vertex 0.
-    old0, middle = syms[0], syms[1:i]
-    s0, r0 = d.s - (old0 in _FIRST_BLOCK), d.r - (old0 in _SECOND_BLOCK)
-    return tuple(
-        _trusted(p, y + middle + x, s0 + (y in _FIRST_BLOCK), r0 + (y in _SECOND_BLOCK))
-        for x, y in table.get((syms[i], old0), ())
-    )
+    old0 = syms[0]
+    rows = table.get((syms[i], old0))
+    if rows is None:
+        return ()
+    middle = syms[1:i]
+    s0, r0 = s - (old0 in _FIRST_BLOCK), r - (old0 in _SECOND_BLOCK)
+    return tuple([_trusted(p, y + middle + x, s0 + (y in _FIRST_BLOCK), r0 + (y in _SECOND_BLOCK)) for x, y in rows])
 
 
 def apply_F(i: int, d: WeightDiagram) -> tuple[WeightDiagram, ...]:
@@ -184,6 +192,13 @@ class LoopVector(NamedTuple("LoopVector", [("p", int), ("a", tuple[int, ...]), (
         return tuple.__new__(cls, (p, a, s, b, r))
 
 
+def _trusted_loop(p: int, a: tuple[int, ...], s: int, b: tuple[int, ...], r: int) -> LoopVector:
+    """A LoopVector without its checks, for loop_f/loop_e outputs: each
+    moves one residue of a valid vector to a residue its factor lacks, so
+    both factors stay distinct."""
+    return tuple.__new__(LoopVector, (p, a, s, b, r))
+
+
 def loop_vector(lam: SuperWeight) -> LoopVector:
     """The basis vector assigned to a super weight."""
     rd = residue_data(lam)
@@ -194,35 +209,36 @@ def loop_f(c: int, v: LoopVector) -> list[LoopVector]:
     """Chevalley lowering at residue c: raise a c-residue in either factor.
 
     Wedge factor: a_i = c becomes c+1 (t1 twist at the affine wall).  Dual
-    factor: b_j = c+1 becomes c (t2 twist).  Occupied targets vanish.
+    factor: b_j = c+1 becomes c (t2 twist).  Occupied targets vanish, so a
+    move only ever lands on a free residue and each output is built
+    unchecked in _trusted_loop.
     """
-    p = v.p
+    p, a, s, b, r = v
     if not 0 <= c < p:
         raise ValidationError(f"residue {c} out of range 0..{p - 1}")
     up, down = c, (c + 1) % p
+    wall = 1 if c == p - 1 else 0
     out = []
-    if up in v.a and down not in v.a:
-        a = tuple(down if x == up else x for x in v.a)
-        out.append(LoopVector(p, a, v.s + (1 if c == p - 1 else 0), v.b, v.r))
-    if down in v.b and up not in v.b:
-        b = tuple(up if x == down else x for x in v.b)
-        out.append(LoopVector(p, v.a, v.s, b, v.r - (1 if c == p - 1 else 0)))
+    if up in a and down not in a:
+        out.append(_trusted_loop(p, tuple(down if x == up else x for x in a), s + wall, b, r))
+    if down in b and up not in b:
+        out.append(_trusted_loop(p, a, s, tuple(up if x == down else x for x in b), r - wall))
     return out
 
 
 def loop_e(c: int, v: LoopVector) -> list[LoopVector]:
-    """Chevalley raising at residue c, adjoint to loop_f."""
-    p = v.p
+    """Chevalley raising at residue c, adjoint to loop_f; like loop_f it
+    moves a residue only onto a free one, so its outputs are unchecked."""
+    p, a, s, b, r = v
     if not 0 <= c < p:
         raise ValidationError(f"residue {c} out of range 0..{p - 1}")
     up, down = c, (c + 1) % p
+    wall = 1 if c == p - 1 else 0
     out = []
-    if down in v.a and up not in v.a:
-        a = tuple(up if x == down else x for x in v.a)
-        out.append(LoopVector(p, a, v.s - (1 if c == p - 1 else 0), v.b, v.r))
-    if up in v.b and down not in v.b:
-        b = tuple(down if x == up else x for x in v.b)
-        out.append(LoopVector(p, v.a, v.s, b, v.r + (1 if c == p - 1 else 0)))
+    if down in a and up not in a:
+        out.append(_trusted_loop(p, tuple(up if x == down else x for x in a), s - wall, b, r))
+    if up in b and down not in b:
+        out.append(_trusted_loop(p, a, s, tuple(down if x == up else x for x in b), r + wall))
     return out
 
 
@@ -238,7 +254,8 @@ def _equivariant_terms(
     out = []
     for kind, loop in (("F", loop_f), ("E", loop_e)):
         terms = apply_functor(kind, c, d)
-        if sorted(terms) != sorted((w.p, assemble_symbols(w.a, w.b, w.p), w.s, w.r) for w in loop(c, v)):
+        witness = [(q, assemble_symbols(a, b, q), s, r) for q, a, s, b, r in loop(c, v)]
+        if len(terms) != len(witness) or (terms and sorted(terms) != sorted(witness)):
             return None
         out.append(terms)
     return out[0], out[1]

@@ -513,9 +513,9 @@ def test_package_has_no_assert_statements():
 
 
 def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
-    # WeightDiagram and SuperWeight are tuples checked in their __new__; a
-    # derived label is one tuple.__new__ in _trusted or _trusted_weight, and
-    # nothing sets fields on a half-built object.
+    # WeightDiagram, SuperWeight and LoopVector are tuples checked in their
+    # __new__; a derived one is one tuple.__new__ in _trusted, _trusted_weight
+    # or _trusted_loop, and nothing sets fields on a half-built object.
     forced, trusted = [], []
 
     def visit(node, where):
@@ -526,7 +526,7 @@ def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
             if owner == "object" and attr in ("__setattr__", "__new__"):
                 forced.append(f"{where}: object.{attr}")
             first = node.args[0] if node.args else None
-            if owner == "tuple" and attr == "__new__" and isinstance(first, ast.Name) and first.id in ("WeightDiagram", "SuperWeight"):
+            if owner == "tuple" and attr == "__new__" and isinstance(first, ast.Name) and first.id in ("WeightDiagram", "SuperWeight", "LoopVector"):
                 trusted.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -534,7 +534,7 @@ def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
     for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
     assert forced == []
-    assert trusted == ["diagrams._trusted", "superweights._trusted_weight"]
+    assert trusted == ["diagrams._trusted", "superweights._trusted_weight", "translation._trusted_loop"]
 
 
 def _unbounded_caches(source: str) -> list[int]:

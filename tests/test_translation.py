@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import caps, suites, translation
-from verlinde_gl.diagrams import WeightDiagram, assemble_symbols, decode, encode
+from verlinde_gl.diagrams import WeightDiagram, _trusted, assemble_symbols, decode, encode
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.suites import suite_equivariance
 from verlinde_gl.superweights import dominance_leq, super_weight
 from verlinde_gl.translation import (
+    LoopVector,
     apply_E,
     apply_F,
     commutator,
@@ -301,6 +302,33 @@ def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
     assert calls == {"encode": weights, "loop_vector": weights}
 
 
+def test_equivariance_suite_decodes_each_distinct_two_term_output_once(monkeypatch):
+    # The order check reads one dict of decoded terms per sweep; a term shared
+    # by several outputs (of several weights or residues) is decoded once.
+    p, window = 5, (-2, 2)
+    outputs = [
+        out
+        for lam in window_weights(p, window)
+        for c in range(p)
+        for out in (apply_F(c, encode(lam)), apply_E(c, encode(lam)))
+        if len(out) == 2
+    ]
+    distinct = {t for out in outputs for t in out}
+    assert len(distinct) < 2 * len(outputs)
+    calls: Counter = Counter()
+    real = suites.decode
+
+    def counted(d):
+        calls[d] += 1
+        return real(d)
+
+    monkeypatch.setattr(suites, "decode", counted)
+    result = suite_equivariance(p, window)
+    assert result.ok and result.checked == p * sum(1 for _ in window_weights(p, window))
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}
+
+
 def test_equivariance_suite_builds_no_diagram_through_the_constructor(monkeypatch):
     # The loop witness is compared as (symbols, s, r) keys, and every diagram
     # of the diagram side is derived, so the public constructor never runs.
@@ -354,6 +382,53 @@ def test_functor_outputs_pass_the_public_constructor(data):
     for i in range(d.p):
         for t in apply_F(i, d) + apply_E(i, d):
             assert t == WeightDiagram(t.p, t.symbols, t.s, t.r)
+
+
+def test_loop_outputs_pass_the_public_constructor():
+    # loop_f and loop_e skip LoopVector's checks; on the p=5 window every
+    # vector they build equals a validated rebuild.
+    built = 0
+    for lam in window_weights(5):
+        v = loop_vector(lam)
+        for c in range(5):
+            for t in loop_f(c, v) + loop_e(c, v):
+                assert type(t) is LoopVector
+                assert t == LoopVector(*t)
+                built += 1
+    assert built > 3677
+
+
+def _former_apply_functor(kind, i, d):
+    """Reference: the former body, reading each field by name and building
+    the outputs from a generator, empty rows included."""
+    table = translation._TABLES[kind]
+    p = d.p
+    syms = d.symbols
+    if i < p - 1:
+        head, tail = syms[:i], syms[i + 2 :]
+        return tuple(
+            _trusted(p, head + x + y + tail, d.s, d.r) for x, y in table.get((syms[i], syms[i + 1]), ())
+        )
+    old0, middle = syms[0], syms[1:i]
+    s0, r0 = d.s - (old0 in ">x"), d.r - (old0 in "<x")
+    return tuple(
+        _trusted(p, y + middle + x, s0 + (y in ">x"), r0 + (y in "<x"))
+        for x, y in table.get((syms[i], old0), ())
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_functor_matches_the_former_body(data):
+    d = _random_diagram(data)
+    for kind in "FE":
+        for i in range(d.p):
+            want = _former_apply_functor(kind, i, d)
+            got = translation.apply_functor(kind, i, d)
+            assert type(got) is tuple and got == want
+            assert [type(t) for t in got] == [WeightDiagram] * len(want)
+            if (d.symbols[i], d.symbols[(i + 1) % d.p]) not in translation._TABLES[kind]:
+                assert got == ()
 
 
 def test_encoded_and_slid_diagrams_pass_the_public_constructor(monkeypatch):
