@@ -29,18 +29,17 @@ core(d) is the core at d's symbols and label (0, 0), shifted by (d.s, d.r).
 Criteria 5 and 6 read both cores as label_rows rows, by keys relative to
 the label, and decode a weight only where a check reads one.
 
-kac_diagrams inverts p_set_diagrams without trying candidates.  A factor
-lam of d has a first free circle f; cut there, lam's caps nest inside one
-lap, so the same bracket match, read off d's lap with each cap kept or
-swapped, yields every factor once per cut.  The walk is an explicit stack,
-pruned to branches that can still close, and refuses more than
-KAC_COMPOSITION_MAX_NODES readings.
+kac_diagrams inverts p_set_diagrams without trying candidates: a factor's
+caps match d's crosses with d's circles without crossing, so cut at its
+first free circle they are balanced stretches of d's lap read as a level
+walk.  On its explicit stack every branch ends in a factor, and it refuses
+more than KAC_COMPOSITION_MAX_NODES nodes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 from .diagrams import (
@@ -199,82 +198,80 @@ def projective_filtration(lam: SuperWeight) -> dict[SuperWeight, int]:
     return {alpha: 1 for alpha in p_set(lam)}
 
 
-# kac_composition walks at most k + 1 laps of p vertices for k crosses; a
-# reading of one vertex is a node.  (0^k|0^k) with p = 2k + 1 takes 126 nodes
-# at p = 13, 237 at p = 17, 496 at p = 23, 25,976 at p = 101 (about 20 ms)
-# and 1,632,296 at p = 421; walks beyond the budget (about 0.6 s) are refused.
+# kac_composition takes one node per cap or free circle of each factor, plus
+# one for the factor.  (0^k|0^k) with p = 2k + 1 takes (k + 1)^2 nodes for its
+# k + 1 factors: 2,601 at p = 101 (1.5 ms) and 255,025 at p = 1009 (0.15 s).
+# Larger walks are refused: xo...xoo at p = 41 after about 0.36 s.
 KAC_COMPOSITION_MAX_NODES = 1_000_000
-
-_KEPT = -1  # open cap that stays; an open swapped cap holds its source instead
 
 
 def kac_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
     """Diagrams lam with d in p_set_diagrams(lam): the composition factors of K(d).
 
-    lam gives d by swapping some of its caps, so both have k crosses,
-    and lam has a free circle (m + n < p).  Its first free circle f (by
-    vertex index) is a circle of d and one of d's first k + 1
-    circles: exactly k circles of d are not free in lam, the tails of
-    kept caps and the sources of swapped ones.  Cut at each such f, lam's
-    caps nest inside the lap f+1, ..., p-1, 0, ..., f-1, so lam's bracket
-    word is read off d's lap with a stack of open caps, kept or swapped:
+    lam is a factor exactly when its caps form a non-crossing matching of
+    every cross of d with a circle of d (a kept cap has the cross at its
+    source, a swapped cap at its tail), d's unmatched circles lie outside
+    every cap, and there is one at least (m + n < p).  Only k circles are
+    matched, so lam's first free circle f is one of d's first k + 1.  Cut
+    at f, each cap is an interval of the lap f+1, ..., p-1, 0, ..., f-1
+    (arrows skipped), read as a level walk: crosses +1, circles -1.  A cap
+    opened at a closes at b exactly when b steps back to a's level in the
+    direction a left it, so its inside is balanced, and a balanced stretch
+    can always be matched: it has two neighbours of opposite kind.  Free
+    circles are the top level's down-steps before the wrap (vertex > f),
+    and the top level can still close exactly when the lowest level it
+    reaches before the wrap is at or below the lap's end level.
 
-    - a cross of d is a kept source (push) or the tail z of the swapped
-      cap on top (pop it; the move z -> u slides the cross back to its
-      source u);
-    - a circle of d closes a kept cap on top, is free when no cap is open
-      (only after f, which makes f the first), or is a swapped source
-      (push); under a swapped top it cannot stay a circle.
-
-    Every factor is found exactly once: lam fixes its cut f and every
-    reading.  A branch is pruned when it cannot end with nothing open: its
-    open swapped caps outnumber the crosses left, the circles left cannot
-    hold the non-free circles still due, or these are fewer than the
-    circles before f still ahead, which may not be free.  A lap ending with
-    nothing open is a factor, built by _slide_crosses.  suite_filtration
-    checks BGG reciprocity both ways against p_set_diagrams.  A walk of
-    more than KAC_COMPOSITION_MAX_NODES readings raises ValidationError.
+    So every branch ends in a factor, a distinct one since lam fixes f and
+    each choice: an explicit stack of pending intervals settles the first
+    vertex of the top one, free or capped to each b allowed above.  A
+    factor costs one node per cap or free circle and one for itself, c in
+    all for d's c < p circles, so the walk takes at most c nodes per
+    factor; more than KAC_COMPOSITION_MAX_NODES raise ValidationError
+    before any factor is built.  suite_filtration checks BGG reciprocity.
     """
     p, symbols, k = d.p, d.symbols, d.cross_count
-    circles = [v for v in range(p) if symbols[v] == EMPTY]
-    out: set[WeightDiagram] = set()
+    ring = [v for v in range(p) if symbols[v] in (CROSS, EMPTY)] * 2
+    size = len(ring) // 2
+    # Over d's crosses and circles, twice: level[t] before position t, low[t] the
+    # lowest level from t to the wrap, after[t] the next step across t's edge.
+    level = [0, *accumulate(1 if symbols[v] == CROSS else -1 for v in ring)]
+    low = [*accumulate(reversed(level[: size + 1]), min)][::-1] + [p] * size
+    roots = [t for t in range(size) if symbols[ring[t]] == EMPTY][: k + 1]
+    after = [2 * size] * (2 * size + 1)
+    seen: dict[int, int] = {}
+    for t in range(roots[-1] + size - 1, -1, -1):  # where the last cut's lap ends
+        edge = min(level[t], level[t + 1])
+        after[t], seen[edge] = seen.get(edge, 2 * size), t
+    # (pending (start, stop) intervals, swapped caps' moves) as linked (top, rest) pairs
+    todo = [(((f + 1, f + size), None) if size > 1 else None, None) for f in roots if low[f + 1] <= level[f + size]]
+    found = []  # the moves of each factor, built once the walk is done
     nodes = 0
-    for before_f, f in enumerate(circles[: k + 1]):
-        lap = [v for v in (*range(f + 1, p), *range(f)) if symbols[v] in (CROSS, EMPTY)]
-        crosses_after = [0] * (len(lap) + 1)
-        circles_after = [0] * (len(lap) + 1)
-        for i in range(len(lap) - 1, -1, -1):
-            crosses_after[i] = crosses_after[i + 1] + (symbols[lap[i]] == CROSS)
-            circles_after[i] = circles_after[i + 1] + (symbols[lap[i]] == EMPTY)
-        # (lap position, open caps as linked (top, rest) pairs, open swapped
-        # caps, non-free circles due, moves)
-        todo: list[tuple] = [(0, None, 0, k, ())]
-        while todo:
-            i, stack, swapped, due, moves = todo.pop()
-            nodes += 1
-            if nodes > KAC_COMPOSITION_MAX_NODES:
-                limit = KAC_COMPOSITION_MAX_NODES
-                raise ValidationError(f"kac_composition walk exceeds {limit} nodes")
-            if i == len(lap):
-                if stack is None:
-                    out.add(_slide_crosses(d, moves, -1))
-                continue
-            v, rest = lap[i], i + 1
-            if symbols[v] == CROSS:
-                if swapped <= crosses_after[rest]:
-                    todo.append((rest, (_KEPT, stack), swapped, due, moves))
-                if stack is not None and stack[0] != _KEPT:
-                    todo.append((rest, stack[1], swapped - 1, due, (*moves, (v, stack[0]))))
-                continue
-            if stack is None and v > f and due <= circles_after[rest]:
-                todo.append((rest, None, swapped, due, moves))
-            if due <= min(circles_after[rest], before_f):
-                continue
-            if stack is not None and stack[0] == _KEPT:
-                todo.append((rest, stack[1], swapped, due - 1, moves))
-            if swapped < crosses_after[rest]:
-                todo.append((rest, (v, stack), swapped + 1, due - 1, moves))
-    return out
+    while todo:
+        pending, moves = todo.pop()
+        nodes += 1
+        if nodes > KAC_COMPOSITION_MAX_NODES:
+            raise ValidationError(f"kac_composition walk exceeds {KAC_COMPOSITION_MAX_NODES} nodes")
+        if pending is None:
+            found.append(moves)
+            continue
+        (a, stop), rest = pending
+        here, end = level[a], level[stop]
+        down = level[a + 1] < here
+        if down and here > end:
+            todo.append((((a + 1, stop), rest) if a + 1 < stop else rest, moves))
+        b = after[a]
+        while b < stop and (here == end or low[b + 1] <= end):
+            outer = ((b + 1, stop), rest) if b + 1 < stop else rest
+            todo.append((((a + 1, b), outer) if a + 1 < b else outer, ((ring[b], ring[a]), moves) if down else moves))
+            b = after[after[b]]
+
+    def unlinked(moves):
+        while moves is not None:
+            move, moves = moves
+            yield move
+
+    return {_slide_crosses(d, unlinked(moves), -1) for moves in found}
 
 
 def kac_composition(alpha: SuperWeight) -> set[SuperWeight]:

@@ -181,10 +181,11 @@ def casimir_unsuper(mu: tuple[int, ...], pi: tuple[int, ...], p: int) -> int:
     Z^(m + p - n); congruent mod p to the super Casimir of (mu | D(pi)).
     """
     check_prime(p)
-    if not is_admissible(tuple(mu), len(mu), p):
-        raise ValidationError(f"mu={tuple(mu)} not admissible for rank {len(mu)}, p={p}")
-    if not is_admissible(tuple(pi), len(pi), p):
-        raise ValidationError(f"pi={tuple(pi)} not admissible for rank {len(pi)}, p={p}")
+    for name, block in (("mu", tuple(mu)), ("pi", tuple(pi))):
+        if not all(type(x) is int for x in block):
+            raise ValidationError(f"{name}={block} must have integer entries")
+        if not is_admissible(block, len(block), p):
+            raise ValidationError(f"{name}={block} not admissible for rank {len(block)}, p={p}")
     vec = tuple(mu) + tuple(pi)
     k = len(vec)
     r2 = tuple(k - (2 * i - 1) for i in range(1, k + 1))

@@ -425,10 +425,117 @@ def test_kac_composition_answers_at_large_p():
     assert all(alpha in p_set(f) for f in factors)
 
 
+# Symbols "xo" * 20 + "o" at p = 41: (38, 37, ..., 19 | -19, -20, ..., -38)
+# has Catalan(21) factors, far more than KAC_COMPOSITION_MAX_NODES.
+ALTERNATING41 = super_weight(41, tuple(range(38, 18, -1)), tuple(range(-19, -39, -1)))
+
+
 def test_kac_composition_node_budget():
-    # (0^504|0^504) at p = 1009 needs far more walk nodes than the budget.
+    assert encode(ALTERNATING41).symbols == "xo" * 20 + "o"
     with pytest.raises(ValidationError, match=f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes"):
-        kac_composition(super_weight(1009, (0,) * 504, (0,) * 504))
+        kac_composition(ALTERNATING41)
+
+
+@pytest.mark.parametrize("p", [421, 1009])
+def test_kac_composition_of_zero_weight_at_large_p(p):
+    # The walk grows with its output: (0^k|0^k), p = 2k + 1, takes (k + 1)^2
+    # nodes for its k + 1 factors (255,025 at p = 1009).
+    k = (p - 1) // 2
+    alpha = super_weight(p, (0,) * k, (0,) * k)
+    factors = kac_composition(alpha)
+    assert alpha in factors and len(factors) == k + 1
+
+
+@pytest.mark.parametrize("p, count", [(7, 14), (11, 132), (13, 429), (17, 4862)])
+def test_kac_diagrams_of_the_alternating_diagram_count_catalan(p, count):
+    # "xo" * k + "o" at p = 2k + 1 has Catalan(k + 1) factors, a closed form
+    # that neither walk computes.
+    k = (p - 1) // 2
+    assert count == comb(2 * k + 2, k + 1) // (k + 2)
+    assert len(kac_diagrams(WeightDiagram(p, "xo" * k + "o", 0, 0))) == count
+
+
+_KEPT = -1  # reference walk: open cap that stays; an open swapped cap holds its source
+
+
+def _kac_diagrams_reference(d: WeightDiagram) -> set[WeightDiagram]:
+    """Reference: the bracket-lap walk with per-reading counters that the
+    level-walk matching replaced (no node budget).
+
+    Cut at each of d's first k + 1 circles f, read the lap with a stack of
+    open caps, kept or swapped, and prune a branch when its open swapped
+    caps outnumber the crosses left, the circles left cannot hold the
+    non-free circles still due, or these are fewer than the circles before
+    f still ahead.  Never re-express this through kac_diagrams.
+    """
+    p, symbols, k = d.p, d.symbols, d.cross_count
+    circles = [v for v in range(p) if symbols[v] == EMPTY]
+    out: set[WeightDiagram] = set()
+    for before_f, f in enumerate(circles[: k + 1]):
+        lap = [v for v in (*range(f + 1, p), *range(f)) if symbols[v] in (CROSS, EMPTY)]
+        crosses_after = [0] * (len(lap) + 1)
+        circles_after = [0] * (len(lap) + 1)
+        for i in range(len(lap) - 1, -1, -1):
+            crosses_after[i] = crosses_after[i + 1] + (symbols[lap[i]] == CROSS)
+            circles_after[i] = circles_after[i + 1] + (symbols[lap[i]] == EMPTY)
+        todo: list[tuple] = [(0, None, 0, k, ())]
+        while todo:
+            i, stack, swapped, due, moves = todo.pop()
+            if i == len(lap):
+                if stack is None:
+                    out.add(_slide_crosses(d, moves, -1))
+                continue
+            v, rest = lap[i], i + 1
+            if symbols[v] == CROSS:
+                if swapped <= crosses_after[rest]:
+                    todo.append((rest, (_KEPT, stack), swapped, due, moves))
+                if stack is not None and stack[0] != _KEPT:
+                    todo.append((rest, stack[1], swapped - 1, due, (*moves, (v, stack[0]))))
+                continue
+            if stack is None and v > f and due <= circles_after[rest]:
+                todo.append((rest, None, swapped, due, moves))
+            if due <= min(circles_after[rest], before_f):
+                continue
+            if stack is not None and stack[0] == _KEPT:
+                todo.append((rest, stack[1], swapped, due - 1, moves))
+            if swapped < crosses_after[rest]:
+                todo.append((rest, (v, stack), swapped + 1, due - 1, moves))
+    return out
+
+
+def _dense_diagram(data) -> WeightDiagram:
+    """A labelled diagram at p = 5..23 whose vertices are mostly crosses and circles."""
+    p = data.draw(st.sampled_from((5, 7, 11, 13, 17, 19, 23)))
+    k = data.draw(st.integers(1, (p - 1) // 2))
+    arrows = data.draw(st.integers(0, min(3, p - 1 - 2 * k)))
+    a = data.draw(st.permutations(range(p)))
+    lefts = data.draw(st.integers(0, arrows))
+    b = a[:k] + a[k + arrows - lefts : k + arrows]
+    symbols = assemble_symbols(a[: k + arrows - lefts], b, p)
+    assert symbols.count(CROSS) == k and len(symbols) - symbols.count(EMPTY) == k + arrows
+    return WeightDiagram(p, symbols, data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_kac_diagrams_matches_the_reference_walk_on_dense_diagrams(data):
+    # Past the brute force's 5,000-candidate reach above p = 13.
+    d = _dense_diagram(data)
+    assert kac_diagrams(d) == _kac_diagrams_reference(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kac_walk_fits_a_budget_of_one_node_per_circle_per_factor(data):
+    # No branch dies: each factor costs at most one node per circle of d.
+    d = _dense_diagram(data)
+    bound = d.symbols.count(EMPTY) * len(kac_diagrams(d))
+    saved = caps.KAC_COMPOSITION_MAX_NODES
+    caps.KAC_COMPOSITION_MAX_NODES = bound
+    try:
+        kac_diagrams(d)
+    finally:
+        caps.KAC_COMPOSITION_MAX_NODES = saved
 
 
 def test_p_set_size_limit():

@@ -291,7 +291,11 @@ _OVER_WALK_LIMIT_IDS = [
         (("oddroot-lemma", "--m", "100000", "--n", "100000"), "block sizes must be at most 16"),
         (("fuse", "--p", "1000000000000000003", "--i", "1", "--j", "1"), "p must be at most 1000000"),
         (
-            ("kac-factors", "--p", "1009", "--mu", ",".join(["0"] * 504), "--nu=" + ",".join(["0"] * 504)),
+            # Symbols "xo" * 20 + "o" at p = 41: Catalan(21) factors.
+            (
+                "kac-factors", "--p", "41", "--mu=" + ",".join(map(str, range(38, 18, -1))),
+                "--nu=" + ",".join(map(str, range(-19, -39, -1))),
+            ),
             f"exceeds {KAC_COMPOSITION_MAX_NODES} nodes",
         ),
         (_BOREL_TRANSLATE + ("--w", "1,1"), "error VALIDATION: (1, 1) is not a permutation of 1..2"),

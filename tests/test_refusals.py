@@ -22,6 +22,7 @@ from verlinde_gl.borel import (
     w_dominance_leq,
     w_integrable,
 )
+from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, kac_composition
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.serganova import check_blocks, odd_root_order
 from verlinde_gl.superweights import casimir_unsuper, dominance_leq, super_weight
@@ -37,6 +38,8 @@ ONE_PART = _tuple_weight(5, (1,), [(0,)])
 RANK_TWO_PART = _tuple_weight(5, (2,), [(0, 0)])
 NONCANONICAL = _tuple_weight(5, (2, 1), [(0, 0), (0,)])
 ZERO5 = super_weight(5, (0,), (0,))
+# Symbols "xo" * 20 + "o" at p = 41: Catalan(21) Kac factors, past the node budget.
+ALTERNATING41 = super_weight(41, tuple(range(38, 18, -1)), tuple(range(-19, -39, -1)))
 
 REFUSALS = [
     ("is_admissible-rank", lambda: is_admissible((0,) * 5, 5, 5), ValidationError, "rank 5 out of range 1..4"),
@@ -59,6 +62,12 @@ REFUSALS = [
     ("odd_root_order-size", lambda: odd_root_order(0, 1), ValidationError, "block sizes must be positive"),
     ("casimir_unsuper-mu", lambda: casimir_unsuper((5, 0), (0,), 5), ValidationError, "mu=(5, 0) not admissible"),
     ("casimir_unsuper-pi", lambda: casimir_unsuper((0,), (5, 0), 5), ValidationError, "pi=(5, 0) not admissible"),
+    ("casimir_unsuper-float", lambda: casimir_unsuper((1.5,), (0,), 5), ValidationError,
+     "mu=(1.5,) must have integer entries"),
+    ("casimir_unsuper-bool", lambda: casimir_unsuper((0,), (True,), 5), ValidationError,
+     "pi=(True,) must have integer entries"),
+    ("kac_composition-budget", lambda: kac_composition(ALTERNATING41), ValidationError,
+     f"kac_composition walk exceeds {KAC_COMPOSITION_MAX_NODES} nodes"),
     ("dominance_leq-shapes", lambda: dominance_leq(ZERO5, super_weight(5, (0, 0), (0,))), ValidationError, "shapes"),
     ("translate_projective-killed", lambda: translate_projective("F", 0, super_weight(5, (1,), (1,))),
      ContractError, "functor kills the diagram"),
