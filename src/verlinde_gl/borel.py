@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .alcove import GLWeight, level_rank_D
-from .caps import sigma_to_standard, standard_to_sigma
 from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
 from .superweights import SuperShape, SuperWeight
@@ -154,6 +153,8 @@ def odd_reflect_pair(
     first); the output labels the swapped Borel.  direction 'to_standard':
     the inverse.
     """
+    from .caps import sigma_to_standard, standard_to_sigma  # only odd reflections load the cap calculus
+
     if small.p != big.p:
         raise ValidationError("parts must share the characteristic")
     if small.n >= big.n:

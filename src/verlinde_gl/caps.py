@@ -19,15 +19,17 @@ one rule twists the label by t1^(-step) t2^(step) per slide past p-1 -> 0.
 Swapping the cross of cap j with its tail is the involution tau_j, a
 clockwise slide; kac_diagrams and sigma_to_standard slide back.
 
-The calculus works in diagram space.  p_set_diagrams, kac_diagrams and
-replay_diagrams take and return WeightDiagrams; p_set, kac_composition,
-projective_filtration and replay_word are their weight-level wrappers, one
-encode, one call of the core and one decode per image.  The p-set and Kac
-cores are label-free up to a shift: the label enters only through
-_slide_crosses, which adds step * wraps to s and r whatever the label, so
-core(d) is the core at d's symbols and label (0, 0), shifted by (d.s, d.r).
-Criteria 5 and 6 read both cores as label_rows rows, by keys relative to
-the label, and decode a weight only where a check reads one.
+The calculus works in diagram space.  p_set_diagrams, kac_diagrams,
+replay_diagrams and projective_word_diagrams take and return
+WeightDiagrams; p_set, kac_composition, projective_filtration, replay_word
+and projective_word are their weight-level wrappers, one encode, one call
+of the core and one decode per image (projective_word decodes its base).
+The p-set and Kac cores are label-free up to a shift: the label enters only
+through _slide_crosses, which adds step * wraps to s and r whatever the
+label, so core(d) is the core at d's symbols and label (0, 0), shifted by
+(d.s, d.r).  Criteria 5 and 6 read both cores as label_rows rows, by keys
+relative to the label, and decode a weight only where a check reads one;
+criterion 6 runs the word core and the replay on diagrams and decodes none.
 
 kac_diagrams inverts p_set_diagrams without trying candidates: a factor's
 caps match d's crosses with d's circles without crossing, so cut at its
@@ -319,21 +321,20 @@ def dual_simple_label(lam: SuperWeight) -> SuperWeight:
 PROJECTIVE_WORD_MAX_SYMBOLS = 100_000_000
 
 
-def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int], ...]]:
-    """A typical base and translation steps rebuilding the projective cover.
+def projective_word_diagrams(d: WeightDiagram) -> tuple[WeightDiagram, tuple[tuple[str, int], ...]]:
+    """A typical base diagram and translation steps rebuilding the projective cover of d.
 
     Returns (base, word) with word = ((kind, residue), ...) applied left to
     right, so that the classes of word[-1](..(word[0](K(base)))) sum over the
-    standard filtration of P(lam).  Peels one inner cap per round: shuffle
+    standard filtration of P(d).  Peels one inner cap per round: shuffle
     the cross next to its tail, merge it there, recurse, then append the
     adjoint steps in reverse.  A peeled cap's ends become arrows and every
-    other cap stays, so the rounds peel the caps of lam's cap diagram in
+    other cap stays, so the rounds peel the caps of d's cap diagram in
     swap order, and a cap of length l adds l steps to the word.  Raises
     ValidationError when len(word) * p exceeds PROJECTIVE_WORD_MAX_SYMBOLS.
     """
     word_rev: list[tuple[str, int]] = []
-    d = encode(lam)
-    p, caps = d.p, cap_diagram(d).caps
+    base, p, caps = d, d.p, cap_diagram(d).caps
     steps = sum((cap.tail - cap.source) % p for cap in caps)
     if steps * p > PROJECTIVE_WORD_MAX_SYMBOLS:
         limit = PROJECTIVE_WORD_MAX_SYMBOLS
@@ -343,25 +344,31 @@ def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int
         # Move the cross clockwise past each arrow (F hops '<', E hops '>'),
         # then merge (x o) -> (< >), dropping one cross.
         steps_fwd = []
-        cur, pos, merged = d, cap.source, ()
-        if all(d.symbols[v] in (LEFT, RIGHT) for v in span):
+        cur, pos, merged = base, cap.source, ()
+        if all(base.symbols[v] in (LEFT, RIGHT) for v in span):
             for v in span:
-                kind = "F" if d.symbols[v] == LEFT else "E"
+                kind = "F" if base.symbols[v] == LEFT else "E"
                 (cur,) = apply_functor(kind, pos, cur)
                 steps_fwd.append((kind, pos))
                 pos = v
             merged = apply_functor("F", pos, cur)
-        if len(merged) != 1 or merged[0].cross_count != d.cross_count - 1:
+        if len(merged) != 1 or merged[0].cross_count != base.cross_count - 1:
             raise ContractError(
-                f"inner cap {cap.source}->{cap.tail} of {lam} must span arrows only"
+                f"inner cap {cap.source}->{cap.tail} of {d} must span arrows only"
                 " and merge to one term with one cross fewer"
             )
         # Rebuild: E at the merge vertex, then the adjoint shuffles in reverse.
         rebuild = [("E", pos)] + [("E" if k == "F" else "F", v) for k, v in reversed(steps_fwd)]
         word_rev = rebuild + word_rev
-        d = merged[0]
-    base = decode(d)
+        base = merged[0]
     return base, tuple(word_rev)
+
+
+def projective_word(lam: SuperWeight) -> tuple[SuperWeight, tuple[tuple[str, int], ...]]:
+    """A typical base and translation steps rebuilding the projective cover:
+    projective_word_diagrams, with the base decoded.  Raises as it does."""
+    base, word = projective_word_diagrams(encode(lam))
+    return decode(base), word
 
 
 def replay_diagrams(d: WeightDiagram, word: tuple[tuple[str, int], ...]) -> dict[WeightDiagram, int]:

@@ -25,22 +25,28 @@ sweep shares:
   kac_diagrams as caps.label_rows rows, once per symbol string, and compare
   keys relative to the label; each distinct alpha is decoded once.
 - projective-word (criterion 6): each weight is encoded once, for its
-  cross count and its p-set row, read from a label_rows table of
-  p_set_diagrams; the replay is compared with that row shifted to the
-  weight's label, so only the word's base is decoded.
+  cross count, its word (projective_word_diagrams), the replay of the word
+  on the base diagram and its p-set row, read from a label_rows table of
+  p_set_diagrams; the base is typical when it has no cross, and the replay
+  is compared with the row shifted to the weight's label, so the suite
+  decodes nothing.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   steps each distinct (walk state, nu_j) once per sweep; each block's mask
-  and block of mu - sum_odd_roots are built once per stage.
+  and block of mu - sum_odd_roots are built once per stage.  Each mu adds
+  its len(nus) pairs to the count at once and reads its row of hats as
+  one islice of the walk.
 - kac-moody (criterion 9): one encode and one translation table per window
   weight: the 2p single steps once, then each ordered composition x(y d)
-  once, shared by every relation that reads it.  Like every diagram the
-  library derives, the encode and the functor outputs skip WeightDiagram's
-  checks (see diagrams).
+  once, shared by every relation that reads it.  The table keys of every
+  relation are built once per sweep, and each weight adds its checks to
+  the count at once.  Like every diagram the library derives, the encode
+  and the functor outputs skip WeightDiagram's checks (see diagrams).
 
 Criteria 4, 5 and 6 share the diagram space of caps and translation, where
 a diagram compares as the tuple (p, symbols, s, r): criterion 4's loop
 witness builds no diagram, criteria 5 and 6 read label-free rows, and a
-weight is decoded only for a check that reads one or for a failure message.
+weight is decoded only for a check that reads one or for a failure message;
+criterion 6 reads none.
 Labels are tuples, validated at the boundary
 (see diagrams, superweights): window and decoded weights are one
 tuple.__new__ each, skipping SuperWeight's checks, as encoded and derived
@@ -52,7 +58,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .alcove import GLWeight, ladder_weight, level_rank_D, psi_data, weight_ladder
 from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel
@@ -64,7 +70,7 @@ from .caps import (
     lowest_weight,
     p_set,
     p_set_diagrams,
-    projective_word,
+    projective_word_diagrams,
     replay_diagrams,
     sigma_to_standard,
     standard_to_sigma,
@@ -382,11 +388,12 @@ def suite_projective_word(
 ) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
-    Each weight is encoded once; its cross count is its atypicality
-    (criterion 3).  The replay is compared with the p-set row, read from a
+    Each weight is encoded once, and the word and its replay run on that
+    diagram: projective_word_diagrams, then replay_diagrams on its base.  A
+    cross count is an atypicality (criterion 3), so the base is typical when
+    it has no cross.  The replay is compared with the p-set row, read from a
     label_rows table of p_set_diagrams and shifted to the weight's label,
-    each p-set diagram with multiplicity 1; only projective_word decodes,
-    once per weight, for its base.
+    each p-set diagram with multiplicity 1.  The suite decodes nothing.
     """
     res = SuiteResult(f"projective-word suite p={p}")
     psets = label_rows(p_set_diagrams)
@@ -395,10 +402,10 @@ def suite_projective_word(
         if d.cross_count > max_atypicality:
             continue
         res.checked += 1
-        base, word = projective_word(lam)
-        if not is_typical(base):
+        base, word = projective_word_diagrams(d)
+        if base.cross_count:
             res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_diagrams(encode(base), word) != {(p, t, d.s + ds, d.r + dr): 1 for t, ds, dr in psets(d.symbols)}:
+        elif replay_diagrams(base, word) != {(p, t, d.s + ds, d.r + dr): 1 for t, ds, dr in psets(d.symbols)}:
             res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
     return res
 
@@ -426,18 +433,17 @@ def suite_serganova(ps: tuple[int, ...] = (5, 7)) -> SuiteResult:
         reps = {rank: residue_representatives(rank, p) for rank in range(1, 5)}
         stages += [("residue-class", p, reps[m], reps[n]) for m in reps for n in reps]
     for label, p, mus, nus in stages:
-        # The pairs are counted once per mu, keeping the loop lean.
+        # The pairs are counted once per mu, len(nus) at a time, keeping the loop lean.
         full_mu, full_nu = sum_odd_roots(len(mus[0]), len(nus[0]))
         nu_rows = [(nu, sh_nu_mask(nu, p), tuple(y - f for y, f in zip(nu, full_nu))) for nu in nus]
         hats = serganova_hats(mus, nus, p)
         for mu in mus:
             mu_bits = sh_mu_mask(mu, p)
             sub_mu = tuple(x - f for x, f in zip(mu, full_mu))
-            pairs = 0
-            for pairs, ((nu, nu_bits, sub_nu), (hat_mu, hat_nu)) in enumerate(zip(nu_rows, hats), 1):
+            res.checked += len(nus)
+            for (nu, nu_bits, sub_nu), (hat_mu, hat_nu) in zip(nu_rows, islice(hats, len(nus))):
                 if (not mu_bits & nu_bits) != (hat_nu == sub_nu and hat_mu == sub_mu):
                     res.fail(f"{label} mismatch at p={p}, {(mu, nu)}")
-            res.checked += pairs
     for p in ps:
         for lam in window_weights(p, shapes=[s for s in super_shapes(p) if s[0] <= 4 and s[1] <= 4]):
             res.checked += 1
@@ -504,31 +510,32 @@ def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteR
     Per window weight, one translation table holds every ordered composition
     x(y d) the relations read, each built once on the shared single steps;
     [x, y] d = 0 exactly when the entries of (x, y) and (y, x) are equal.
+    The table keys of each relation are built once per sweep, and each
+    weight counts its checks at once: one per [e_a, f_b], two per distant
+    pair (its E and F relations).
     """
     res = SuiteResult(f"kac-moody suite p={p}")
-    ef_pairs = [(a, b) for a in range(p) for b in range(p) if a != b]
-    far_pairs = [
-        (a, b)
+    # Each relation's (a, b) and table keys, built once per sweep: [e_a, f_b]
+    # reads E_a F_b and F_b E_a, a distant pair both orders of E_a E_b and F_a F_b.
+    ef_keys = [(a, b, (("E", a), ("F", b)), (("F", b), ("E", a))) for a in range(p) for b in range(p) if a != b]
+    far_keys = [
+        (a, b, (("E", a), ("E", b)), (("E", b), ("E", a)), (("F", a), ("F", b)), (("F", b), ("F", a)))
         for a in range(p)
         for b in range(p)
         if (a - b) % p not in (0, 1, p - 1)
     ]
-    # Every ordered composition the relations read; far_pairs holds both orders.
-    compositions = [c for a, b in ef_pairs for c in ((("E", a), ("F", b)), (("F", b), ("E", a)))]
-    compositions += [((kind, a), (kind, b)) for a, b in far_pairs for kind in "EF"]
+    # Every ordered composition the relations read, once each: far pairs come in both orders.
+    compositions = [key for _, _, ef, fe in ef_keys for key in (ef, fe)]
+    compositions += [key for _, _, eab, _, fab, _ in far_keys for key in (eab, fab)]
+    checks = len(ef_keys) + 2 * len(far_keys)
     for lam in window_weights(p, window):
         table = translation(encode(lam), compositions)
-
-        def commute(x, y) -> bool:
-            return table[x, y] == table[y, x]
-
-        for a, b in ef_pairs:
-            res.checked += 1
-            if not commute(("E", a), ("F", b)):
+        res.checked += checks
+        for a, b, ef, fe in ef_keys:
+            if table[ef] != table[fe]:
                 res.fail(f"[e_{a}, f_{b}] != 0 on {(lam.mu, lam.nu)}")
-        for a, b in far_pairs:
-            res.checked += 2
-            if not (commute(("E", a), ("E", b)) and commute(("F", a), ("F", b))):
+        for a, b, eab, eba, fab, fba in far_keys:
+            if table[eab] != table[eba] or table[fab] != table[fba]:
                 res.fail(f"distant generators fail to commute on {(lam.mu, lam.nu)}")
     return res
 

@@ -25,6 +25,7 @@ from verlinde_gl.caps import (
     p_set_diagrams,
     projective_filtration,
     projective_word,
+    projective_word_diagrams,
     replay_diagrams,
     replay_word,
     sigma_to_standard,
@@ -298,6 +299,13 @@ def test_projective_word_length_is_the_sum_of_cap_lengths():
         p = lam.shape.p
         _, word = projective_word(lam)
         assert len(word) == sum((cap.tail - cap.source) % p for cap in cap_diagram(encode(lam)).caps)
+
+
+def test_projective_word_decodes_the_diagram_core():
+    # projective_word is one encode, the diagram core and one decode of its base.
+    for lam in [*window_weights(5), FIG]:
+        base, word = projective_word_diagrams(encode(lam))
+        assert projective_word(lam) == (decode(base), word)
 
 
 def test_projective_word_size_limit():
@@ -668,10 +676,10 @@ def test_filtration_suite_builds_no_shifted_diagram(monkeypatch):
     assert calls[0] == sum(1 + len(row) for table in (psets, kacs) for row in table.values()) == 1690
 
 
-def test_projective_word_suite_decodes_only_the_bases(monkeypatch):
-    # The replay and the p-set are compared as diagrams; projective_word
-    # decodes its base, once per window weight.
+def test_projective_word_suite_decodes_nothing(monkeypatch):
+    # The word, its replay and the p-set are built and compared as diagrams,
+    # and the base's typicality is its cross count.
     calls = _count_decodes(monkeypatch)
     result = suites.suite_projective_word(5)
     assert result.ok and result.checked == 3677
-    assert calls[0] == 3677
+    assert calls[0] == 0

@@ -360,15 +360,21 @@ def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
     assert err.startswith("error VALIDATION") and f"exceeds {PROJECTIVE_WORD_MAX_SYMBOLS} symbol copies" in err
 
 
-# One call per subcommand: the first pinned one, else one on the figure weight.
+# One call per subcommand: the first pinned one, else one on the figure weight;
+# and a borel-translate of equal types, which makes no odd reflection.
+_EQUAL_TYPES = "borel-translate-equal-types"
 _ONE_CALL = {argv[0]: argv for argv, _, _ in reversed(PINNED_OUTPUTS)} | {
     name: (name, *FIG_ARGS) for name in ("pset", "hat", "lowest")
-} | {"selfcheck": ("selfcheck", "--suite", "golden")}
+} | {
+    "selfcheck": ("selfcheck", "--suite", "golden"),
+    _EQUAL_TYPES: ("borel-translate", "--p", "5", "--types", "2,2", "--part", "0,0", "--part", "1,0", "--w", "2,1"),
+}
 # The verlinde_gl modules a subcommand may load, where the test pins a bound.
 _MAY_LOAD = {
     "fuse": {"cli", "errors", "fusion"},
     "serganova": {"cli", "errors", "fusion", "serganova"},
     "render": {"alcove", "cli", "diagrams", "errors", "fusion", "superweights"},  # no caps, translation, borel
+    _EQUAL_TYPES: {"alcove", "borel", "cli", "errors", "fusion", "superweights"},  # no caps, translation, diagrams
 }
 _LOAD_PROBE = """
 import contextlib, importlib, io, sys
@@ -399,7 +405,7 @@ def test_cli_import_leaves_the_suites_unloaded():
     assert _loaded_modules("verlinde_gl.cli") == {"cli", "errors"}
 
 
-@pytest.mark.parametrize("name", list(_COMMANDS))
+@pytest.mark.parametrize("name", [*_COMMANDS, _EQUAL_TYPES])
 def test_subcommand_loads_only_the_layers_it_calls(name):
     loaded = _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name])
     assert ("suites" in loaded) == (name == "selfcheck")  # only selfcheck loads the suites

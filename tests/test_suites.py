@@ -1,5 +1,7 @@
 """Every suite failure path fails once: one broken library name per row."""
 
+from itertools import islice
+
 import pytest
 
 from verlinde_gl import suites
@@ -20,6 +22,10 @@ def _projective_word():
 
 def _serganova():
     return suites.suite_serganova((5,))
+
+
+def _kac_moody():
+    return suites.suite_kac_moody(5, (-1, 1))
 
 
 def _odd_reflection():
@@ -48,13 +54,23 @@ ROWS = [
     # A p-set of the diagram alone is short at every atypical weight.
     ("p_set_diagrams", lambda real: lambda d: {d}, _filtration, "p-set size wrong"),
     ("p_set_diagrams", lambda real: lambda d: {d}, _projective_word, "replay mismatch"),
-    ("is_typical", lambda real: lambda lam: False, _projective_word, "base not typical"),
+    # A word that peels nothing leaves the base at the weight, atypical for most of the window.
+    ("projective_word_diagrams", lambda real: lambda d: (d, ()), _projective_word, "base not typical"),
     ("replay_diagrams", lambda real: lambda d, word: {}, _projective_word, "replay mismatch"),
     ("check_oddroot_lemma", lambda real: lambda m, n: False, _serganova, "odd-root lemma fails"),
+    # One hat dropped from the front misaligns every later nu row with its hat.
+    (
+        "serganova_hats",
+        lambda real: lambda mus, nus, p: islice(real(mus, nus, p), 1, None),
+        _serganova,
+        "hat/Sh mismatch",
+    ),
     ("sh_nonzero", lambda real: lambda mu, nu, p: not real(mu, nu, p), _serganova, "typicality transfer fails"),
     ("standard_to_sigma", lambda real: suites.hat, _odd_reflection, "sigma roundtrip fails"),
     ("conjugate_relabel", lambda real: lambda lam, w: None, _odd_reflection, "W0 mismatch"),
     ("borel_translate", _fixed_left, _odd_reflection, "factorization discrepancy"),
+    # A table reading each composition as itself: no two orders agree.
+    ("translation", lambda real: lambda d, compositions: {c: c for c in compositions}, _kac_moody, "[e_"),
 ]
 
 
