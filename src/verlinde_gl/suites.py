@@ -197,7 +197,7 @@ def _mask(residues) -> int:
 # Stage (c) of the codec suite runs encode and decode once per weight, about
 # 18 us each: the whole window at p = 5 and 7 (3,677 and 127,555 weights),
 # [-2, 2] at p = 11 (164,651 of the window's 87.4M) and [-1, 1] at p = 13.
-CODEC_DECODE_MAX_WEIGHTS = 200_000
+CODEC_DECODE_BUDGET = 200_000
 
 
 def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
@@ -217,7 +217,7 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
           pairs of every shape (a superset of what the window produces),
       (c) decode(encode(lam)) == lam with the shipped encode and decode, on
           the widest window [-k, k] inside the suite's whose weights number
-          at most CODEC_DECODE_MAX_WEIGHTS.
+          at most CODEC_DECODE_BUDGET.
 
     The identity also gives injectivity of encode over the window, and (a)
     with (b) gives the cross-count agreement of the two atypicality routes
@@ -262,7 +262,7 @@ def suite_codec(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     k = max(-lo, hi)
     while True:
         clipped = {rank: [w for w in ws if -k <= w[-1] and w[0] <= k] for rank, ws in blocks.items()}
-        if sum(len(clipped[m]) * len(clipped[n]) for m, n in super_shapes(p)) <= CODEC_DECODE_MAX_WEIGHTS:
+        if sum(len(clipped[m]) * len(clipped[n]) for m, n in super_shapes(p)) <= CODEC_DECODE_BUDGET:
             break
         k -= 1
     for lam in window_weights(p, (max(lo, -k), min(hi, k))):
@@ -383,9 +383,7 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     return res
 
 
-def suite_projective_word(
-    p: int = 5, max_atypicality: int = 2, window: tuple[int, int] | None = None
-) -> SuiteResult:
+def suite_projective_word(p: int, max_atypicality: int = 2, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
     Each weight is encoded once, and the word and its replay run on that
@@ -475,7 +473,7 @@ def _random_probe(p: int, types: tuple[int, ...], rng: random.Random) -> tuple[T
     return TupleWeight(shape, tuple(arranged)), tuple(w)
 
 
-def suite_odd_reflection(p: int = 5, window: tuple[int, int] | None = None, trials: int = 1000) -> SuiteResult:
+def suite_odd_reflection(p: int, window: tuple[int, int] | None = None, trials: int = 1000) -> SuiteResult:
     """Criterion 8: sigma roundtrip, conjugate relabeling, factorization probe."""
     res = SuiteResult("odd-reflection suite")
     for lam in window_weights(p, window):
@@ -504,7 +502,7 @@ def suite_odd_reflection(p: int = 5, window: tuple[int, int] | None = None, tria
     return res
 
 
-def suite_kac_moody(p: int = 5, window: tuple[int, int] | None = None) -> SuiteResult:
+def suite_kac_moody(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 9: [e_a, f_b] = 0 (a != b) and non-adjacent same-kind commuting.
 
     Per window weight, one translation table holds every ordered composition

@@ -49,6 +49,15 @@ class SuperShape(NamedTuple("SuperShape", [("m", int), ("n", int), ("p", int)]))
         return tuple.__new__(cls, (m, n, p))
 
 
+def _check_blocks(p: int, *blocks: tuple[str, tuple[int, ...], int]) -> None:
+    """Refuse the first (name, block, rank) with a non-integer entry or not admissible at p."""
+    for name, block, rank in blocks:
+        if not all(type(x) is int for x in block):
+            raise ValidationError(f"{name}={block} must have integer entries")
+        if not is_admissible(block, rank, p):
+            raise ValidationError(f"{name}={block} not admissible for rank {rank}, p={p}")
+
+
 class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple[int, ...]), ("nu", tuple[int, ...])])):
     """A pair (mu | nu) of admissible weights labeling a simple/Kac/projective.
 
@@ -60,11 +69,7 @@ class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple
 
     def __new__(cls, shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
         mu, nu = tuple(mu), tuple(nu)
-        for name, block, rank in (("mu", mu, shape.m), ("nu", nu, shape.n)):
-            if not all(type(x) is int for x in block):
-                raise ValidationError(f"{name}={block} must have integer entries")
-            if not is_admissible(block, rank, shape.p):
-                raise ValidationError(f"{name}={block} not admissible for rank {rank}, p={shape.p}")
+        _check_blocks(shape.p, ("mu", mu, shape.m), ("nu", nu, shape.n))
         return tuple.__new__(cls, (shape, mu, nu))
 
     @property
@@ -181,12 +186,9 @@ def casimir_unsuper(mu: tuple[int, ...], pi: tuple[int, ...], p: int) -> int:
     Z^(m + p - n); congruent mod p to the super Casimir of (mu | D(pi)).
     """
     check_prime(p)
-    for name, block in (("mu", tuple(mu)), ("pi", tuple(pi))):
-        if not all(type(x) is int for x in block):
-            raise ValidationError(f"{name}={block} must have integer entries")
-        if not is_admissible(block, len(block), p):
-            raise ValidationError(f"{name}={block} not admissible for rank {len(block)}, p={p}")
-    vec = tuple(mu) + tuple(pi)
+    mu, pi = tuple(mu), tuple(pi)
+    _check_blocks(p, ("mu", mu, len(mu)), ("pi", pi, len(pi)))
+    vec = mu + pi
     k = len(vec)
     r2 = tuple(k - (2 * i - 1) for i in range(1, k + 1))
     return sum((vec[i] + r2[i]) * vec[i] for i in range(k))

@@ -34,12 +34,14 @@ realizations are implemented independently; _equivariant_terms compares
 them term by term, labels included, for one encoded weight and its loop
 vector, and phi_equivariance_check runs it on a super weight.  Its loop
 side builds no diagram, only plain tuples that a diagram compares equal to.
-The loop side is validated the same way: loop_vector builds through
-LoopVector's checks, and loop_f/loop_e build each output as one
-tuple.__new__ in _trusted_loop.  That is sound because a move replaces a
-residue only by one its factor lacks, so both factors stay distinct; were
-an output bad, assemble_symbols would drop a symbol and the comparison
-would still fail.
+The loop side has one move body too: loop_f and loop_e wrap _loop_move,
+whose E moves each residue the way F moves it back, with the opposite
+twist; it reads no diagram code.  It is validated the same way:
+loop_vector builds through LoopVector's checks, and _loop_move builds each
+output as one tuple.__new__ in _trusted_loop.  That is sound because a
+move replaces a residue only by one its factor lacks, so both factors stay
+distinct; were an output bad, assemble_symbols would drop a symbol and the
+comparison would still fail.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ class LoopVector(NamedTuple("LoopVector", [("p", int), ("a", tuple[int, ...]), (
 
 
 def _trusted_loop(p: int, a: tuple[int, ...], s: int, b: tuple[int, ...], r: int) -> LoopVector:
-    """A LoopVector without its checks, for loop_f/loop_e outputs: each
+    """A LoopVector without its checks, for _loop_move's outputs: each
     moves one residue of a valid vector to a residue its factor lacks, so
     both factors stay distinct."""
     return tuple.__new__(LoopVector, (p, a, s, b, r))
@@ -205,41 +207,35 @@ def loop_vector(lam: SuperWeight) -> LoopVector:
     return LoopVector(lam.shape.p, rd.a, rd.s, rd.b, rd.r)
 
 
-def loop_f(c: int, v: LoopVector) -> list[LoopVector]:
-    """Chevalley lowering at residue c: raise a c-residue in either factor.
+def _loop_move(c: int, v: LoopVector, sign: int) -> list[LoopVector]:
+    """The one body of loop_f (sign 1) and loop_e (sign -1).
 
-    Wedge factor: a_i = c becomes c+1 (t1 twist at the affine wall).  Dual
-    factor: b_j = c+1 becomes c (t2 twist).  Occupied targets vanish, so a
-    move only ever lands on a free residue and each output is built
-    unchecked in _trusted_loop.
+    (src, dst) is (c, c+1) for F and (c+1, c) for E, mod p: a wedge residue
+    src moves to dst (t1 twist sign at the affine wall), a dual residue dst
+    to src (t2 twist -sign).  Occupied targets vanish, so a move only lands
+    on a free residue and each output is built unchecked in _trusted_loop.
     """
     p, a, s, b, r = v
     if not 0 <= c < p:
         raise ValidationError(f"residue {c} out of range 0..{p - 1}")
-    up, down = c, (c + 1) % p
-    wall = 1 if c == p - 1 else 0
+    src, dst = (c, (c + 1) % p)[::sign]
+    twist = sign if c == p - 1 else 0
     out = []
-    if up in a and down not in a:
-        out.append(_trusted_loop(p, tuple(down if x == up else x for x in a), s + wall, b, r))
-    if down in b and up not in b:
-        out.append(_trusted_loop(p, a, s, tuple(up if x == down else x for x in b), r - wall))
+    if src in a and dst not in a:
+        out.append(_trusted_loop(p, tuple(dst if x == src else x for x in a), s + twist, b, r))
+    if dst in b and src not in b:
+        out.append(_trusted_loop(p, a, s, tuple(src if x == dst else x for x in b), r - twist))
     return out
+
+
+def loop_f(c: int, v: LoopVector) -> list[LoopVector]:
+    """Chevalley lowering at residue c: a_i = c becomes c+1, then b_j = c+1 becomes c."""
+    return _loop_move(c, v, 1)
 
 
 def loop_e(c: int, v: LoopVector) -> list[LoopVector]:
-    """Chevalley raising at residue c, adjoint to loop_f; like loop_f it
-    moves a residue only onto a free one, so its outputs are unchecked."""
-    p, a, s, b, r = v
-    if not 0 <= c < p:
-        raise ValidationError(f"residue {c} out of range 0..{p - 1}")
-    up, down = c, (c + 1) % p
-    wall = 1 if c == p - 1 else 0
-    out = []
-    if down in a and up not in a:
-        out.append(_trusted_loop(p, tuple(up if x == down else x for x in a), s - wall, b, r))
-    if up in b and down not in b:
-        out.append(_trusted_loop(p, a, s, tuple(down if x == up else x for x in b), r + wall))
-    return out
+    """Chevalley raising at residue c, adjoint to loop_f: a_i = c+1 becomes c, then b_j = c becomes c+1."""
+    return _loop_move(c, v, -1)
 
 
 def _equivariant_terms(

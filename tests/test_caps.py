@@ -683,3 +683,10 @@ def test_projective_word_suite_decodes_nothing(monkeypatch):
     result = suites.suite_projective_word(5)
     assert result.ok and result.checked == 3677
     assert calls[0] == 0
+
+
+def test_projective_word_suite_skips_weights_above_max_atypicality():
+    # At p = 7 ten weights of [-1, 1] have 3 crosses; at p = 5 none has more than 2.
+    result = suites.suite_projective_word(7, 2, (-1, 1))
+    assert result.ok and result.checked == 747
+    assert sum(1 for _ in window_weights(7, (-1, 1))) == 757

@@ -636,13 +636,10 @@ def test_readme_lists_the_subcommands_in_table_order():
 
 def test_readme_names_every_input_bound():
     # Every module-level *MAX* constant of the library is an input limit, and
-    # README's input-limits paragraph names it; suites.py is left out, as its
-    # CODEC_DECODE_MAX_WEIGHTS budgets a sweep rather than bounding an input.
+    # README's input-limits paragraph names it.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     names = []
     for path in sorted(Path(verlinde_gl.__file__).resolve().parent.glob("*.py")):
-        if path.name == "suites.py":
-            continue
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign):
                 names += [f"{path.stem}.{t.id}" for t in node.targets if isinstance(t, ast.Name) and "MAX" in t.id]
@@ -650,13 +647,13 @@ def test_readme_names_every_input_bound():
     assert [name for name in names if f"`{name}`" not in readme] == []
 
 
-def test_every_top_level_name_has_a_use():
-    # Each module-level function, class and assignment of the library appears,
-    # as a whole word, somewhere besides its definition and the package
-    # re-export: in the library, the tests, the benchmark scripts or README.
+def _names_without_a_use(*others: str) -> list[str]:
+    """The library's module-level functions, classes and assignments that no
+    whole word names besides their definition and the package re-export,
+    in the library or in the files the root-relative globs others match."""
     root = Path(__file__).resolve().parents[1]
     modules = [path for path in sorted((root / "src" / "verlinde_gl").glob("*.py")) if path.name != "__init__.py"]
-    others = [*sorted((root / "tests").glob("*.py")), *sorted((root / "perfbench").glob("*.py")), root / "README.md"]
+    others = [path for pattern in others for path in sorted(root.glob(pattern))]
     texts = {path: path.read_text() for path in modules + others}
     words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
     unused = []
@@ -671,7 +668,28 @@ def test_every_top_level_name_has_a_use():
             else:
                 continue
             unused += [f"{path.stem}.{name}" for name in names if words[name] == 1]  # the definition alone
-    assert unused == []
+    return unused
+
+
+def test_every_top_level_name_has_a_use():
+    # In the library, the tests, the benchmark scripts or README.
+    assert _names_without_a_use("tests/*.py", "perfbench/*.py", "README.md") == []
+
+
+def test_names_only_tests_or_readme_use_are_pinned():
+    # Results of the paper kept with their tests (ROADMAP item 8's keep-list)
+    # and the two translations that items 1 and 2 will replace.  A new name
+    # that only tests or README use needs a deliberate entry here.
+    assert _names_without_a_use("perfbench/*.py") == [
+        "alcove.remove_box",
+        "alcove.wedge_to_weight",
+        "borel.w_dominance_leq",
+        "fusion.is_even_object",
+        "superweights.kac_irreducible",
+        "superweights.casimir_unsuper",
+        "translation.translate_simple",
+        "translation.translate_projective",
+    ]
 
 
 def test_closed_stdout_exits_without_traceback():

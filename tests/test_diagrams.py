@@ -318,6 +318,15 @@ def test_codec_suite_counts_one_decode_per_window_weight():
     assert suites.suite_codec(5).checked == 873 + weights
 
 
+@pytest.mark.parametrize("budget, checked", [(1_000, 873 + 581), (100, 873 + 6)])
+def test_codec_suite_narrows_stage_c_to_the_budget(monkeypatch, budget, checked):
+    # Under a smaller budget stage (c) steps k down to the widest [-k, k]
+    # that fits: [-1, 1] (581 weights) under 1,000, [0, 0] (6) under 100.
+    monkeypatch.setattr(suites, "CODEC_DECODE_BUDGET", budget)
+    result = suites.suite_codec(5)
+    assert result.ok and result.checked == checked
+
+
 def test_golden_suite_reports_a_raising_decode_as_a_failure(monkeypatch):
     def raising(d, m=None, n=None):
         raise ValidationError("decode refused the figure")

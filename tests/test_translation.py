@@ -398,6 +398,61 @@ def test_loop_outputs_pass_the_public_constructor():
     assert built > 3677
 
 
+def _former_loop_f(c, v):
+    """Reference: loop_f's former body, written apart from loop_e's."""
+    p, a, s, b, r = v
+    if not 0 <= c < p:
+        raise ValidationError(f"residue {c} out of range 0..{p - 1}")
+    up, down = c, (c + 1) % p
+    wall = 1 if c == p - 1 else 0
+    out = []
+    if up in a and down not in a:
+        out.append(translation._trusted_loop(p, tuple(down if x == up else x for x in a), s + wall, b, r))
+    if down in b and up not in b:
+        out.append(translation._trusted_loop(p, a, s, tuple(up if x == down else x for x in b), r - wall))
+    return out
+
+
+def _former_loop_e(c, v):
+    """Reference: loop_e's former body, the mirror of _former_loop_f."""
+    p, a, s, b, r = v
+    if not 0 <= c < p:
+        raise ValidationError(f"residue {c} out of range 0..{p - 1}")
+    up, down = c, (c + 1) % p
+    wall = 1 if c == p - 1 else 0
+    out = []
+    if down in a and up not in a:
+        out.append(translation._trusted_loop(p, tuple(up if x == down else x for x in a), s - wall, b, r))
+    if up in b and down not in b:
+        out.append(translation._trusted_loop(p, a, s, tuple(down if x == up else x for x in b), r + wall))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_loop_moves_match_the_former_bodies(p):
+    # Every residue of every loop vector of the window: the same outputs in
+    # the same order, each a LoopVector.
+    moved = 0
+    for lam in window_weights(p):
+        v = loop_vector(lam)
+        for c in range(p):
+            for got, want in ((loop_f(c, v), _former_loop_f(c, v)), (loop_e(c, v), _former_loop_e(c, v))):
+                assert got == want
+                moved += len(got)
+    assert moved == {5: 19_708, 7: 919_560}[p]
+
+
+@pytest.mark.parametrize("c", [-1, 5])
+def test_loop_moves_refuse_as_the_former_bodies(c):
+    v = loop_vector(ZERO5)
+    for move, former in ((loop_f, _former_loop_f), (loop_e, _former_loop_e)):
+        with pytest.raises(ValidationError) as want:
+            former(c, v)
+        with pytest.raises(ValidationError) as got:
+            move(c, v)
+        assert str(got.value) == str(want.value)
+
+
 def _former_apply_functor(kind, i, d):
     """Reference: the former body, reading each field by name and building
     the outputs from a generator, empty rows included."""
