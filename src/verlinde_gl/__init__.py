@@ -2,7 +2,8 @@
 
 Modules:
     fusion        fusion rules and parity of the simples of Ver_p
-    alcove        admissible GL_n weights, box moves, invertibles, level-rank
+    alcove        admissible GL_n weights, box moves, invertibles, level-rank,
+                  the wedge dictionary
     superweights  pairs (mu | nu), bilinear form, atypicality, Casimir
     diagrams      the circular weight-diagram codec
     translation   translation functors on diagrams and the loop-module oracle
@@ -24,10 +25,10 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it exports through the package
 _EXPORTS = {
-    "alcove": "GLWeight WedgeVector add_box chi_rotate is_admissible level_rank_D level_rank_D_inverse phi_wedge psi_data remove_box tensor_with_V",
+    "alcove": "GLWeight add_box chi_rotate is_admissible level_rank_D level_rank_D_inverse psi_data remove_box tensor_with_V",
     "caps": "Cap CapDiagram cap_diagram dual_simple dual_simple_label hat is_inner kac_composition lowest_weight p_set projective_filtration projective_word render_caps replay_word sigma_to_standard standard_to_sigma",
     "borel": "GLXShape TupleWeight borel_translate conjugate_relabel is_w_dominant odd_reflect_pair w_dominance_leq w_integrable",
-    "diagrams": "WeightDiagram cut decode encode from_json permute render_ascii to_json",
+    "diagrams": "WeightDiagram cut decode encode render_ascii",
     "errors": "ContractError ValidationError",
     "fusion": "fuse_simples is_even_object",
     "serganova": "check_oddroot_lemma odd_root_order serganova_hat serganova_hats sh_nonzero",

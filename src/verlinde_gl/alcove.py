@@ -4,8 +4,10 @@ Simples are labeled by admissible weights: nonincreasing integer vectors
 lambda of length n with lambda_1 - lambda_n <= p - n (the fundamental
 alcove).  This module implements box addition/removal by content residue,
 tensoring with the vector object V, the invertible objects det / chi / psi,
-level-rank duality between ranks n and p-n, and the dictionary sending a
-simple to a wedge of residue basis vectors with a loop exponent.
+level-rank duality between ranks n and p-n, and the wedge dictionary
+between simples and wedges of residue basis vectors with a loop exponent:
+weight_ladder reads a simple's wedge, wedge_to_weight checks a wedge and
+returns its simple.
 
 Convention used throughout: the content ladder of lambda is the vector
 c_i = lambda_i + 1 - i, which is strictly decreasing with total spread < p
@@ -15,8 +17,8 @@ pairwise distinct residues a_i and the loop exponent s = sum(s_i).
 This is the one residue ladder of the package: weight_ladder is the forward
 map (weight -> residues and loop exponent) and ladder_weight its inverse
 (residue set and loop exponent -> weight); they are the only code that
-writes the content offset i - 1.  The wedge dictionary and the box moves
-here, superweights.residue_data and the diagram codec in diagrams.py all go
+writes the content offset i - 1.  wedge_to_weight and the box moves here,
+superweights.residue_data and the diagram codec in diagrams.py all go
 through this pair; the second block of a super weight enters it through
 the involution superweights.second_block.  A box of content c moves
 residue c to c + 1 when added and back when removed.
@@ -73,17 +75,6 @@ class GLWeight(NamedTuple("GLWeight", [("entries", tuple[int, ...]), ("p", int)]
     @property
     def degree(self) -> int:
         return sum(self.entries)
-
-
-class WedgeVector(NamedTuple("WedgeVector", [("residues", tuple[int, ...]), ("loop_exponent", int), ("p", int)])):
-    """Residues a_1..a_n (in weight order) and the loop exponent s."""
-
-    __slots__ = ()
-
-    def __new__(cls, residues: tuple[int, ...], loop_exponent: int, p: int) -> WedgeVector:
-        if len(set(residues)) != len(residues):
-            raise ValidationError(f"wedge residues must be distinct: {residues}")
-        return tuple.__new__(cls, (residues, loop_exponent, p))
 
 
 class InvertibleTriple(NamedTuple):
@@ -176,14 +167,8 @@ def ladder_weight(residues: Iterable[int], s: int, p: int) -> tuple[int, ...]:
     return tuple([c + (head if i < k else tail) + i for i, c in enumerate(contents)])
 
 
-def phi_wedge(lam: GLWeight) -> WedgeVector:
-    """Wedge-basis image of a simple: residues of the content ladder plus s."""
-    residues, s = weight_ladder(lam.entries, lam.p)
-    return WedgeVector(tuple(residues), s, lam.p)
-
-
 def wedge_to_weight(residues: frozenset[int] | set[int], s: int, p: int) -> GLWeight:
-    """Inverse of phi_wedge from the residue set and loop exponent."""
+    """Inverse of weight_ladder from the residue set and loop exponent."""
     n = len(residues)
     if n < 1 or n > p - 1:
         raise ValidationError(f"residue set size {n} out of range 1..{p - 1}")

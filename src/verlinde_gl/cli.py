@@ -129,7 +129,7 @@ def _psi(args: argparse.Namespace) -> Output:
 
 def _diagram_encode(args: argparse.Namespace) -> Output:
     d = diagrams.encode(_weight(args))
-    return json.loads(diagrams.to_json(d)), diagrams.render_ascii(d)
+    return {"p": d.p, "symbols": list(d.symbols), "s": d.s, "r": d.r}, diagrams.render_ascii(d)
 
 
 def _render(args: argparse.Namespace) -> Output:

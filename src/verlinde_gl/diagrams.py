@@ -21,21 +21,20 @@ only place symbols and residue sets are converted.
 Diagrams are validated once, at the boundary.  A WeightDiagram is an
 immutable tuple (p, symbols, s, r): its constructor checks p, that its
 symbols are a string of known symbols, both block counts and that s and r
-are integers, and from_json and the CLI build through it.  Every diagram
-the library derives from a valid diagram or super weight is one
-tuple.__new__ in _trusted, which skips the checks: encode (a valid super
-weight fixes them), permute (a bijection of the vertices), the cap slides
-of caps and the translation functors' table edits, which all keep p, the
-length and both block counts.  In the other direction decode builds its
-weight with superweights._trusted_weight: the ladder of a valid diagram
-inverts to an admissible weight, so only the shape is checked.  The cap
-calculus works on diagrams end to end (caps.p_set_diagrams, kac_diagrams,
-replay_diagrams), and a weight is decoded only where a caller asks for one.
+are integers, and the CLI builds through it.  Every diagram the library
+derives from a valid diagram or super weight is one tuple.__new__ in
+_trusted, which skips the checks: encode (a valid super weight fixes
+them), the cap slides of caps and the translation functors' table edits,
+which all keep p, the length and both block counts.  In the other
+direction decode builds its weight with superweights._trusted_weight: the
+ladder of a valid diagram inverts to an admissible weight, so only the
+shape is checked.  The cap calculus works on diagrams end to end
+(caps.p_set_diagrams, kac_diagrams, replay_diagrams), and a weight is
+decoded only where a caller asks for one.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -165,33 +164,3 @@ def render_ascii(d: WeightDiagram, k: int = 0) -> str:
     """Fixed single-line text form, e.g. 'o<ox>>x<oo> @3 t1^-3 t2^2'."""
     c = cut(d, k)
     return f"{c.symbols} @{c.cut} t1^{c.e1} t2^{c.e2}"
-
-
-def permute(sigma: dict[int, int], d: WeightDiagram) -> WeightDiagram:
-    """Relocate symbols by (sigma f)(k) = f(sigma(k)); the label is untouched."""
-    p = d.p
-    if sorted(sigma) != list(range(p)) or sorted(sigma.values()) != list(range(p)):
-        raise ValidationError("sigma must be a bijection of 0..p-1")
-    syms = "".join(d.symbols[sigma[k]] for k in range(p))
-    return _trusted(p, syms, d.s, d.r)
-
-
-def to_json(d: WeightDiagram) -> str:
-    """Canonical JSON form {p, symbols, s, r} with symbols as one-char strings."""
-    return json.dumps(
-        {"p": d.p, "symbols": list(d.symbols), "s": d.s, "r": d.r},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
-def from_json(text: str) -> WeightDiagram:
-    """Inverse of to_json: p, s and r must be JSON integers, symbols a list of one-char strings."""
-    try:
-        obj = json.loads(text)
-        p, symbols, s, r = obj["p"], obj["symbols"], obj["s"], obj["r"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed diagram JSON: {exc}") from exc
-    if not isinstance(symbols, list) or not all(isinstance(c, str) and len(c) == 1 for c in symbols):
-        raise ValidationError(f"malformed diagram JSON: symbols must be one-char strings, got {symbols!r}")
-    return WeightDiagram(p, "".join(symbols), s, r)

@@ -14,7 +14,6 @@ from verlinde_gl.alcove import (
     level_rank_D,
     level_rank_D_inverse,
     level_rank_degree_zero,
-    phi_wedge,
     psi_data,
     remove_box,
     tensor_with_V,
@@ -157,32 +156,32 @@ def test_tensor_with_V_checks_each_summand_once(monkeypatch):
 
 
 def test_phi_wedge_examples():
-    w = phi_wedge(GLWeight((0, 0), 5))
-    assert set(w.residues) == {0, 4} and w.loop_exponent == -1
-    w = phi_wedge(GLWeight((0, 0, 0), 7))
-    assert set(w.residues) == {0, 6, 5} and w.loop_exponent == -2
-    w = phi_wedge(GLWeight((5,), 5))
-    assert w.residues == (0,) and w.loop_exponent == 1
+    # The wedge of a simple is the residue set and loop exponent of its ladder.
+    residues, s = weight_ladder((0, 0), 5)
+    assert set(residues) == {0, 4} and s == -1
+    residues, s = weight_ladder((0, 0, 0), 7)
+    assert set(residues) == {0, 6, 5} and s == -2
+    assert weight_ladder((5,), 5) == ([0], 1)
 
 
 def test_phi_wedge_bijective_on_window():
     for rank, p in ((1, 5), (2, 5), (3, 5), (2, 7), (3, 7)):
         seen = {}
         for entries in admissible_tuples(rank, p, -p, p):
-            w = phi_wedge(GLWeight(entries, p))
-            key = (frozenset(w.residues), w.loop_exponent)
+            residues, s = weight_ladder(entries, p)
+            assert len(set(residues)) == rank
+            key = (frozenset(residues), s)
             assert key not in seen, f"collision {entries} vs {seen[key]}"
             seen[key] = entries
-            back = wedge_to_weight(set(w.residues), w.loop_exponent, p)
-            assert back.entries == entries
+            assert wedge_to_weight(set(residues), s, p).entries == entries
 
 
 @settings(max_examples=300, deadline=None)
 @given(admissible_weights(), st.integers(1, 30))
 def test_wedge_roundtrip_hypothesis(lam, m):
     p = lam.p
-    w = phi_wedge(lam)
-    assert wedge_to_weight(set(w.residues), w.loop_exponent, p) == lam
+    residues, s = weight_ladder(lam.entries, p)
+    assert wedge_to_weight(set(residues), s, p) == lam
     # lam as the second block of a super weight with first block of rank m.
     nu = lam.entries
     block = second_block(nu, m)

@@ -43,6 +43,7 @@ from verlinde_gl.superweights import (
     is_typical,
     super_weight,
 )
+from verlinde_gl.translation import act_on_sum
 
 FIG = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
 ZERO5 = super_weight(5, (0,), (0,))
@@ -323,6 +324,26 @@ def test_replay_word_refuses_a_sum_above_the_p_set_limit(monkeypatch):
     monkeypatch.setattr(caps, "P_SET_MAX_SIZE", 1)
     with pytest.raises(ValidationError, match="replayed sum of 2 classes exceeds P_SET_MAX_SIZE = 1"):
         replay_word(base, word)
+
+
+def test_replay_never_holds_more_classes_than_its_end(monkeypatch):
+    # Every running sum of a projective word's replay has at most 2^(cross
+    # count) classes, the size of the p-set the word rebuilds, so that size
+    # bounds the replay before its first step.
+    sizes = []
+
+    def counted(kind, i, classes):
+        out = act_on_sum(kind, i, classes)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(caps, "act_on_sum", counted)
+    for lam in window_weights(5):
+        d = encode(lam)
+        sizes.clear()
+        base, word = projective_word_diagrams(d)
+        assert len(replay_diagrams(base, word)) == 2**d.cross_count
+        assert max(sizes, default=1) <= 2**d.cross_count, render_ascii(d)
 
 
 def test_sigma_maps():

@@ -3,7 +3,6 @@ import ast
 import importlib
 import json
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -415,14 +414,14 @@ def test_subcommand_loads_only_the_layers_it_calls(name):
 
 # The package exports as nine eager import lines named them, before they resolved on first use.
 _EAGER_EXPORTS = """
-from .alcove import GLWeight, WedgeVector, add_box, chi_rotate, is_admissible, level_rank_D, level_rank_D_inverse
-from .alcove import phi_wedge, psi_data, remove_box, tensor_with_V
+from .alcove import GLWeight, add_box, chi_rotate, is_admissible, level_rank_D, level_rank_D_inverse
+from .alcove import psi_data, remove_box, tensor_with_V
 from .caps import Cap, CapDiagram, cap_diagram, dual_simple, dual_simple_label, hat, is_inner, kac_composition
 from .caps import lowest_weight, p_set, projective_filtration, projective_word, render_caps, replay_word
 from .caps import sigma_to_standard, standard_to_sigma
 from .borel import GLXShape, TupleWeight, borel_translate, conjugate_relabel, is_w_dominant, odd_reflect_pair
 from .borel import w_dominance_leq, w_integrable
-from .diagrams import WeightDiagram, cut, decode, encode, from_json, permute, render_ascii, to_json
+from .diagrams import WeightDiagram, cut, decode, encode, render_ascii
 from .errors import ContractError, ValidationError
 from .fusion import fuse_simples, is_even_object
 from .serganova import check_oddroot_lemma, odd_root_order, serganova_hat, serganova_hats, sh_nonzero
@@ -435,7 +434,7 @@ from .translation import phi_equivariance_check, translate_kac, translate_projec
 
 def test_package_exports_resolve_to_the_defining_module():
     exported = {alias.name: node.module for node in ast.parse(_EAGER_EXPORTS).body for alias in node.names}
-    assert len(exported) == 76
+    assert len(exported) == 71
     assert sorted(verlinde_gl.__all__) == sorted(exported)
     listed = dir(verlinde_gl)
     for name, module in exported.items():
@@ -647,48 +646,105 @@ def test_readme_names_every_input_bound():
     assert [name for name in names if f"`{name}`" not in readme] == []
 
 
-def _names_without_a_use(*others: str) -> list[str]:
-    """The library's module-level functions, classes and assignments that no
-    whole word names besides their definition and the package re-export,
-    in the library or in the files the root-relative globs others match."""
-    root = Path(__file__).resolve().parents[1]
-    modules = [path for path in sorted((root / "src" / "verlinde_gl").glob("*.py")) if path.name != "__init__.py"]
-    others = [path for pattern in others for path in sorted(root.glob(pattern))]
-    texts = {path: path.read_text() for path in modules + others}
-    words = Counter(word for text in texts.values() for word in re.findall(r"\w+", text))
-    unused = []
-    for path in modules:
-        for node in ast.parse(texts[path]).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The module-level names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _code_uses(source: str, lookups: bool) -> Counter:
+    """Names that source references as an ast.Name or ast.Attribute outside
+    their own top-level definition; with lookups, also the last dotted part
+    of each string constant, the way the benchmark looks names up by string
+    ("p_set", "caps.p_set")."""
+    uses = Counter()
+    for stmt in ast.parse(source).body:
+        own = set(_defined_names(stmt))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif lookups and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value.rpartition(".")[2]
             else:
                 continue
-            unused += [f"{path.stem}.{name}" for name in names if words[name] == 1]  # the definition alone
-    return unused
+            if name not in own:
+                uses[name] += 1
+    return uses
+
+
+def _unused(library: dict[str, str], code: tuple[str, ...] = (), lookups: tuple[str, ...] = ()) -> list[str]:
+    """module.name for each top-level name of library (module -> source)
+    that no code in library, code or lookups uses, in definition order."""
+    uses = Counter()
+    for source in [*library.values(), *code]:
+        uses += _code_uses(source, False)
+    for source in lookups:
+        uses += _code_uses(source, True)
+    return [
+        f"{module}.{name}"
+        for module, source in library.items()
+        for stmt in ast.parse(source).body
+        for name in _defined_names(stmt)
+        if not uses[name]
+    ]
+
+
+def _names_without_a_use(*others: str) -> list[str]:
+    """The library's unused top-level names, counting code in the library
+    and in the files the root-relative globs others match; files under
+    perfbench/ also use a name through a string that looks it up."""
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "verlinde_gl").glob("*.py"))
+    library = {path.stem: path.read_text() for path in modules if path.stem != "__init__"}
+    paths = [path for pattern in others for path in sorted(root.glob(pattern))]
+    code = tuple(path.read_text() for path in paths if path.parent.name != "perfbench")
+    lookups = tuple(path.read_text() for path in paths if path.parent.name == "perfbench")
+    return _unused(library, code, lookups)
+
+
+def test_use_guard_counts_code_and_benchmark_lookups_only():
+    library = {
+        "m": 'def f():\n    """Calls g, see h."""\n    return f()  # g\n\n'
+        "def g():\n    pass\n\n"
+        "class C:\n    def __new__(cls) -> C:\n        return C\n\n"
+        "def h():\n    pass\n\nK = 1\n",
+    }
+    # Docstrings and comments name no use, and neither do references inside
+    # a name's own definition.
+    assert _unused(library) == ["m.f", "m.g", "m.C", "m.h", "m.K"]
+    assert _unused(library, code=("m.g()\nx = [C]\n", "K")) == ["m.f", "m.h"]
+    # A string is a use only in the benchmark, as a name or as module.name.
+    assert _unused(library, code=('call("f")', '"m.h"')) == ["m.f", "m.g", "m.C", "m.h", "m.K"]
+    assert _unused(library, lookups=('call("f")', 'TRACED = ("m.h",)', '"C K"')) == ["m.g", "m.C", "m.K"]
 
 
 def test_every_top_level_name_has_a_use():
-    # In the library, the tests, the benchmark scripts or README.
-    assert _names_without_a_use("tests/*.py", "perfbench/*.py", "README.md") == []
+    # In the library, the tests or the benchmark scripts.
+    assert _names_without_a_use("tests/*.py", "perfbench/*.py") == []
 
 
 def test_names_only_tests_or_readme_use_are_pinned():
-    # Results of the paper kept with their tests (ROADMAP item 8's keep-list)
-    # and the two translations that items 1 and 2 will replace.  A new name
-    # that only tests or README use needs a deliberate entry here.
+    # Results of the paper kept with their tests (ROADMAP item 6's keep-list),
+    # the two translations that items 1 and 2 will replace, and item 5's
+    # weight identity.  README no longer counts as a use, so a new name that
+    # only tests use needs a deliberate entry here, with its reason.
     assert _names_without_a_use("perfbench/*.py") == [
-        "alcove.remove_box",
-        "alcove.wedge_to_weight",
-        "borel.w_dominance_leq",
-        "fusion.is_even_object",
-        "superweights.kac_irreducible",
-        "superweights.casimir_unsuper",
-        "translation.translate_simple",
-        "translation.translate_projective",
+        "alcove.remove_box",  # the box removal of the paper, add_box's inverse
+        "alcove.wedge_to_weight",  # the wedge dictionary's checked inverse
+        "borel.w_dominance_leq",  # the paper's w-dominance order on tuple weights
+        "fusion.is_even_object",  # the even subcategory of Ver_p
+        "superweights.kac_irreducible",  # K(lam) is simple exactly when lam is typical
+        "superweights.casimir_unsuper",  # the Casimir before the super convention, mod p the super one
+        "translation.translate_simple",  # item 2's adjunction rule replaces it
+        "translation.translate_projective",  # item 1's projective peel replaces it
+        "translation.commutator",  # [E_i, F_i] on K(lam), item 5's weight identity
     ]
 
 

@@ -1,11 +1,10 @@
-import json
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import suites
-from verlinde_gl.alcove import GLWeight, WedgeVector, ladder_weight
+from verlinde_gl.alcove import GLWeight, ladder_weight
 from verlinde_gl.borel import GLXShape, TupleWeight
 from verlinde_gl.diagrams import (
     WeightDiagram,
@@ -13,11 +12,8 @@ from verlinde_gl.diagrams import (
     cut,
     decode,
     encode,
-    from_json,
-    permute,
     render_ascii,
     symbol_residues,
-    to_json,
 )
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
@@ -85,32 +81,6 @@ def test_cut_and_render():
         cut(d, 11)
 
 
-def test_permute_identity_and_example():
-    d = encode(FIG)
-    ident = {k: k for k in range(11)}
-    assert permute(ident, d) == d
-    # sigma = (0 4 6)(3 9); then multiply the label by t1 t2^(-1).
-    sigma = dict(ident)
-    sigma.update({0: 4, 4: 6, 6: 0, 3: 9, 9: 3})
-    moved = permute(sigma, d)
-    out = WeightDiagram(11, moved.symbols, moved.s - 1, moved.r - 1)
-    expected = {0: "<", 1: "o", 2: ">", 3: "x", 4: "x", 5: "o", 6: "o", 7: ">", 8: ">", 9: "o", 10: "<"}
-    assert out.symbols == "".join(expected[k] for k in range(11))
-    assert (out.s, out.r) == (2, 1)  # label t1^-2 t2^1
-    assert out.m == d.m and out.n == d.n and out.cross_count == d.cross_count
-
-
-def test_permute_two_circles():
-    d = encode(FIG)
-    swap = {k: k for k in range(11)}
-    swap.update({3: 5, 5: 3})
-    out = permute(swap, d)
-    assert sorted(out.symbols) == sorted(d.symbols)
-    assert [k for k in range(11) if out.symbols[k] == "x"] == [6, 9]
-    with pytest.raises(ValidationError):
-        permute({0: 0}, d)
-
-
 def test_label_bookkeeping_matches_residue_data():
     for p in (5, 7):
         for lam in window_weights(p, window=(-3, 3)):
@@ -142,17 +112,6 @@ def test_roundtrip_hypothesis(data):
     assert decode(encode(lam)) == lam
 
 
-def test_json_roundtrip():
-    d = encode(FIG)
-    text = to_json(d)
-    assert from_json(text) == d
-    obj = json.loads(text)
-    assert obj["p"] == 11 and obj["s"] == 3 and obj["r"] == 2
-    assert len(obj["symbols"]) == 11
-    with pytest.raises(ValidationError):
-        from_json("{}")
-
-
 def test_diagram_validation():
     with pytest.raises(ValidationError):
         WeightDiagram(5, "ooooo", 0, 0)  # m = n = 0
@@ -173,16 +132,6 @@ def test_diagram_validation():
         lambda: WeightDiagram(5, "x<>oo", 0, "1"),
         lambda: WeightDiagram(5, ["x", "<", ">", "o", "o"], 0, 0),
         lambda: WeightDiagram(5, tuple("x<>oo"), 0, 0),
-        lambda: from_json('{"p": 5.9, "symbols": "x<>oo", "s": 0.5, "r": true}'),
-        lambda: from_json('{"p": 5.0, "symbols": ["x", "<", ">", "o", "o"], "s": 0, "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 0.5, "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 0, "r": true}'),
-        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": "0", "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": "x<>oo", "s": 0, "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": ["x<", ">", "o", "o"], "s": 0, "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", 0], "s": 0, "r": 0}'),
-        lambda: from_json('{"p": 5, "symbols": ["x", "<", ">", "o", ""], "s": 0, "r": 0}'),
-        lambda: from_json("[5]"),
     ],
     ids=[
         "float-s",
@@ -191,16 +140,6 @@ def test_diagram_validation():
         "str-r",
         "list-symbols",
         "tuple-symbols",
-        "json-all-truncatable",
-        "json-float-p",
-        "json-float-s",
-        "json-bool-r",
-        "json-str-s",
-        "json-symbols-string",
-        "json-symbols-multichar",
-        "json-symbols-int",
-        "json-symbols-empty-char",
-        "json-not-object",
     ],
 )
 def test_diagram_boundary_refuses_non_integers_and_bad_symbols(build):
@@ -217,7 +156,6 @@ _GLX = GLXShape(5, (1, 4))
         (WeightDiagram, _trusted, (5, "x<>oo", 1, -2), (5, "x<>o?", 1, -2)),
         (SuperWeight, _trusted_weight, (SuperShape(2, 1, 5), (1, 0), (0,)), (SuperShape(2, 1, 5), (0, 1), (0,))),
         # The checked records follow the same rules as the labels.
-        (WedgeVector, lambda *f: tuple.__new__(WedgeVector, f), ((1, 0, 3), 0, 5), ((1, 1, 3), 0, 5)),
         (SuperShape, lambda *f: tuple.__new__(SuperShape, f), (2, 1, 5), (2, 3, 5)),
         (LoopVector, lambda *f: tuple.__new__(LoopVector, f), (5, (1, 0), 0, (2,), 0), (5, (1, 0), 0, (2, 2), 0)),
         (GLXShape, lambda *f: tuple.__new__(GLXShape, f), (5, (1, 4)), (5, (1, 5))),
@@ -228,7 +166,7 @@ _GLX = GLXShape(5, (1, 4))
             (_GLX, (GLWeight((1,), 5), GLWeight((0, 0, 0), 5))),
         ),
     ],
-    ids=["diagram", "super-weight", "wedge-vector", "super-shape", "loop-vector", "glx-shape", "tuple-weight"],
+    ids=["diagram", "super-weight", "super-shape", "loop-vector", "glx-shape", "tuple-weight"],
 )
 def test_trusted_label_is_the_constructed_tuple(build, trusted, fields, bad):
     constructed, derived = build(*fields), trusted(*fields)
@@ -244,12 +182,6 @@ def test_trusted_label_is_the_constructed_tuple(build, trusted, fields, bad):
     # fail its checks does not come back.
     with pytest.raises(ValidationError):
         pickle.loads(pickle.dumps(trusted(*bad)))
-
-
-def test_from_json_accepts_integral_fields():
-    d = from_json('{"p": 5, "symbols": ["x", "<", ">", "o", "o"], "s": 1, "r": -2}')
-    assert d == WeightDiagram(5, "x<>oo", 1, -2)
-    assert encode(decode(d)) == d
 
 
 def test_codec_suite_catches_an_unreversed_second_block(monkeypatch):

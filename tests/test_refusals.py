@@ -6,7 +6,6 @@ import pytest
 
 from verlinde_gl.alcove import (
     GLWeight,
-    WedgeVector,
     det_power,
     is_admissible,
     level_rank_degree_zero,
@@ -44,7 +43,6 @@ ALTERNATING41 = super_weight(41, tuple(range(38, 18, -1)), tuple(range(-19, -39,
 REFUSALS = [
     ("is_admissible-rank", lambda: is_admissible((0,) * 5, 5, 5), ValidationError, "rank 5 out of range 1..4"),
     ("GLWeight-inadmissible", lambda: GLWeight((5, 0), 5), ValidationError, "is not admissible for rank 2, p=5"),
-    ("WedgeVector-repeated", lambda: WedgeVector((1, 1), 0, 5), ValidationError, "wedge residues must be distinct"),
     ("wedge_to_weight-size", lambda: wedge_to_weight(set(), 0, 5), ValidationError, "residue set size 0 out of"),
     ("wedge_to_weight-range", lambda: wedge_to_weight({5}, 0, 5), ValidationError, "residues must lie in 0..4"),
     ("det_power-rank", lambda: det_power(5, 5, 1), ValidationError, "rank 5 out of range 1..4"),
