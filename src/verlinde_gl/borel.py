@@ -14,13 +14,14 @@ and converted with the lowest-weight machinery of the caps module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
 from .alcove import GLWeight, level_rank_D
 from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
-from .superweights import SuperShape, SuperWeight
+
 
 class GLXShape(NamedTuple("GLXShape", [("p", int), ("types", tuple[int, ...])])):
     """Summand types of X = X_1 + .. + X_k, each in 1..p-1."""
@@ -128,12 +129,21 @@ def conjugate_relabel(lam: TupleWeight, w: tuple[int, ...]) -> TupleWeight:
     return TupleWeight(shape, tuple(lam.parts[inv[q]] for q in range(shape.k)))
 
 
+@lru_cache(1)
+def _odd_layers():
+    """The caps and superweights modules, imported on first use: only odd reflections load them."""
+    from . import caps, superweights
+
+    return caps, superweights
+
+
 def _pair_to_super(small: GLWeight, big: GLWeight) -> SuperWeight:
     """Bridge a (rank m, rank r) pair, m < r, to the GL(L_m | L_n) label."""
+    superweights = _odd_layers()[1]
     p = small.p
     m, r = small.n, big.n
     nu, _parity = level_rank_D(big)
-    return SuperWeight(SuperShape(m, p - r, p), small.entries, nu.entries)
+    return superweights.SuperWeight(superweights.SuperShape(m, p - r, p), small.entries, nu.entries)
 
 
 def _super_to_pair(lam: SuperWeight) -> tuple[GLWeight, GLWeight]:
@@ -153,16 +163,15 @@ def odd_reflect_pair(
     first); the output labels the swapped Borel.  direction 'to_standard':
     the inverse.
     """
-    from .caps import sigma_to_standard, standard_to_sigma  # only odd reflections load the cap calculus
-
+    caps = _odd_layers()[0]
     if small.p != big.p:
         raise ValidationError("parts must share the characteristic")
     if small.n >= big.n:
         raise ValidationError("odd reflection needs distinct types, small first")
     if direction == "to_sigma":
-        image = standard_to_sigma(_pair_to_super(small, big))
+        image = caps.standard_to_sigma(_pair_to_super(small, big))
     elif direction == "to_standard":
-        image = sigma_to_standard(_pair_to_super(small, big))
+        image = caps.sigma_to_standard(_pair_to_super(small, big))
     else:
         raise ValidationError(f"direction must be 'to_sigma' or 'to_standard', got {direction!r}")
     return _super_to_pair(image)

@@ -11,20 +11,21 @@ for values starting with a minus sign.
 
 The command table, left out of --help: _COMMANDS maps each subcommand, in
 help order, to (help, arguments, handler).  A handler returns (json-ready
-result, text) and calls the library through its modules (caps.p_set) at call
-time, so the table shows the layer each subcommand adapts.
+result, text, *warnings) and calls the library through its modules
+(caps.p_set) at call time, so the table shows the layer each subcommand
+adapts.  The envelope lists the warnings; dual adds one when its raw
+coordinates are not a dominant label.
 
-A call loads only the layers its subcommand calls.  The module names here are
-_Layer handles that import their module on first attribute read, and
-build_parser builds only the subparser that argv names (all of them for
---help, no arguments or an unknown name).  Help texts quote a bound as
-{caps.P_SET_MAX_SIZE}, read when its own subparser is built.
+A call loads only the layers its subcommand calls, and json only for --json.
+The module names here are _Layer handles that import their module on first
+attribute read, and build_parser builds only the subparser that argv names
+(all of them for --help, no arguments or an unknown name).  Help texts quote
+a bound as {caps.P_SET_MAX_SIZE}, read when its own subparser is built.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
@@ -75,7 +76,7 @@ def _tuple_text(entries) -> str:
     return ",".join(map(str, entries))
 
 
-Output = tuple[Any, str]  # (json-ready result, text)
+Output = tuple[Any, ...]  # (json-ready result, text, *warnings)
 
 
 def _weight_pair(w: superweights.SuperWeight | tuple[tuple[int, ...], tuple[int, ...]]) -> Output:
@@ -89,9 +90,17 @@ def _weight_set(weights: Iterable[superweights.SuperWeight]) -> Output:
     return _joined(map(_weight_pair, sorted((a.mu, a.nu) for a in weights)))
 
 
+def _raw_pair(p: int, coords: tuple[tuple[int, ...], tuple[int, ...]]) -> Output:
+    """Raw (mu, nu) coordinates, as _weight_pair, warned when they are not a dominant label."""
+    pair, text = _weight_pair(coords)
+    if all(alcove.is_admissible(block, len(block), p) for block in coords):
+        return pair, text
+    return pair, text, f"raw coordinates {text} are not a dominant label"
+
+
 def _scalar(value: bool | int) -> Output:
     """A flag or a count, printed as JSON spells it: 'true', '2'."""
-    return value, json.dumps(value)
+    return value, str(value).lower()
 
 
 def _entries(w: alcove.GLWeight) -> Output:
@@ -169,7 +178,7 @@ def _serganova(args: argparse.Namespace) -> Output:
     mu, nu = _ints(args.mu), _ints(args.nu)
     pair, text = _weight_pair(serganova.serganova_hat(mu, nu, args.p))
     nonzero = serganova.sh_nonzero(mu, nu, args.p)
-    return {"hat": pair, "sh_nonzero": nonzero}, f"hat={text} sh_nonzero={json.dumps(nonzero)}"
+    return {"hat": pair, "sh_nonzero": nonzero}, f"hat={text} sh_nonzero={str(nonzero).lower()}"
 
 
 def _diagram_decode(args: argparse.Namespace) -> Output:
@@ -261,7 +270,7 @@ _COMMANDS: dict[str, tuple[str, tuple[Argument, ...], Callable[[argparse.Namespa
     ),
     "hat": ("highest weight of the projective cover", _SUPER, lambda a: _weight_pair(caps.hat(_weight(a)))),
     "lowest": ("lowest weight of the simple", _SUPER, lambda a: _weight_pair(caps.lowest_weight(_weight(a)))),
-    "dual": ("label coordinates of the dual simple", _SUPER, lambda a: _weight_pair(caps.dual_simple(_weight(a)))),
+    "dual": ("label coordinates of the dual simple", _SUPER, lambda a: _raw_pair(a.p, caps.dual_simple(_weight(a)))),
     "sigma": (
         "opposite-Borel label of the same simple", _SUPER, lambda a: _weight_pair(caps.standard_to_sigma(_weight(a)))
     ),
@@ -303,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser(argv).parse_args(argv)
-        result, text = _COMMANDS[args.command][2](args)
+        result, text, *warnings = _COMMANDS[args.command][2](args)
     except ValidationError as exc:
         print(f"error VALIDATION: {exc}", file=sys.stderr)
         return 1
@@ -311,10 +320,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error CONTRACT: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json  # only --json loads the encoder
+
         envelope = {
             "command": args.command,
             "result": result,
-            "warnings": [],
+            "warnings": warnings,
             "provenance": {"tool": "verlinde-gl", "version": __version__},
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))

@@ -4,7 +4,7 @@ from math import comb, perm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from verlinde_gl import caps, diagrams, suites
+from verlinde_gl import caps, diagrams, suites, translation
 from verlinde_gl.caps import (
     KAC_COMPOSITION_MAX_NODES,
     P_SET_MAX_SIZE,
@@ -337,7 +337,7 @@ def test_replay_never_holds_more_classes_than_its_end(monkeypatch):
         sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(caps, "act_on_sum", counted)
+    monkeypatch.setattr(translation, "act_on_sum", counted)
     for lam in window_weights(5):
         d = encode(lam)
         sizes.clear()

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import verlinde_gl
-from verlinde_gl import caps, enumeration, serganova
+from verlinde_gl import caps, cli, enumeration, serganova
 from verlinde_gl.alcove import TENSOR_WITH_V_MAX_RANK
 from verlinde_gl.borel import BOREL_TRANSLATE_MAX_SUMMANDS, BOREL_TRANSLATE_MAX_VERTEX_READS
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, P_SET_MAX_SIZE, PROJECTIVE_WORD_MAX_SYMBOLS
@@ -114,11 +114,16 @@ FIG_ARGS = ("--p", "11", "--mu", "18,18,15,12,12", "--nu=-13,-13,-17,-18")
 FIG_MU_ARGS = ("--p", "11", "--weight", "18,18,15,12,12")
 
 
-def _envelope(command, result):
+def _envelope(command, result, warnings="[]"):
     return (
         f'{{"command":"{command}","provenance":{{"tool":"verlinde-gl","version":"0.1.0"}},'
-        f'"result":{result},"warnings":[]}}'
+        f'"result":{result},"warnings":{warnings}}}'
     )
+
+
+# The pinned calls whose envelope carries a warning: the figure weight's dual
+# coordinates increase in each block.
+PINNED_WARNINGS = {"dual": '["raw coordinates (-15,-15,-11,-11,-11|10,10,12,17) are not a dominant label"]'}
 
 
 PINNED_OUTPUTS = [
@@ -162,6 +167,7 @@ PINNED_OUTPUTS = [
         '{"mu":[0,0,0,0,0,0,0,-1],"nu":[1,0,0,0,0,0,0,0]},'
         '{"mu":[0,0,0,0,0,0,0,0],"nu":[0,0,0,0,0,0,0,0]}]',
     ),
+    (("lowest", *FIG_ARGS), "(15,15,11,11,11|-10,-10,-12,-17)", '{"mu":[15,15,11,11,11],"nu":[-10,-10,-12,-17]}'),
     (("dual", *FIG_ARGS), "(-15,-15,-11,-11,-11|10,10,12,17)", '{"mu":[-15,-15,-11,-11,-11],"nu":[10,10,12,17]}'),
     (("sigma", *FIG_ARGS), "(15,15,11,11,11|-10,-10,-12,-17)", '{"mu":[15,15,11,11,11],"nu":[-10,-10,-12,-17]}'),
     (
@@ -237,7 +243,14 @@ def _pin_ids(cases):
 def test_subcommand_output_is_pinned(capsys, argv, text, result):
     # Exact text and JSON of every subcommand not pinned elsewhere.
     assert run(capsys, *argv) == (0, text, "")
-    assert run(capsys, *argv, "--json") == (0, _envelope(argv[0], result), "")
+    assert run(capsys, *argv, "--json") == (0, _envelope(argv[0], result, PINNED_WARNINGS.get(argv[0], "[]")), "")
+
+
+def test_dual_warns_on_most_of_the_p5_window():
+    # dual's raw coordinates are no dominant label on most of the window.
+    weights = list(enumeration.window_weights(5))
+    warned = sum(len(cli._raw_pair(5, caps.dual_simple(lam))) > 2 for lam in weights)
+    assert (len(weights), warned) == (3677, 2971)
 
 
 # --w is 1-indexed, and so are the messages refusing it.
@@ -360,20 +373,36 @@ def test_projective_word_above_the_size_limit_is_refused_quickly(capsys):
 
 
 # One call per subcommand: the first pinned one, else one on the figure weight;
-# and a borel-translate of equal types, which makes no odd reflection.
+# and a borel-translate of equal types, which makes no odd reflection (the
+# pinned borel-translate, of types 1 and 4, makes one).
 _EQUAL_TYPES = "borel-translate-equal-types"
 _ONE_CALL = {argv[0]: argv for argv, _, _ in reversed(PINNED_OUTPUTS)} | {
-    name: (name, *FIG_ARGS) for name in ("pset", "hat", "lowest")
+    name: (name, *FIG_ARGS) for name in ("pset", "hat")
 } | {
     "selfcheck": ("selfcheck", "--suite", "golden"),
     _EQUAL_TYPES: ("borel-translate", "--p", "5", "--types", "2,2", "--part", "0,0", "--part", "1,0", "--w", "2,1"),
 }
-# The verlinde_gl modules a subcommand may load, where the test pins a bound.
-_MAY_LOAD = {
-    "fuse": {"cli", "errors", "fusion"},
-    "serganova": {"cli", "errors", "fusion", "serganova"},
-    "render": {"alcove", "cli", "diagrams", "errors", "fusion", "superweights"},  # no caps, translation, borel
-    _EQUAL_TYPES: {"alcove", "borel", "cli", "errors", "fusion", "superweights"},  # no caps, translation, diagrams
+# The verlinde_gl modules each call loads, exactly: the layers its handler
+# calls and what they import at module level.  caps loads translation only
+# for words and replays, borel loads superweights and caps only for odd
+# reflections.
+_FUSION = {"cli", "errors", "fusion"}
+_ALCOVE = _FUSION | {"alcove"}
+_SUPERWEIGHTS = _ALCOVE | {"superweights"}
+_DIAGRAMS = _SUPERWEIGHTS | {"diagrams"}
+_CAPS = _DIAGRAMS | {"caps"}
+_LOADS = {
+    "fuse": _FUSION,
+    **dict.fromkeys(("alcove", "tensor-v", "level-rank", "psi", "chi-rotate"), _ALCOVE),
+    **dict.fromkeys(("diagram-encode", "render", "diagram-decode"), _DIAGRAMS),
+    **dict.fromkeys(("atypicality", "casimir", "irreducible"), _SUPERWEIGHTS),
+    **dict.fromkeys(("caps", "pset", "filtration", "kac-factors", "hat", "lowest", "dual", "sigma"), _CAPS),
+    "projective-word": _CAPS | {"translation"},
+    **dict.fromkeys(("serganova", "oddroot-lemma"), _FUSION | {"serganova"}),
+    "translate": _DIAGRAMS | {"translation"},
+    "borel-translate": _CAPS | {"borel"},
+    _EQUAL_TYPES: _ALCOVE | {"borel"},
+    "selfcheck": _CAPS | {"borel", "enumeration", "serganova", "suites", "translation"},
 }
 _LOAD_PROBE = """
 import contextlib, importlib, io, sys
@@ -381,13 +410,13 @@ module = importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         module.main(sys.argv[2:])
-print(*(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlinde_gl.")), *{"dataclasses"} & sys.modules.keys())
+print(*(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlinde_gl.")), *{"dataclasses", "json"} & sys.modules.keys())
 """
 
 
 def _loaded_modules(module, *argv):
-    """The verlinde_gl submodules, and dataclasses if loaded, that a fresh interpreter
-    holds after importing module and, if given, cli.main(argv)."""
+    """The verlinde_gl submodules, and dataclasses and json if loaded, that a
+    fresh interpreter holds after importing module and, if given, cli.main(argv)."""
     env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _LOAD_PROBE, module, *argv], env=env, capture_output=True, text=True, check=True
@@ -406,10 +435,11 @@ def test_cli_import_leaves_the_suites_unloaded():
 
 @pytest.mark.parametrize("name", [*_COMMANDS, _EQUAL_TYPES])
 def test_subcommand_loads_only_the_layers_it_calls(name):
-    loaded = _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name])
-    assert ("suites" in loaded) == (name == "selfcheck")  # only selfcheck loads the suites
-    assert ("dataclasses" in loaded) == (name == "selfcheck")  # records are tuples; SuiteResult is the one dataclass
-    assert loaded <= _MAY_LOAD.get(name, loaded)
+    # Only selfcheck loads the suites and dataclasses (SuiteResult is the one
+    # dataclass); only --json loads json.
+    want = _LOADS[name] | ({"dataclasses"} if name == "selfcheck" else set())
+    assert _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name]) == want
+    assert _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name], "--json") == want | {"json"}
 
 
 # The package exports as nine eager import lines named them, before they resolved on first use.
@@ -657,16 +687,35 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return []
 
 
-def _code_uses(source: str, lookups: bool) -> Counter:
+def _module_handles(tree: ast.Module, modules: set[str]) -> set[str]:
+    """Names the source binds to a module: an import of a module (from the
+    package, not from a module of the same name) or a _Layer handle."""
+    handles = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            handles |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] not in modules:
+            handles |= {alias.asname or alias.name for alias in node.names if alias.name in modules}
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(n, ast.Name) and n.id == "_Layer" for n in ast.walk(node.value)
+        ):
+            handles |= {n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return handles
+
+
+def _code_uses(source: str, lookups: bool, modules: set[str]) -> Counter:
     """Names that source references as an ast.Name or ast.Attribute outside
-    their own top-level definition; with lookups, also the last dotted part
-    of each string constant, the way the benchmark looks names up by string
+    their own top-level definition; a name bound to one of the modules is a
+    module handle and no use.  With lookups, also the last dotted part of
+    each string constant, the way the benchmark looks names up by string
     ("p_set", "caps.p_set")."""
     uses = Counter()
-    for stmt in ast.parse(source).body:
+    tree = ast.parse(source)
+    handles = _module_handles(tree, modules)
+    for stmt in tree.body:
         own = set(_defined_names(stmt))
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and node.id not in handles:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -684,9 +733,9 @@ def _unused(library: dict[str, str], code: tuple[str, ...] = (), lookups: tuple[
     that no code in library, code or lookups uses, in definition order."""
     uses = Counter()
     for source in [*library.values(), *code]:
-        uses += _code_uses(source, False)
+        uses += _code_uses(source, False, set(library))
     for source in lookups:
-        uses += _code_uses(source, True)
+        uses += _code_uses(source, True, set(library))
     return [
         f"{module}.{name}"
         for module, source in library.items()
@@ -723,6 +772,14 @@ def test_use_guard_counts_code_and_benchmark_lookups_only():
     # A string is a use only in the benchmark, as a name or as module.name.
     assert _unused(library, code=('call("f")', '"m.h"')) == ["m.f", "m.g", "m.C", "m.h", "m.K"]
     assert _unused(library, lookups=('call("f")', 'TRACED = ("m.h",)', '"C K"')) == ["m.g", "m.C", "m.K"]
+    # A module handle named like a function of that module is no use of it:
+    # an import of the module, or a _Layer handle; an import from the module
+    # binds the function itself.
+    library = {"t": "def t():\n    pass\n\ndef u():\n    pass\n"}
+    for handle in ("from . import t", "from pkg import t as t", "import t", "import t.u", "t, v = map(_Layer, 'tv')"):
+        assert _unused(library, code=(f"{handle}\nt.u()\n",)) == ["t.t"], handle
+    assert _unused(library, code=("from .t import t, u\nt()\nu()\n",)) == []
+    assert _code_uses(Path(cli.__file__).read_text(), False, {"translation"})["translation"] == 0
 
 
 def test_every_top_level_name_has_a_use():
