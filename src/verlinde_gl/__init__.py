@@ -19,6 +19,12 @@ The public names below resolve on first use (PEP 562): importing the package
 loads no layer, and reading verlinde_gl.encode imports diagrams once and keeps
 the function in the package namespace.  `from verlinde_gl import encode`
 works as for any module attribute.
+
+A layer that calls another only on some paths binds its name to a _Layer
+handle (caps: translation; borel: caps, superweights; cli: every layer).  The
+first attribute read imports the module and rebinds the name to it, so later
+reads are plain global lookups, and a function patched on the module is the
+one called.
 """
 
 __version__ = "0.1.0"
@@ -37,6 +43,19 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)
+
+
+class _Layer:
+    """A library module bound as namespace[name], imported on the first read of one of its attributes."""
+
+    def __init__(self, name: str, namespace: dict) -> None:
+        self._name, self._namespace = name, namespace
+
+    def __getattr__(self, attr: str):
+        from importlib import import_module
+
+        module = self._namespace[self._name] = import_module(f"{__name__}.{self._name}")
+        return getattr(module, attr)
 
 
 def __getattr__(name: str):

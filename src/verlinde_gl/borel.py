@@ -14,13 +14,16 @@ and converted with the lowest-weight machinery of the caps module.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+from . import _Layer
 from .alcove import GLWeight, level_rank_D
 from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
+
+# Only odd reflections read the cap calculus and super weights.
+caps, superweights = _Layer("caps", globals()), _Layer("superweights", globals())
 
 
 class GLXShape(NamedTuple("GLXShape", [("p", int), ("types", tuple[int, ...])])):
@@ -76,8 +79,8 @@ class TupleWeight(NamedTuple("TupleWeight", [("shape", GLXShape), ("parts", tupl
 
 
 def check_permutation(w: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """w[i] is the (0-indexed) position of summand i; must be a bijection."""
-    if sorted(w) != list(range(k)):
+    """w[i] is the (0-indexed) position of summand i; must be a bijection of ints."""
+    if any(type(x) is not int for x in w) or sorted(w) != list(range(k)):
         raise ValidationError(f"{w} is not a permutation of 0..{k - 1}")
     return tuple(w)
 
@@ -129,24 +132,15 @@ def conjugate_relabel(lam: TupleWeight, w: tuple[int, ...]) -> TupleWeight:
     return TupleWeight(shape, tuple(lam.parts[inv[q]] for q in range(shape.k)))
 
 
-@lru_cache(1)
-def _odd_layers():
-    """The caps and superweights modules, imported on first use: only odd reflections load them."""
-    from . import caps, superweights
-
-    return caps, superweights
-
-
-def _pair_to_super(small: GLWeight, big: GLWeight) -> SuperWeight:
+def _pair_to_super(small: GLWeight, big: GLWeight) -> superweights.SuperWeight:
     """Bridge a (rank m, rank r) pair, m < r, to the GL(L_m | L_n) label."""
-    superweights = _odd_layers()[1]
     p = small.p
     m, r = small.n, big.n
     nu, _parity = level_rank_D(big)
     return superweights.SuperWeight(superweights.SuperShape(m, p - r, p), small.entries, nu.entries)
 
 
-def _super_to_pair(lam: SuperWeight) -> tuple[GLWeight, GLWeight]:
+def _super_to_pair(lam: superweights.SuperWeight) -> tuple[GLWeight, GLWeight]:
     """Inverse bridge: (mu | nu) back to (rank m, rank p-n) parts; level_rank_D is an involution."""
     p = lam.shape.p
     big, _parity = level_rank_D(GLWeight(lam.nu, p))
@@ -163,7 +157,6 @@ def odd_reflect_pair(
     first); the output labels the swapped Borel.  direction 'to_standard':
     the inverse.
     """
-    caps = _odd_layers()[0]
     if small.p != big.p:
         raise ValidationError("parts must share the characteristic")
     if small.n >= big.n:

@@ -41,10 +41,10 @@ more than KAC_COMPOSITION_MAX_NODES nodes.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
+from . import _Layer
 from .diagrams import (
     CROSS,
     EMPTY,
@@ -57,6 +57,8 @@ from .diagrams import (
 )
 from .errors import ContractError, ValidationError
 from .superweights import SuperWeight, beta
+
+translation = _Layer("translation", globals())  # only words and replays apply functors
 
 
 class Cap(NamedTuple):
@@ -321,14 +323,6 @@ def dual_simple_label(lam: SuperWeight) -> SuperWeight:
 PROJECTIVE_WORD_MAX_SYMBOLS = 100_000_000
 
 
-@lru_cache(1)
-def _functors():
-    """The translation module, imported on first use: only words and replays apply functors."""
-    from . import translation
-
-    return translation
-
-
 def projective_word_diagrams(d: WeightDiagram) -> tuple[WeightDiagram, tuple[tuple[str, int], ...]]:
     """A typical base diagram and translation steps rebuilding the projective cover of d.
 
@@ -341,7 +335,7 @@ def projective_word_diagrams(d: WeightDiagram) -> tuple[WeightDiagram, tuple[tup
     swap order, and a cap of length l adds l steps to the word.  Raises
     ValidationError when len(word) * p exceeds PROJECTIVE_WORD_MAX_SYMBOLS.
     """
-    apply_functor = _functors().apply_functor
+    apply_functor = translation.apply_functor
     word_rev: list[tuple[str, int]] = []
     base, p, caps = d, d.p, cap_diagram(d).caps
     steps = sum((cap.tail - cap.source) % p for cap in caps)
@@ -385,10 +379,9 @@ def replay_diagrams(d: WeightDiagram, word: tuple[tuple[str, int], ...]) -> dict
 
     A running sum of more than P_SET_MAX_SIZE classes raises ValidationError.
     """
-    act_on_sum = _functors().act_on_sum
     classes = {d: 1}
     for kind, i in word:
-        classes = act_on_sum(kind, i, classes)
+        classes = translation.act_on_sum(kind, i, classes)
         if len(classes) > P_SET_MAX_SIZE:
             raise ValidationError(f"replayed sum of {len(classes)} classes exceeds P_SET_MAX_SIZE = {P_SET_MAX_SIZE}")
     return classes

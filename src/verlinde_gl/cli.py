@@ -17,10 +17,11 @@ adapts.  The envelope lists the warnings; dual adds one when its raw
 coordinates are not a dominant label.
 
 A call loads only the layers its subcommand calls, and json only for --json.
-The module names here are _Layer handles that import their module on first
-attribute read, and build_parser builds only the subparser that argv names
-(all of them for --help, no arguments or an unknown name).  Help texts quote
-a bound as {caps.P_SET_MAX_SIZE}, read when its own subparser is built.
+The module names here are the package's _Layer handles: the first attribute
+read imports the module and rebinds the name to it.  build_parser builds only
+the subparser that argv names (all of them for --help, no arguments or an
+unknown name).  Help texts quote a bound as {caps.P_SET_MAX_SIZE}, read when
+its own subparser is built.
 """
 
 from __future__ import annotations
@@ -29,25 +30,14 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
-from importlib import import_module
 from typing import Any
 
-from . import __version__
+from . import _Layer, __version__
 from .errors import ContractError, ValidationError
 
-
-class _Layer:
-    """A library module, imported on the first read of one of its attributes."""
-
-    def __init__(self, name: str) -> None:
-        self._module = f"{__package__}.{name}"
-
-    def __getattr__(self, attr: str) -> Any:
-        return getattr(import_module(self._module), attr)
-
-
-alcove, borel, caps, diagrams, enumeration, fusion, serganova, superweights, translation = map(
-    _Layer, ("alcove", "borel", "caps", "diagrams", "enumeration", "fusion", "serganova", "superweights", "translation")
+alcove, borel, caps, diagrams, enumeration, fusion, serganova, suites, superweights, translation = (
+    _Layer(name, globals())
+    for name in "alcove borel caps diagrams enumeration fusion serganova suites superweights translation".split()
 )
 
 
@@ -206,10 +196,8 @@ def _borel_translate(args: argparse.Namespace) -> Output:
 def _selfcheck(args: argparse.Namespace) -> Output:
     from dataclasses import asdict
 
-    from .suites import SUITE_BUILDERS, run_suite  # only selfcheck loads the suites
-
-    names = sorted(SUITE_BUILDERS) if args.suite == "all" else [args.suite]
-    results = [run_suite(name, args.p) for name in names]
+    names = sorted(suites.SUITE_BUILDERS) if args.suite == "all" else [args.suite]
+    results = [suites.run_suite(name, args.p) for name in names]
     ok = all(r.ok for r in results)
     text = "\n".join([r.line() for r in results] + [f"selfcheck: {'PASS' if ok else 'FAIL'}"])
     if not ok:

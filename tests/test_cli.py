@@ -414,14 +414,17 @@ print(*(name.split(".", 1)[1] for name in sys.modules if name.startswith("verlin
 """
 
 
+def _run_fresh(code, *args):
+    """The stdout of code run with args in a fresh interpreter that imports this verlinde_gl."""
+    env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
 def _loaded_modules(module, *argv):
     """The verlinde_gl submodules, and dataclasses and json if loaded, that a
     fresh interpreter holds after importing module and, if given, cli.main(argv)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(verlinde_gl.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE, module, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    return set(proc.stdout.split())
+    return set(_run_fresh(_LOAD_PROBE, module, *argv).split())
 
 
 def test_package_import_loads_no_layer():
@@ -440,6 +443,107 @@ def test_subcommand_loads_only_the_layers_it_calls(name):
     want = _LOADS[name] | ({"dataclasses"} if name == "selfcheck" else set())
     assert _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name]) == want
     assert _loaded_modules("verlinde_gl.cli", *_ONE_CALL[name], "--json") == want | {"json"}
+
+
+# A refused odd reflection, then caps, a replay before and after the handle
+# binds translation (with act_on_sum patched on the module each time, as the
+# benchmark's tracer patches it), then a mixed-type borel_translate.
+_HANDLE_PROBE = """
+import sys
+from verlinde_gl import _Layer, borel
+from verlinde_gl.alcove import GLWeight
+from verlinde_gl.errors import ValidationError
+
+facts = {}
+try:
+    borel.odd_reflect_pair(GLWeight((0,), 5), GLWeight((0, 0), 7), "to_sigma")
+except ValidationError:
+    facts["refused reflection loads caps"] = "verlinde_gl.caps" in sys.modules
+from verlinde_gl import caps
+facts["caps binds a handle"] = type(caps.translation) is _Layer
+facts["caps loads translation"] = "verlinde_gl.translation" in sys.modules
+from verlinde_gl import superweights, translation
+
+original, calls = translation.act_on_sum, []
+
+
+def tagged(tag):
+    def act_on_sum(*args):
+        calls.append(tag)
+        return original(*args)
+
+    return act_on_sum
+
+
+d = caps.encode(superweights.super_weight(5, (0,), (0,)))
+for tag in ("before", "after"):
+    translation.act_on_sum = tagged(tag)
+    caps.replay_diagrams(d, (("F", 1),))
+    facts[f"replay binds translation {tag}"] = caps.translation is translation
+facts["replay calls"] = calls
+facts["borel binds handles"] = type(borel.caps) is _Layer and type(borel.superweights) is _Layer
+shape = borel.GLXShape(5, (1, 2))
+borel.borel_translate(borel.TupleWeight(shape, (GLWeight((0,), 5), GLWeight((0, 0), 5))), (1, 0))
+facts["odd reflection binds caps"] = borel.caps is caps and borel.superweights is superweights
+print(repr(facts))
+"""
+
+
+def test_layer_handle_imports_on_first_read_and_rebinds():
+    # A _Layer handle imports its module on the first attribute read and
+    # rebinds the name to the module; it copies no attribute, so a function
+    # patched on the module is the one called before and after that read.
+    assert ast.literal_eval(_run_fresh(_HANDLE_PROBE)) == {
+        "refused reflection loads caps": False,
+        "caps binds a handle": True,
+        "caps loads translation": False,
+        "replay binds translation before": True,
+        "replay binds translation after": True,
+        "replay calls": ["before", "after"],
+        "borel binds handles": True,
+        "odd reflection binds caps": True,
+    }
+
+
+def _lazy_loaders(source: str, module: str) -> list[str]:
+    """module.function for each function that imports a library module itself
+    (a relative or verlinde_gl import, import_module or __import__), and each
+    lru_cache function that imports any module."""
+
+    def loads(node, any_module):
+        if isinstance(node, ast.ImportFrom):
+            return any_module or node.level > 0 or (node.module or "").startswith("verlinde_gl")
+        if isinstance(node, ast.Import):
+            return any_module or any(alias.name.startswith("verlinde_gl") for alias in node.names)
+        func = node.func if isinstance(node, ast.Call) else None
+        return getattr(func, "attr", getattr(func, "id", None)) in ("import_module", "__import__")
+
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            cached = any("lru_cache" in ast.unparse(d) for d in fn.decorator_list)
+            if any(loads(node, cached) for node in ast.walk(fn)):
+                found.append(f"{module}.{fn.name}")
+    return found
+
+
+def test_layers_load_lazily_only_through_the_package_handle():
+    # One mechanism loads a layer on first use: _Layer in __init__.py.  No
+    # other function imports a library module, and no lru_cache wraps a
+    # module loader; a local json or dataclasses import loads no layer.
+    source = (
+        "from functools import lru_cache\n"
+        "def a():\n    from . import caps\n"
+        "def b():\n    from .suites import run_suite\n"
+        "def c():\n    import verlinde_gl.caps\n"
+        "def d():\n    return importlib.import_module(name)\n"
+        "@lru_cache(1)\ndef e():\n    import json\n    return json\n"
+        "def f():\n    import json\n    from dataclasses import asdict\n"
+    )
+    assert _lazy_loaders(source, "m") == ["m.a", "m.b", "m.c", "m.d", "m.e"]
+    modules = sorted(Path(verlinde_gl.__file__).parent.glob("*.py"))
+    found = [name for path in modules if path.stem != "__init__" for name in _lazy_loaders(path.read_text(), path.stem)]
+    assert found == []
 
 
 # The package exports as nine eager import lines named them, before they resolved on first use.
@@ -708,7 +812,8 @@ def _code_uses(source: str, lookups: bool, modules: set[str]) -> Counter:
     their own top-level definition; a name bound to one of the modules is a
     module handle and no use.  With lookups, also the last dotted part of
     each string constant, the way the benchmark looks names up by string
-    ("p_set", "caps.p_set")."""
+    ("p_set", "caps.p_set"); a string that is a module name names a layer
+    ("translation"), no function."""
     uses = Counter()
     tree = ast.parse(source)
     handles = _module_handles(tree, modules)
@@ -719,7 +824,7 @@ def _code_uses(source: str, lookups: bool, modules: set[str]) -> Counter:
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
-            elif lookups and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif lookups and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value not in modules:
                 name = node.value.rpartition(".")[2]
             else:
                 continue
@@ -776,10 +881,17 @@ def test_use_guard_counts_code_and_benchmark_lookups_only():
     # an import of the module, or a _Layer handle; an import from the module
     # binds the function itself.
     library = {"t": "def t():\n    pass\n\ndef u():\n    pass\n"}
-    for handle in ("from . import t", "from pkg import t as t", "import t", "import t.u", "t, v = map(_Layer, 'tv')"):
+    for handle in ("from . import t", "from pkg import t as t", "import t", "import t.u", "t = _Layer('t', globals())"):
         assert _unused(library, code=(f"{handle}\nt.u()\n",)) == ["t.t"], handle
     assert _unused(library, code=("from .t import t, u\nt()\nu()\n",)) == []
     assert _code_uses(Path(cli.__file__).read_text(), False, {"translation"})["translation"] == 0
+    # A benchmark string equal to a module name names the layer, not the
+    # function of that name; module.name still looks the function up.
+    assert _unused(library, lookups=('LAYERS = ("t",)',)) == ["t.t", "t.u"]
+    assert _unused(library, lookups=('LAYERS = ("t",)\nTRACED = ("t.u", "t.t")',)) == []
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    assert _code_uses(tracer.read_text(), True, modules)["translation"] == 0
 
 
 def test_every_top_level_name_has_a_use():

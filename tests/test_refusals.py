@@ -17,6 +17,7 @@ from verlinde_gl.borel import (
     TupleWeight,
     borel_translate,
     check_permutation,
+    conjugate_relabel,
     odd_reflect_pair,
     w_dominance_leq,
     w_integrable,
@@ -36,6 +37,8 @@ LOOP = LoopVector(5, (0,), 0, (1,), 0)
 ONE_PART = _tuple_weight(5, (1,), [(0,)])
 RANK_TWO_PART = _tuple_weight(5, (2,), [(0, 0)])
 NONCANONICAL = _tuple_weight(5, (2, 1), [(0, 0), (0,)])
+EQUAL_TYPES = _tuple_weight(5, (1, 1), [(0,), (0,)])
+MIXED_TYPES = _tuple_weight(5, (1, 2), [(0,), (0, 0)])
 ZERO5 = super_weight(5, (0,), (0,))
 # Symbols "xo" * 20 + "o" at p = 41: Catalan(21) Kac factors, past the node budget.
 ALTERNATING41 = super_weight(41, tuple(range(38, 18, -1)), tuple(range(-19, -39, -1)))
@@ -54,6 +57,10 @@ REFUSALS = [
     ("w_dominance_leq-shapes", lambda: w_dominance_leq(ONE_PART, RANK_TWO_PART, (0,)), ValidationError, "a shape"),
     ("w_integrable-canonical", lambda: w_integrable(NONCANONICAL, (0, 1)), ValidationError, "canonical arrangement"),
     ("borel_translate-canonical", lambda: borel_translate(NONCANONICAL, (0, 1)), ValidationError, "canonical"),
+    # A permutation is a tuple of ints: 1.0 equals 1 but indexes nothing.
+    ("w_integrable-float", lambda: w_integrable(MIXED_TYPES, (1.0, 0.0)), ValidationError, "not a permutation"),
+    ("borel_translate-float", lambda: borel_translate(MIXED_TYPES, (0.0, 1.0)), ValidationError, "not a permutation"),
+    ("conjugate_relabel-float", lambda: conjugate_relabel(EQUAL_TYPES, (1.0, 0.0)), ValidationError, "not a permutation"),
     ("odd_reflect_pair-p", lambda: odd_reflect_pair(GLWeight((0,), 5), GLWeight((0, 0), 7), "to_sigma"),
      ValidationError, "must share the characteristic"),
     ("check_blocks-empty", lambda: check_blocks([()], [(0,)]), ValidationError, "both blocks must be nonempty"),
