@@ -23,6 +23,11 @@ through this pair; the second block of a super weight enters it through
 the involution superweights.second_block.  A box of content c moves
 residue c to c + 1 when added and back when removed.
 
+Weights are validated once, where they enter: GLWeight, det_power and
+wedge_to_weight check theirs.  The box moves, tensor_with_V, chi_rotate and
+level_rank_D derive weights from valid ones, admissible by an argument each
+function states, and build them unchecked in _trusted_gl.
+
 Note on symmetric powers: S^k V vanishes for k = p - n + 1 (its dimension is
 divisible by p), so chi = S^(p-n) V is the top nonzero symmetric power; no
 symmetric-power operation is exposed beyond the chi construction.
@@ -37,6 +42,14 @@ from typing import NamedTuple
 
 from .errors import ValidationError
 from .fusion import check_prime
+
+
+def _as_tuple(values: Iterable, name: str) -> tuple:
+    """values as a tuple; ValidationError naming it when it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def is_admissible(entries: tuple[int, ...] | list[int], n: int, p: int) -> bool:
@@ -61,7 +74,7 @@ class GLWeight(NamedTuple("GLWeight", [("entries", tuple[int, ...]), ("p", int)]
 
     def __new__(cls, entries: tuple[int, ...], p: int) -> GLWeight:
         check_prime(p)
-        entries = tuple(entries)
+        entries = _as_tuple(entries, "entries")
         if not all(type(x) is int for x in entries):
             raise ValidationError(f"{entries} must have integer entries")
         if not is_admissible(entries, len(entries), p):
@@ -75,6 +88,12 @@ class GLWeight(NamedTuple("GLWeight", [("entries", tuple[int, ...]), ("p", int)]
     @property
     def degree(self) -> int:
         return sum(self.entries)
+
+
+def _trusted_gl(entries: tuple[int, ...], p: int) -> GLWeight:
+    """A GLWeight without its checks, for weights the library derives from
+    valid labels: entries a tuple of ints admissible at the valid prime p."""
+    return tuple.__new__(GLWeight, (entries, p))
 
 
 class InvertibleTriple(NamedTuple):
@@ -94,7 +113,11 @@ def _move_box(lam: GLWeight, c: int, step: int) -> GLWeight | None:
     c + 1 and removing one moves c + 1 to c; a move across p-1 -> 0 carries
     into the loop exponent.  None (a value, not an error) when no row has
     the source residue, or the target is taken: the move leaves the alcove.
+    Otherwise the residues stay distinct, and ladder_weight of distinct
+    residues is admissible, so the result skips GLWeight's checks.
     """
+    if type(c) is not int:
+        raise ValidationError(f"content must be an integer, got {c!r}")
     p = lam.p
     residues, s = weight_ladder(lam.entries, p)
     lo, hi = c % p, (c + 1) % p
@@ -102,7 +125,7 @@ def _move_box(lam: GLWeight, c: int, step: int) -> GLWeight | None:
     if source not in residues or target in residues:
         return None
     residues[residues.index(source)] = target
-    return GLWeight(ladder_weight(residues, s + (step if lo == p - 1 else 0), p), p)
+    return _trusted_gl(ladder_weight(residues, s + (step if lo == p - 1 else 0), p), p)
 
 
 def add_box(lam: GLWeight, c: int) -> GLWeight | None:
@@ -115,17 +138,19 @@ def remove_box(lam: GLWeight, c: int) -> GLWeight | None:
     return _move_box(lam, c, -1)
 
 
-# tensor_with_V checks each summand once, in GLWeight; with distinct entries
-# every row takes a box: rank 2,000 takes 0.3 s, 3,000 0.7 s and 4,000 1.2 s
-# (2-CPU host, Python 3.11; under 1 ms with equal entries, one summand).
-# Larger ranks are refused.
+# tensor_with_V decides each summand by an O(1) neighbour test but copies n
+# entries per summand; with distinct entries every row takes a box: rank 2,000
+# takes 0.06 s, 3,000 0.15 s and 4,000 0.27 s (2-CPU host, Python 3.11; under
+# 1 ms with equal entries, one summand).  Larger ranks are refused.
 TENSOR_WITH_V_MAX_RANK = 4_000
 
 
 def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
     """Summands of V_lam (x) V: all admissible lam + e_i, in index order.
 
-    Ranks above TENSOR_WITH_V_MAX_RANK raise ValidationError.
+    The neighbour test decides admissibility, so the summands skip
+    GLWeight's checks.  Ranks above TENSOR_WITH_V_MAX_RANK raise
+    ValidationError.
     """
     if lam.n > TENSOR_WITH_V_MAX_RANK:
         raise ValidationError(f"rank {lam.n} exceeds TENSOR_WITH_V_MAX_RANK = {TENSOR_WITH_V_MAX_RANK}")
@@ -134,7 +159,7 @@ def tensor_with_V(lam: GLWeight) -> list[GLWeight]:
     for i in range(n):
         # lam + e_i stays nonincreasing iff e[i-1] > e[i]; only i = 0 widens the spread.
         if e[i - 1] > e[i] if i else e[0] + 1 - e[-1] <= p - n:
-            out.append(GLWeight(e[:i] + (e[i] + 1,) + e[i + 1 :], p))
+            out.append(_trusted_gl(e[:i] + (e[i] + 1,) + e[i + 1 :], p))
     return out
 
 
@@ -182,14 +207,19 @@ def chi_rotate(lam: GLWeight, k: int) -> GLWeight:
 
     One forward step is the rotation lam -> (lam_n + p - n, lam_1, ..,
     lam_{n-1}); n steps add p-n to every entry, matching chi^n = det^{p-n}.
-    With k = q*n + r (0 <= r < n) that is r steps and q full turns.
+    With k = q*n + r (0 <= r < n) that is r steps and q full turns.  A step
+    keeps the weight admissible: lam_n + p - n >= lam_1 heads the new
+    weight and is at most p - n above its new last entry lam_{n-1} >= lam_n,
+    so the result skips GLWeight's checks.
     """
+    if type(k) is not int:
+        raise ValidationError(f"chi power must be an integer, got {k!r}")
     p, n = lam.p, lam.n
     turns, steps = divmod(k, n)
     entries = lam.entries
     if steps:
         entries = tuple(x + (p - n) for x in entries[n - steps :]) + entries[: n - steps]
-    return GLWeight(tuple(x + turns * (p - n) for x in entries), p)
+    return _trusted_gl(tuple([x + turns * (p - n) for x in entries]), p)
 
 
 def det_power(n: int, p: int, a: int) -> GLWeight:
@@ -229,13 +259,16 @@ def level_rank_D(lam: GLWeight) -> tuple[GLWeight, int]:
 
     Shift to the polynomial weight mu = lam - lam_n*(1,..,1), transpose,
     read the transpose as a rank p-n weight and twist back by chi^{lam_n}.
-    The parity is deg(lam) mod 2 (the super-twist bookkeeping).
+    The parity is deg(lam) mod 2 (the super-twist bookkeeping).  mu has n
+    parts, the largest lam_1 - lam_n <= p - n, so its transpose has at most
+    p - n parts, each at most n: padded with zeros it is admissible at rank
+    p - n and skips GLWeight's checks.
     """
     p, n = lam.p, lam.n
     base = lam.entries[-1]
     mu = tuple(x - base for x in lam.entries)
     mt = transpose_partition(mu)  # mu_1 = lam_1 - lam_n <= p - n parts
-    image = GLWeight(mt + (0,) * (p - n - len(mt)), p)
+    image = _trusted_gl(mt + (0,) * (p - n - len(mt)), p)
     return chi_rotate(image, base), lam.degree % 2
 
 

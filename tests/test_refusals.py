@@ -6,6 +6,8 @@ import pytest
 
 from verlinde_gl.alcove import (
     GLWeight,
+    add_box,
+    chi_rotate,
     det_power,
     is_admissible,
     level_rank_degree_zero,
@@ -18,6 +20,7 @@ from verlinde_gl.borel import (
     borel_translate,
     check_permutation,
     conjugate_relabel,
+    is_w_dominant,
     odd_reflect_pair,
     w_dominance_leq,
     w_integrable,
@@ -25,7 +28,7 @@ from verlinde_gl.borel import (
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, kac_composition
 from verlinde_gl.errors import ContractError, ValidationError
 from verlinde_gl.serganova import check_blocks, odd_root_order
-from verlinde_gl.superweights import casimir_unsuper, dominance_leq, super_weight
+from verlinde_gl.superweights import SuperShape, SuperWeight, casimir_unsuper, dominance_leq, super_weight
 from verlinde_gl.translation import LoopVector, loop_e, loop_f, translate_projective
 
 
@@ -79,6 +82,26 @@ REFUSALS = [
     ("LoopVector-repeated", lambda: LoopVector(5, (1, 1), 0, (), 0), ValidationError, "distinct within a factor"),
     ("loop_f-residue", lambda: loop_f(5, LOOP), ValidationError, "residue 5 out of range 0..4"),
     ("loop_e-residue", lambda: loop_e(-1, LOOP), ValidationError, "residue -1 out of range 0..4"),
+    # Derived labels skip the checks, so the constructors refuse every
+    # argument that is not a sequence, not just bad sequences.
+    ("GLWeight-int", lambda: GLWeight(5, 5), ValidationError, "entries must be a sequence, got 5"),
+    ("GLWeight-None", lambda: GLWeight(None, 5), ValidationError, "entries must be a sequence, got None"),
+    ("SuperWeight-int", lambda: SuperWeight(SuperShape(1, 1, 5), 5, (0,)), ValidationError, "mu must be a sequence"),
+    ("super_weight-int", lambda: super_weight(5, 5, (0,)), ValidationError, "mu must be a sequence, got 5"),
+    ("SuperWeight-shape", lambda: SuperWeight((1, 1, 5), (0,), (0,)), ValidationError, "shape must be a SuperShape"),
+    ("GLXShape-int", lambda: GLXShape(5, 3), ValidationError, "types must be a sequence, got 3"),
+    ("GLXShape-float", lambda: GLXShape(5, (1.0,)), ValidationError, "types must lie in 1..4"),
+    ("TupleWeight-int", lambda: TupleWeight(ONE_PART.shape, 5), ValidationError, "parts must be a sequence, got 5"),
+    ("TupleWeight-shape", lambda: TupleWeight((5, (1,)), ONE_PART.parts), ValidationError, "shape must be a GLXShape"),
+    ("TupleWeight-part", lambda: TupleWeight(ONE_PART.shape, ((0,),)), ValidationError, "part 0 must be a GLWeight"),
+    ("borel_translate-int", lambda: borel_translate(MIXED_TYPES, 5), ValidationError, "permutation must be a sequence"),
+    ("borel_translate-None", lambda: borel_translate(MIXED_TYPES, None), ValidationError,
+     "permutation must be a sequence, got None"),
+    ("conjugate_relabel-int", lambda: conjugate_relabel(EQUAL_TYPES, 5), ValidationError, "permutation must be a sequence"),
+    ("w_integrable-None", lambda: w_integrable(MIXED_TYPES, None), ValidationError, "permutation must be a sequence"),
+    ("is_w_dominant-int", lambda: is_w_dominant(5, (0,)), ValidationError, "character must be a sequence, got 5"),
+    ("chi_rotate-float", lambda: chi_rotate(GLWeight((0, 0), 5), 1.0), ValidationError, "chi power must be an integer"),
+    ("add_box-float", lambda: add_box(GLWeight((0, 0), 5), 0.0), ValidationError, "content must be an integer"),
 ]
 
 
