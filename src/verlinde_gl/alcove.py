@@ -247,6 +247,11 @@ def transpose_partition(parts: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Conjugate partition (nonnegative nonincreasing input, zeros allowed)."""
     if any(x < 0 for x in parts):
         raise ValidationError(f"partition entries must be nonnegative: {parts}")
+    return _transpose(parts)
+
+
+def _transpose(parts: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """transpose_partition without its nonnegativity scan."""
     width = parts[0] if parts else 0
     at_value = [0] * (width + 1)  # the parts at each value, clamped at width
     for x in parts:
@@ -262,12 +267,13 @@ def level_rank_D(lam: GLWeight) -> tuple[GLWeight, int]:
     The parity is deg(lam) mod 2 (the super-twist bookkeeping).  mu has n
     parts, the largest lam_1 - lam_n <= p - n, so its transpose has at most
     p - n parts, each at most n: padded with zeros it is admissible at rank
-    p - n and skips GLWeight's checks.
+    p - n and skips GLWeight's checks.  mu is nonnegative by construction,
+    so its transpose skips transpose_partition's scan.
     """
     p, n = lam.p, lam.n
     base = lam.entries[-1]
     mu = tuple(x - base for x in lam.entries)
-    mt = transpose_partition(mu)  # mu_1 = lam_1 - lam_n <= p - n parts
+    mt = _transpose(mu)  # mu_1 = lam_1 - lam_n <= p - n parts
     image = _trusted_gl(mt + (0,) * (p - n - len(mt)), p)
     return chi_rotate(image, base), lam.degree % 2
 

@@ -8,8 +8,9 @@ Enumeration windows default to [-p, p].
 
 The heavy sweeps share work between checks.  Sharing is sound because every
 shared function is pure: each distinct input is still computed by the real
-code path exactly once.  Every counted check runs library code.  What each
-sweep shares:
+code path exactly once, or once per symbol string where the answer moves
+with the label (criteria 5, 6 and 9).  Every counted check runs library
+code.  What each sweep shares:
 
 - codec (criteria 2, 3): the codec factorizes into block ladders and one
   assembly, so each block weight and each residue-set pair is checked once,
@@ -35,12 +36,17 @@ sweep shares:
   and block of mu - sum_odd_roots are built once per stage.  Each mu adds
   its len(nus) pairs to the count at once and reads its row of hats as
   one islice of the walk.
-- kac-moody (criterion 9): one encode and one translation table per window
-  weight: the 2p single steps once, then each ordered composition x(y d)
-  once, shared by every relation that reads it.  The table keys of every
-  relation are built once per sweep, and each weight adds its checks to
-  the count at once.  Like every diagram the library derives, the encode
-  and the functor outputs skip WeightDiagram's checks (see diagrams).
+- kac-moody (criterion 9): one encode per window weight and one
+  translation table per symbol string, built on the first weight whose
+  diagram has it: the 2p single steps once, then each ordered composition
+  x(y d) once, shared by every relation that reads it.  The table is
+  label-equivariant (apply_functor decides its outputs from d.symbols
+  alone and adds the same (s, r) increments at any label), so a verdict
+  holds for every weight of the string.  Relation keys are built once per
+  sweep; each weight adds its checks at once and reports each failing
+  relation under its own (mu, nu).  Like every diagram the library
+  derives, the encode and the functor outputs skip WeightDiagram's checks
+  (see diagrams).
 
 Criteria 4, 5 and 6 share the diagram space of caps and translation, where
 a diagram compares as the tuple (p, symbols, s, r): criterion 4's loop
@@ -505,12 +511,21 @@ def suite_odd_reflection(p: int, window: tuple[int, int] | None = None, trials: 
 def suite_kac_moody(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 9: [e_a, f_b] = 0 (a != b) and non-adjacent same-kind commuting.
 
-    Per window weight, one translation table holds every ordered composition
-    x(y d) the relations read, each built once on the shared single steps;
-    [x, y] d = 0 exactly when the entries of (x, y) and (y, x) are equal.
-    The table keys of each relation are built once per sweep, and each
-    weight counts its checks at once: one per [e_a, f_b], two per distant
-    pair (its E and F relations).
+    One translation table holds every ordered composition x(y d) the
+    relations read, each built once on the shared single steps; [x, y] d = 0
+    exactly when the entries of (x, y) and (y, x) are equal.  The table keys
+    of each relation are built once per sweep.
+
+    The verdicts are computed once per symbol string, on the table of the
+    first window weight whose diagram has it.  The table is
+    label-equivariant: apply_functor reads only d.symbols to decide its
+    outputs, and adds the same (s, r) increments at any label, since the
+    affine-wall twist depends only on the symbols at vertices p-1 and 0.
+    So x(y d) at label (s, r) is the first weight's entry with every term
+    shifted by the same amount, and equality of two classes survives that
+    shift.  Each weight counts its checks at once, one per [e_a, f_b] and
+    two per distant pair (its E and F relations), and reports each failing
+    relation of its symbol string under its own (mu, nu).
     """
     res = SuiteResult(f"kac-moody suite p={p}")
     # Each relation's (a, b) and table keys, built once per sweep: [e_a, f_b]
@@ -526,15 +541,23 @@ def suite_kac_moody(p: int, window: tuple[int, int] | None = None) -> SuiteResul
     compositions = [key for _, _, ef, fe in ef_keys for key in (ef, fe)]
     compositions += [key for _, _, eab, _, fab, _ in far_keys for key in (eab, fab)]
     checks = len(ef_keys) + 2 * len(far_keys)
+    # symbol string -> the messages of its failing relations, in relation order
+    verdicts: dict[str, list[str]] = {}
     for lam in window_weights(p, window):
-        table = translation(encode(lam), compositions)
+        d = encode(lam)
+        failing = verdicts.get(d.symbols)
+        if failing is None:
+            table = translation(d, compositions)
+            failing = [f"[e_{a}, f_{b}] != 0" for a, b, ef, fe in ef_keys if table[ef] != table[fe]]
+            failing += [
+                "distant generators fail to commute"
+                for _, _, eab, eba, fab, fba in far_keys
+                if table[eab] != table[eba] or table[fab] != table[fba]
+            ]
+            verdicts[d.symbols] = failing
         res.checked += checks
-        for a, b, ef, fe in ef_keys:
-            if table[ef] != table[fe]:
-                res.fail(f"[e_{a}, f_{b}] != 0 on {(lam.mu, lam.nu)}")
-        for a, b, eab, eba, fab, fba in far_keys:
-            if table[eab] != table[eba] or table[fab] != table[fba]:
-                res.fail(f"distant generators fail to commute on {(lam.mu, lam.nu)}")
+        for message in failing:
+            res.fail(f"{message} on {(lam.mu, lam.nu)}")
     return res
 
 

@@ -655,31 +655,6 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
-    # WeightDiagram, SuperWeight and LoopVector are tuples checked in their
-    # __new__; a derived one is one tuple.__new__ in _trusted, _trusted_weight
-    # or _trusted_loop, and nothing sets fields on a half-built object.
-    forced, trusted = [], []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where.split('.')[0]}.{node.name}"
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
-            owner, attr = node.func.value.id, node.func.attr
-            if owner == "object" and attr in ("__setattr__", "__new__"):
-                forced.append(f"{where}: object.{attr}")
-            first = node.args[0] if node.args else None
-            if owner == "tuple" and attr == "__new__" and isinstance(first, ast.Name) and first.id in ("WeightDiagram", "SuperWeight", "LoopVector"):
-                trusted.append(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path.stem)
-    assert forced == []
-    assert trusted == ["diagrams._trusted", "superweights._trusted_weight", "translation._trusted_loop"]
-
-
 def _unbounded_caches(source: str) -> list[int]:
     """Lines that use functools.cache, or lru_cache without an integer maxsize."""
     tree = ast.parse(source)

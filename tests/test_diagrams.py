@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from verlinde_gl import suites
 from verlinde_gl.alcove import GLWeight, ladder_weight
-from verlinde_gl.borel import GLXShape, TupleWeight
+from verlinde_gl.borel import GLXShape, TupleWeight, _trusted_tuple
 from verlinde_gl.diagrams import (
     WeightDiagram,
     _trusted,
@@ -17,8 +17,8 @@ from verlinde_gl.diagrams import (
 )
 from verlinde_gl.enumeration import window_weights
 from verlinde_gl.errors import ValidationError
-from verlinde_gl.superweights import SuperShape, SuperWeight, _trusted_weight, residue_data, super_weight
-from verlinde_gl.translation import LoopVector
+from verlinde_gl.superweights import SuperShape, SuperWeight, _trusted_shape, _trusted_weight, residue_data, super_weight
+from verlinde_gl.translation import LoopVector, _trusted_loop
 
 FIG = super_weight(11, (18, 18, 15, 12, 12), (-13, -13, -17, -18))
 
@@ -156,12 +156,13 @@ _GLX = GLXShape(5, (1, 4))
         (WeightDiagram, _trusted, (5, "x<>oo", 1, -2), (5, "x<>o?", 1, -2)),
         (SuperWeight, _trusted_weight, (SuperShape(2, 1, 5), (1, 0), (0,)), (SuperShape(2, 1, 5), (0, 1), (0,))),
         # The checked records follow the same rules as the labels.
-        (SuperShape, lambda *f: tuple.__new__(SuperShape, f), (2, 1, 5), (2, 3, 5)),
-        (LoopVector, lambda *f: tuple.__new__(LoopVector, f), (5, (1, 0), 0, (2,), 0), (5, (1, 0), 0, (2, 2), 0)),
+        (SuperShape, _trusted_shape, (2, 1, 5), (2, 3, 5)),
+        (LoopVector, _trusted_loop, (5, (1, 0), 0, (2,), 0), (5, (1, 0), 0, (2, 2), 0)),
+        # GLXShape has no trusted builder; this row is its tuple.__new__.
         (GLXShape, lambda *f: tuple.__new__(GLXShape, f), (5, (1, 4)), (5, (1, 5))),
         (
             TupleWeight,
-            lambda *f: tuple.__new__(TupleWeight, f),
+            _trusted_tuple,
             (_GLX, (GLWeight((1,), 5), GLWeight((0, 0, 0, 0), 5))),
             (_GLX, (GLWeight((1,), 5), GLWeight((0, 0, 0), 5))),
         ),

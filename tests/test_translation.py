@@ -224,8 +224,8 @@ def test_commutator_is_x_of_y_minus_y_of_x():
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
-def _random_diagram(data) -> WeightDiagram:
-    p = data.draw(st.sampled_from(PRIMES))
+def _random_diagram(data, primes=PRIMES) -> WeightDiagram:
+    p = data.draw(st.sampled_from(primes))
     m = data.draw(st.integers(1, p - 2))
     n = data.draw(st.integers(1, p - 1 - m))
     a = data.draw(st.permutations(range(p)))[:m]
@@ -532,13 +532,16 @@ def test_kac_moody_suite_catches_a_functor_that_drops_terms(monkeypatch):
 
 
 def test_kac_moody_suite_applies_each_single_step_once(monkeypatch):
-    # 2p single steps per weight, then one call per (generator, term) pair.
+    # Per distinct symbol string, 2p single steps, then one call per
+    # (generator, term) pair; the other weights of a string add none.
     real = translation.apply_functor
-    p = 5
-    want = 0
-    for lam in window_weights(p, (-1, 1)):
-        d = encode(lam)
-        want += 2 * p + sum(len(real(*y, d)) for _, y in _generator_compositions(p))
+    p, window = 5, (-2, 2)
+    diagrams = [encode(lam) for lam in window_weights(p, window)]
+    reps = {}
+    for d in diagrams:
+        reps.setdefault(d.symbols, d)
+    assert (len(diagrams), len(reps)) == (581, 325)
+    want = sum(2 * p + sum(len(real(*y, d)) for _, y in _generator_compositions(p)) for d in reps.values())
     calls = 0
 
     def counted(kind, i, d):
@@ -547,5 +550,63 @@ def test_kac_moody_suite_applies_each_single_step_once(monkeypatch):
         return real(kind, i, d)
 
     monkeypatch.setattr(translation, "apply_functor", counted)
-    result = suites.suite_kac_moody(p, (-1, 1))
-    assert result.ok and calls == want
+    result = suites.suite_kac_moody(p, window)
+    assert result.ok and result.checked == 581 * 40 and calls == want
+
+
+def test_kac_moody_suite_at_p7():
+    result = suites.suite_kac_moody(7)
+    assert result.ok and result.checked == 12_500_390
+
+
+def _shifted(table, ds, dr):
+    """A translation table with every term's label moved by (ds, dr)."""
+    return {key: {_trusted(t.p, t.symbols, t.s + ds, t.r + dr): k for t, k in terms.items()} for key, terms in table.items()}
+
+
+def _label_equivariance_misses(p, compositions):
+    """The window weights whose translation table is not the table of the
+    first weight with the same symbol string, shifted to their label."""
+    reps = {}
+    misses = []
+    for lam in window_weights(p):
+        d = encode(lam)
+        if d.symbols not in reps:
+            reps[d.symbols] = (d, translation.translation(d, compositions))
+            continue
+        rep, table = reps[d.symbols]
+        if translation.translation(d, compositions) != _shifted(table, d.s - rep.s, d.r - rep.r):
+            misses.append(lam)
+    return len(reps), misses
+
+
+def test_translation_table_is_label_equivariant_on_the_p5_window():
+    # Criterion 9 reads one table per symbol string; this is the check, on
+    # every other weight of the string, that the shared table is its own.
+    strings, misses = _label_equivariance_misses(5, sorted(_generator_compositions(5)))
+    assert strings == 325 and misses == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_translation_table_is_label_equivariant_beyond_the_window(data):
+    d = _random_diagram(data, [5, 7, 11, 13])
+    ds, dr = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
+    generators = [(kind, i) for kind in "EF" for i in range(d.p)]
+    compositions = [(x, y) for x in generators for y in generators]
+    moved = WeightDiagram(d.p, d.symbols, d.s + ds, d.r + dr)
+    assert translation.translation(moved, compositions) == _shifted(translation.translation(d, compositions), ds, dr)
+
+
+def test_label_equivariance_catches_a_functor_that_reads_the_label(monkeypatch):
+    # Dropping a term only above s = 0 breaks the label shift, which the
+    # shared tables of criterion 9 cannot see on the weights that reuse them.
+    real = translation.apply_functor
+
+    def apply_functor(kind, i, d):
+        out = real(kind, i, d)
+        return out[1:] if d.s > 0 else out
+
+    monkeypatch.setattr(translation, "apply_functor", apply_functor)
+    _, misses = _label_equivariance_misses(5, sorted(_generator_compositions(5)))
+    assert misses

@@ -254,9 +254,10 @@ BUILDERS = {
 
 
 def _trusted_uses():
-    """{function: builder names it references, in source order} over src/, and
-    {builder: the class its body hands to tuple.__new__}."""
-    uses, builds = {}, {}
+    """{function: builder names it references, in source order} over src/,
+    {function: the classes its body hands to tuple.__new__}, and every call
+    of object.__new__ or object.__setattr__."""
+    uses, builds, forced = {}, {}, []
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -266,21 +267,30 @@ def _trusted_uses():
             uses.setdefault(where, []).append(name)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__" and isinstance(node.args[0], ast.Name):
             builds.setdefault(where, []).append(f"{module}.{node.args[0].id}")
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("object.__new__", "object.__setattr__"):
+            forced.append(f"{where}: {ast.unparse(node.func)}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in sorted(Path(verlinde_gl.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, path.stem)
-    return uses, builds
+    return uses, builds, forced
 
 
 def test_every_trusted_site_is_in_the_table():
-    uses, builds = _trusted_uses()
+    uses, _builds, _forced = _trusted_uses()
     assert uses == {caller: builders for caller, (builders, _reason) in TRUSTED_CALLERS.items()}
-    # Each builder is one tuple.__new__ of its class, defined next to it; no
-    # other function hands a label class to tuple.__new__.
+    assert all(reason for _builders, reason in TRUSTED_CALLERS.values())
+
+
+def test_labels_are_built_by_tuple_new_only_in_the_trusted_builders():
+    _uses, builds, forced = _trusted_uses()
+    # Each builder is one tuple.__new__ of its class, defined next to it; any
+    # other tuple.__new__ is a class's own __new__ building cls.
     labels = {f"{home.split('.')[0]}.{name}": [home] for name, home in BUILDERS.items()}
     assert {where: built for where, built in builds.items() if where in labels} == labels
-    assert all(where.endswith(".__new__") for where in builds if where not in labels)
-    assert all(reason for _builders, reason in TRUSTED_CALLERS.values())
+    others = {where: built for where, built in builds.items() if where not in labels}
+    assert all(where.endswith(".__new__") and all(b.endswith(".cls") for b in built) for where, built in others.items())
+    # Nothing builds a half-checked object or sets fields on one.
+    assert forced == []
 
