@@ -17,9 +17,14 @@ hat is a left fold of the column step over nu.  serganova_hats is that
 fold, the only one: it walks many pairs and keeps one row of column steps
 per walk state in a dict local to the call, so one sweep steps each
 distinct (state, nu_j) once however many pairs reach it, and clears the
-rows when the walk ends; serganova_hat is its one-pair case.  The
-root-by-root walk in an arbitrary linear extension, which gives the same
-terminal weight, is the reference oracle of tests/test_serganova.py.
+rows when the walk ends; serganova_hat is its one-pair case.  The last
+column's step gives the hat but is never folded further, so a run of nus
+that share their first n - 1 entries shares one state after column n - 1,
+its head state: serganova_hats walks the nus as one program, built once
+per call, in which such a run walks its first n - 1 columns once and then
+takes only each nu's last step from the head state.  The root-by-root
+walk in an arbitrary linear extension, which gives the same terminal
+weight, is the reference oracle of tests/test_serganova.py.
 
 The degree-mn Shapovalov scalar is nonzero iff <lam + rho, eps_i - delta_j>
 = (mu_i + m - i + 1) - (j - nu_j) is nonzero mod p for every root, that is,
@@ -30,6 +35,7 @@ disjoint.  sh_nonzero tests this on two bitmasks.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from operator import lt
 
 from .errors import ValidationError
 from .fusion import check_prime
@@ -43,7 +49,7 @@ def check_blocks(mus: Sequence[tuple[int, ...]], nus: Sequence[tuple[int, ...]])
         raise ValidationError("both blocks must be nonempty")
     for name, blocks in (("mu", mus), ("nu", nus)):
         for block in blocks:
-            if any(block[i] < block[i + 1] for i in range(len(block) - 1)):
+            if any(map(lt, block, block[1:])):
                 raise ValidationError(f"{name}={block} is not nonincreasing")
     for nu in nus:
         if len(nu) != len(nus[0]):
@@ -113,15 +119,29 @@ def serganova_hats(
 
     The hat is column_step folded over nu.  rows, a dict local to this call,
     maps each walk state to its row {nu_j: (next state, next state's row,
-    terminal nu_j)}, and each nu walks from its mu's row with one row lookup
-    per column, so a sweep runs column_step once per distinct (state, nu_j)
-    it meets.  p and every block are validated once, and the nus must share
+    terminal nu_j)}, and a walk takes one row lookup per column, so a sweep
+    runs column_step once per distinct (state, nu_j) it meets.  The nus
+    become one walk program of (j, nu_j) steps: a nu adds (1, nu_1), ..,
+    (n, nu_n), but a nu whose first n - 1 entries equal those of the nu
+    before it adds only (n, nu_n).  Each mu runs the program: j = 1 starts
+    at mu's row with an empty head hat, j < n moves the state and appends
+    the terminal nu_j to the head hat, and j = n yields (next state, head
+    hat + (terminal nu_n,)) without moving, so the head state stays valid
+    for the whole run.  The program holds at most n * len(nus) steps.
+    p and every block are validated once, and the nus must share
     one length.  A mu whose pairs have more than SERGANOVA_HAT_MAX_ROOTS odd
     roots raises ValidationError before its walk.
     """
     check_prime(p)
     check_blocks(mus, nus)
     n = len(nus[0]) if nus else 0
+    program: list[tuple[int, int]] = []  # (depth j, nu_j) steps; depth n steps leave the state be
+    prefix = None
+    for nu in nus:
+        if prefix == (prefix := nu[:-1]):  # this nu's first n - 1 entries are those of the nu before
+            program.append((n, nu[-1]))
+        else:
+            program += enumerate(nu, 1)
     rows: dict[tuple[int, ...], dict[int, tuple]] = {}
     try:
         for mu in mus:
@@ -130,16 +150,18 @@ def serganova_hats(
                 limit = SERGANOVA_HAT_MAX_ROOTS
                 raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
             mu_row = rows.setdefault(mu, {})
-            for nu in nus:
-                state, row, hat_nu = mu, mu_row, []
-                for y in nu:
-                    step = row.get(y)
-                    if step is None:
-                        nxt, y_out = column_step(state, y, p)
-                        step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
+            for j, y in program:
+                if j == 1:
+                    state, row, head = mu, mu_row, ()
+                step = row.get(y)
+                if step is None:
+                    nxt, y_out = column_step(state, y, p)
+                    step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
+                if j == n:
+                    yield step[0], head + (step[2],)
+                else:
                     state, row, y_out = step
-                    hat_nu.append(y_out)
-                yield state, tuple(hat_nu)
+                    head += (y_out,)
     finally:  # a state whose column step keeps it holds its own row: break those cycles
         for row in rows.values():
             row.clear()

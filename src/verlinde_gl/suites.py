@@ -32,8 +32,11 @@ code.  What each sweep shares:
   is compared with the row shifted to the weight's label, so the suite
   decodes nothing.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
-  steps each distinct (walk state, nu_j) once per sweep; each block's mask
-  and block of mu - sum_odd_roots are built once per stage.  Each mu adds
+  steps each distinct (walk state, nu_j) once per sweep and walks each run
+  of nus that share their first n - 1 entries from one head state.  Every
+  stage lists its nus in such runs: the residue stage in runs of p, the
+  rank-2 window in runs of 11 on average at p = 5.  Each block's mask and
+  block of mu - sum_odd_roots are built once per stage.  Each mu adds
   its len(nus) pairs to the count at once and reads its row of hats as
   one islice of the walk.
 - kac-moody (criterion 9): one encode per window weight and one

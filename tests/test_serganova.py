@@ -1,5 +1,7 @@
 import gc
 import random
+from itertools import starmap, zip_longest
+from operator import eq
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from verlinde_gl import serganova, suites
 from verlinde_gl.enumeration import monotone_tuples, residue_representatives
 from verlinde_gl.errors import ValidationError
+from verlinde_gl.fusion import check_prime
 from verlinde_gl.serganova import (
+    SERGANOVA_HAT_MAX_ROOTS,
+    check_blocks,
     check_oddroot_lemma,
+    column_step,
     odd_root_order,
     rho_pair_root,
     serganova_hat,
@@ -334,3 +340,59 @@ def test_serganova_hats_table_lives_for_one_call(monkeypatch):
     assert list(serganova_hats(blocks, blocks, 5)) != want
     monkeypatch.setattr(serganova, "column_step", real_step)
     assert list(serganova_hats(blocks, blocks, 5)) == want
+
+
+def _row_fold(mus, nus, p):
+    """Reference: the row walk before the walk program, every nu walked from its mu's row."""
+    check_prime(p)
+    check_blocks(mus, nus)
+    n = len(nus[0]) if nus else 0
+    rows = {}
+    try:
+        for mu in mus:
+            mu = tuple(mu)
+            if len(mu) * n > SERGANOVA_HAT_MAX_ROOTS:
+                limit = SERGANOVA_HAT_MAX_ROOTS
+                raise ValidationError(f"{len(mu)}x{n} odd roots exceed SERGANOVA_HAT_MAX_ROOTS = {limit}")
+            mu_row = rows.setdefault(mu, {})
+            for nu in nus:
+                state, row, hat_nu = mu, mu_row, []
+                for y in nu:
+                    step = row.get(y)
+                    if step is None:
+                        nxt, y_out = column_step(state, y, p)
+                        step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
+                    state, row, y_out = step
+                    hat_nu.append(y_out)
+                yield state, tuple(hat_nu)
+    finally:
+        for row in rows.values():
+            row.clear()
+
+
+def test_walk_program_equals_the_row_fold_on_every_criterion7_stage():
+    # The window and residue-class stages of criterion 7 at p = 5, as
+    # suite_serganova builds them; consecutive nus share their first n - 1
+    # entries, so nearly every pair runs from its run's head state.
+    window = {rank: monotone_tuples(rank, -10, 10) for rank in (1, 2)}
+    reps = {rank: residue_representatives(rank, 5) for rank in range(1, 5)}
+    stages = [(blocks[m], blocks[n]) for blocks in (window, reps) for m in blocks for n in blocks]
+    assert sum(len(mus) * len(nus) for mus, nus in stages) == 671904
+    for mus, nus in stages:
+        assert all(starmap(eq, zip_longest(serganova_hats(mus, nus, 5), _row_fold(mus, nus, 5))))
+
+
+@pytest.mark.parametrize(
+    "mus, nus, p",
+    [
+        ([(0,), (2, 1), (1, 1, 0)], [(1, 0), (0, 0), (1, -1)], 5),  # equal heads, not adjacent
+        ([(3, 1), (0, 0)], [(2, 1, 0)] * 3, 7),  # one nu repeated
+        ([(0,), (4, 2)], [(1, 0), (2, 1), (1, 0), (1, 0)], 5),  # a repeat after a new head
+        ([(2, 0, -1), (5,)], [(3,), (1,), (1,), (-2,)], 5),  # n = 1: every nu is its own run
+        ([(1, 1), (0,)], [(0, 0)], 11),  # a single nu
+        ([[1, 0], [2]], [[1, 0], [1, -1], [0, 0], [0, -3]], 7),  # nus given as lists
+    ],
+)
+def test_walk_program_on_hand_picked_nus(mus, nus, p):
+    want = [hat_by_roots(mu, nu, p, odd_root_order(len(mu), len(nu))) for mu in mus for nu in nus]
+    assert list(serganova_hats(mus, nus, p)) == list(_row_fold(mus, nus, p)) == want
