@@ -127,8 +127,9 @@ def serganova_hats(
     at mu's row with an empty head hat, j < n moves the state and appends
     the terminal nu_j to the head hat, and j = n yields (next state, head
     hat + (terminal nu_n,)) without moving, so the head state stays valid
-    for the whole run.  The program holds at most n * len(nus) steps.
-    p and every block are validated once, and the nus must share
+    for the whole run.  The head hat is a list, copied once per yield, so
+    each hat costs O(n) to build.  The program holds at most n * len(nus)
+    steps.  p and every block are validated once, and the nus must share
     one length.  A mu whose pairs have more than SERGANOVA_HAT_MAX_ROOTS odd
     roots raises ValidationError before its walk.
     """
@@ -152,16 +153,16 @@ def serganova_hats(
             mu_row = rows.setdefault(mu, {})
             for j, y in program:
                 if j == 1:
-                    state, row, head = mu, mu_row, ()
+                    state, row, head = mu, mu_row, []
                 step = row.get(y)
                 if step is None:
                     nxt, y_out = column_step(state, y, p)
                     step = row[y] = nxt, rows.setdefault(nxt, {}), y_out
                 if j == n:
-                    yield step[0], head + (step[2],)
+                    yield step[0], (*head, step[2])
                 else:
                     state, row, y_out = step
-                    head += (y_out,)
+                    head.append(y_out)
     finally:  # a state whose column step keeps it holds its own row: break those cycles
         for row in rows.values():
             row.clear()

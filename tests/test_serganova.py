@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from itertools import starmap, zip_longest
 from operator import eq
 
@@ -396,3 +397,19 @@ def test_walk_program_equals_the_row_fold_on_every_criterion7_stage():
 def test_walk_program_on_hand_picked_nus(mus, nus, p):
     want = [hat_by_roots(mu, nu, p, odd_root_order(len(mu), len(nu))) for mu in mus for nu in nus]
     assert list(serganova_hats(mus, nus, p)) == list(_row_fold(mus, nus, p)) == want
+
+
+def test_walk_program_is_linear_in_a_long_nu():
+    # One mu against one nu of 100,000 distinct entries: every column is a
+    # miss, and building the hat must cost O(n), as the row fold's list
+    # does.  A head hat copied at every column takes O(n^2), about a hundred
+    # times the row fold's time here.
+    nus = [tuple(range(100_000, 0, -1))]
+    spent = {}
+    for walk in (_row_fold, serganova_hats):
+        start = time.process_time()
+        hats = list(walk([(0,)], nus, 5))
+        spent[walk] = time.process_time() - start, hats
+    (fold_s, want), (walk_s, got) = spent[_row_fold], spent[serganova_hats]
+    assert got == want
+    assert walk_s <= 4 * fold_s + 0.1
