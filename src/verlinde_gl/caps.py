@@ -24,12 +24,8 @@ replay_diagrams and projective_word_diagrams take and return
 WeightDiagrams; p_set, kac_composition, projective_filtration, replay_word
 and projective_word are their weight-level wrappers, one encode, one call
 of the core and one decode per image (projective_word decodes its base).
-The p-set and Kac cores are label-free up to a shift: the label enters only
-through _slide_crosses, which adds step * wraps to s and r whatever the
-label, so core(d) is the core at d's symbols and label (0, 0), shifted by
-(d.s, d.r).  Criteria 5 and 6 read both cores as label_rows rows, by keys
-relative to the label, and decode a weight only where a check reads one;
-criterion 6 runs the word core and the replay on diagrams and decodes none.
+Each core reads a label only as a shift, so a sweep reads it once per
+symbol string through label_rows (which says why).
 
 kac_diagrams inverts p_set_diagrams without trying candidates: a factor's
 caps match d's crosses with d's circles without crossing, so cut at its
@@ -174,17 +170,27 @@ def p_set_diagrams(d: WeightDiagram) -> set[WeightDiagram]:
     }
 
 
-def label_rows(core: Callable[[WeightDiagram], set[WeightDiagram]]) -> Callable[[str], frozenset[tuple[str, int, int]]]:
-    """p_set_diagrams or kac_diagrams as a table for one sweep: row(symbols)
-    is core at label (0, 0) as plain (symbols, s, r) tuples, computed once
-    per symbol string; core(d) is row(d.symbols) shifted by (d.s, d.r)."""
-    rows: dict[str, frozenset[tuple[str, int, int]]] = {}
+def label_rows(core: Callable[[WeightDiagram], object]) -> Callable[[str], object]:
+    """core as a table for one sweep: row(symbols) is core at those symbols
+    and label (0, 0), computed once per symbol string and kept as returned,
+    a falsy row too.
 
-    def row(symbols: str) -> frozenset[tuple[str, int, int]]:
-        got = rows.get(symbols)
-        if got is None:
-            got = rows[symbols] = frozenset(e[1:] for e in core(_trusted(len(symbols), symbols, 0, 0)))
-        return got
+    The core must read a label only as a shift: core(d) is row(d.symbols)
+    with every diagram in it moved by (d.s, d.r), so a verdict on rows
+    alone holds at every label of a string.  The p-set and Kac cores slide
+    crosses with _slide_crosses, which adds step * wraps to s and r whatever
+    the label.  translation.apply_functor decides its outputs from d.symbols
+    and adds the same (s, r) increments at any label (the affine-wall twist
+    reads only the symbols at vertices p-1 and 0), so translation tables and
+    replays move by the shift, and projective_word_diagrams returns one word
+    per string.  tests/test_caps.py witnesses this for each such core.
+    """
+    rows: dict[str, object] = {}
+
+    def row(symbols: str) -> object:
+        if symbols not in rows:
+            rows[symbols] = core(_trusted(len(symbols), symbols, 0, 0))
+        return rows[symbols]
 
     return row
 

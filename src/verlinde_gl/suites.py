@@ -8,9 +8,9 @@ Enumeration windows default to [-p, p].
 
 The heavy sweeps share work between checks.  Sharing is sound because every
 shared function is pure: each distinct input is still computed by the real
-code path exactly once, or once per symbol string where the answer moves
-with the label (criteria 5, 6 and 9).  Every counted check runs library
-code.  What each sweep shares:
+code path exactly once, or once per symbol string where a core reads the
+label only as a shift (criteria 5, 6 and 9; see caps.label_rows).  Every
+counted check runs library code.  What each sweep shares:
 
 - codec (criteria 2, 3): the codec factorizes into block ladders and one
   assembly, so each block weight and each residue-set pair is checked once,
@@ -22,15 +22,12 @@ code.  What each sweep shares:
   terms the equivariance core already returned, and each distinct
   two-term output is decoded once per sweep, the dominance check still
   running on every output.
-- filtration (criterion 5): both directions of BGG read p_set_diagrams and
-  kac_diagrams as caps.label_rows rows, once per symbol string, and compare
-  keys relative to the label; each distinct alpha is decoded once.
-- projective-word (criterion 6): each weight is encoded once, for its
-  cross count, its word (projective_word_diagrams), the replay of the word
-  on the base diagram and its p-set row, read from a label_rows table of
-  p_set_diagrams; the base is typical when it has no cross, and the replay
-  is compared with the row shifted to the weight's label, so the suite
-  decodes nothing.
+- filtration (criterion 5): both directions of BGG read label_rows rows of
+  p_set_diagrams and kac_diagrams and compare keys relative to the label;
+  each distinct alpha is decoded once.
+- projective-word (criterion 6): one label_rows verdict per symbol string
+  (the word, its replay and the p-set row); each weight is encoded once,
+  for its cross count and its string, and the suite decodes nothing.
 - serganova (criterion 7): the shipped batch walk serganova_hats, which
   steps each distinct (walk state, nu_j) once per sweep and walks each run
   of nus that share their first n - 1 entries from one head state.  Every
@@ -40,20 +37,17 @@ code.  What each sweep shares:
   its len(nus) pairs to the count at once and reads its row of hats as
   one islice of the walk.
 - kac-moody (criterion 9): one encode per window weight and one
-  translation table per symbol string, built on the first weight whose
-  diagram has it: the 2p single steps once, then each ordered composition
-  x(y d) once, shared by every relation that reads it.  The table is
-  label-equivariant (apply_functor decides its outputs from d.symbols
-  alone and adds the same (s, r) increments at any label), so a verdict
-  holds for every weight of the string.  Relation keys are built once per
-  sweep; each weight adds its checks at once and reports each failing
-  relation under its own (mu, nu).  Like every diagram the library
-  derives, the encode and the functor outputs skip WeightDiagram's checks
-  (see diagrams).
+  label_rows verdict per symbol string, on one translation table: the 2p
+  single steps once, then each ordered composition x(y d) once, shared by
+  every relation that reads it.  Relation keys are built once per sweep;
+  each weight adds its checks at once and reports each failing relation
+  under its own (mu, nu).  Like every diagram the library derives, the
+  encode and the functor outputs skip WeightDiagram's checks (see
+  diagrams).
 
 Criteria 4, 5 and 6 share the diagram space of caps and translation, where
 a diagram compares as the tuple (p, symbols, s, r): criterion 4's loop
-witness builds no diagram, criteria 5 and 6 read label-free rows, and a
+witness builds no diagram, criteria 5 and 6 read label-(0, 0) rows, and a
 weight is decoded only for a check that reads one or for a failure message;
 criterion 6 reads none.
 Labels are tuples, validated at the boundary
@@ -345,10 +339,10 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     because encode is injective (criterion 2): each window weight's diagram
     d lies in kac_diagrams(alpha) for every alpha in p_set_diagrams(d);
     conversely, once per distinct alpha, every reported factor lam has
-    alpha in p_set_diagrams(lam).  Both cores are read as label_rows rows,
-    once per symbol string: for (t, ds, dr) in the row of d = (p, symbols,
-    s, r), alpha is (p, t, s + ds, r + dr), and d in kac_diagrams(alpha)
-    reads (symbols, -ds, -dr) in the Kac row of t.  Each distinct alpha is
+    alpha in p_set_diagrams(lam).  Both cores are read as label_rows rows:
+    for (p, t, ds, dr) in the row of d = (p, symbols, s, r), alpha is
+    (p, t, s + ds, r + dr), and d in kac_diagrams(alpha) reads
+    (p, symbols, -ds, -dr) in the Kac row of t.  Each distinct alpha is
     decoded once, for the dominance, degree, Casimir and strictness checks.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
@@ -366,7 +360,7 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
             res.fail(f"p-set size wrong at {(lam.mu, lam.nu)}")
             continue
         degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
-        for t, ds, dr in ps:
+        for _, t, ds, dr in ps:
             res.checked += 1
             key = (t, s + ds, r + dr)
             cached = alphas.get(key)
@@ -380,12 +374,12 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
                 res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
             if alpha != lam and alpha_mu_sum <= mu_sum:
                 res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if (symbols, -ds, -dr) not in kacs(t):
+            if (p, symbols, -ds, -dr) not in kacs(t):
                 res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
     for (t, s, r), (alpha, *_) in alphas.items():
         res.checked += 1
-        for u, ds, dr in kacs(t):
-            if (t, -ds, -dr) not in psets(u):
+        for _, u, ds, dr in kacs(t):
+            if (p, t, -ds, -dr) not in psets(u):
                 lam = decode(_trusted(p, u, s + ds, r + dr))
                 res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
                 break
@@ -395,25 +389,32 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
 def suite_projective_word(p: int, max_atypicality: int = 2, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 6: replaying the translation word rebuilds the filtration.
 
-    Each weight is encoded once, and the word and its replay run on that
-    diagram: projective_word_diagrams, then replay_diagrams on its base.  A
-    cross count is an atypicality (criterion 3), so the base is typical when
-    it has no cross.  The replay is compared with the p-set row, read from a
-    label_rows table of p_set_diagrams and shifted to the weight's label,
-    each p-set diagram with multiplicity 1.  The suite decodes nothing.
+    The verdict is a label_rows row per symbol string: at label (0, 0) the
+    replay of projective_word_diagrams' word on its base must be the p-set
+    row, each diagram with multiplicity 1, and the base typical, which is
+    no cross (a cross count is an atypicality, criterion 3).  Each weight
+    is encoded once, for its cross count and its string, and reports a
+    failure under its own (mu, nu).  The suite decodes nothing.
     """
     res = SuiteResult(f"projective-word suite p={p}")
-    psets = label_rows(p_set_diagrams)
+
+    def failure(d: WeightDiagram) -> str | None:
+        base, word = projective_word_diagrams(d)
+        if base.cross_count:
+            return "base not typical for"
+        if replay_diagrams(base, word) != dict.fromkeys(p_set_diagrams(d), 1):
+            return "replay mismatch at"
+        return None
+
+    verdicts = label_rows(failure)
     for lam in window_weights(p, window):
         d = encode(lam)
         if d.cross_count > max_atypicality:
             continue
         res.checked += 1
-        base, word = projective_word_diagrams(d)
-        if base.cross_count:
-            res.fail(f"base not typical for {(lam.mu, lam.nu)}")
-        elif replay_diagrams(base, word) != {(p, t, d.s + ds, d.r + dr): 1 for t, ds, dr in psets(d.symbols)}:
-            res.fail(f"replay mismatch at {(lam.mu, lam.nu)}")
+        message = verdicts(d.symbols)
+        if message:
+            res.fail(f"{message} {(lam.mu, lam.nu)}")
     return res
 
 
@@ -517,18 +518,11 @@ def suite_kac_moody(p: int, window: tuple[int, int] | None = None) -> SuiteResul
     One translation table holds every ordered composition x(y d) the
     relations read, each built once on the shared single steps; [x, y] d = 0
     exactly when the entries of (x, y) and (y, x) are equal.  The table keys
-    of each relation are built once per sweep.
-
-    The verdicts are computed once per symbol string, on the table of the
-    first window weight whose diagram has it.  The table is
-    label-equivariant: apply_functor reads only d.symbols to decide its
-    outputs, and adds the same (s, r) increments at any label, since the
-    affine-wall twist depends only on the symbols at vertices p-1 and 0.
-    So x(y d) at label (s, r) is the first weight's entry with every term
-    shifted by the same amount, and equality of two classes survives that
-    shift.  Each weight counts its checks at once, one per [e_a, f_b] and
-    two per distant pair (its E and F relations), and reports each failing
-    relation of its symbol string under its own (mu, nu).
+    of each relation are built once per sweep, and the failing relations
+    are a label_rows row of the table at label (0, 0).  Each weight counts
+    its checks at once, one per [e_a, f_b] and two per distant pair (its E
+    and F relations), and reports each failing relation of its symbol
+    string under its own (mu, nu).
     """
     res = SuiteResult(f"kac-moody suite p={p}")
     # Each relation's (a, b) and table keys, built once per sweep: [e_a, f_b]
@@ -544,22 +538,21 @@ def suite_kac_moody(p: int, window: tuple[int, int] | None = None) -> SuiteResul
     compositions = [key for _, _, ef, fe in ef_keys for key in (ef, fe)]
     compositions += [key for _, _, eab, _, fab, _ in far_keys for key in (eab, fab)]
     checks = len(ef_keys) + 2 * len(far_keys)
-    # symbol string -> the messages of its failing relations, in relation order
-    verdicts: dict[str, list[str]] = {}
+
+    def failing(d: WeightDiagram) -> list[str]:
+        table = translation(d, compositions)
+        messages = [f"[e_{a}, f_{b}] != 0" for a, b, ef, fe in ef_keys if table[ef] != table[fe]]
+        messages += [
+            "distant generators fail to commute"
+            for _, _, eab, eba, fab, fba in far_keys
+            if table[eab] != table[eba] or table[fab] != table[fba]
+        ]
+        return messages
+
+    verdicts = label_rows(failing)
     for lam in window_weights(p, window):
-        d = encode(lam)
-        failing = verdicts.get(d.symbols)
-        if failing is None:
-            table = translation(d, compositions)
-            failing = [f"[e_{a}, f_{b}] != 0" for a, b, ef, fe in ef_keys if table[ef] != table[fe]]
-            failing += [
-                "distant generators fail to commute"
-                for _, _, eab, eba, fab, fba in far_keys
-                if table[eab] != table[eba] or table[fab] != table[fba]
-            ]
-            verdicts[d.symbols] = failing
         res.checked += checks
-        for message in failing:
+        for message in verdicts(encode(lam).symbols):
             res.fail(f"{message} on {(lam.mu, lam.nu)}")
     return res
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, perm
 
@@ -601,22 +602,104 @@ def test_hat_injective_on_strata():
         assert seen.setdefault(key, lam) == lam
 
 
+def _translation_table(d):
+    """x(y d) for all 4p^2 ordered generator pairs, a superset of criterion 9's."""
+    generators = [(kind, i) for kind in "EF" for i in range(d.p)]
+    return translation.translation(d, [(x, y) for x in generators for y in generators])
+
+
+def _word_and_replay(d):
+    """Criterion 6's core: the word must not read the label; the base and the replay move with it."""
+    base, word = projective_word_diagrams(d)
+    return base, word, replay_diagrams(base, word)
+
+
+LABEL_ROW_CORES = [p_set_diagrams, kac_diagrams, _translation_table, _word_and_replay]
+
+
+def _shifted(value, ds, dr):
+    """value with every diagram in it moved by (ds, dr); a table's generator pairs and a word hold none."""
+    if isinstance(value, WeightDiagram):
+        return diagrams._trusted(value.p, value.symbols, value.s + ds, value.r + dr)
+    if isinstance(value, dict):
+        return {_shifted(k, ds, dr) if isinstance(k, WeightDiagram) else k: _shifted(v, ds, dr) for k, v in value.items()}
+    if isinstance(value, (set, tuple)):
+        return type(value)(_shifted(v, ds, dr) for v in value)
+    return value
+
+
+def _label_row_misses(core, labelled, calls):
+    """The diagrams d of labelled whose core(d) is not label_rows' row of d.symbols
+    shifted by (d.s, d.r), lazily; calls gets each diagram the rows run core on."""
+    row = label_rows(lambda d0: calls.append(d0) or core(d0))
+    return (d for d in labelled if core(d) != _shifted(row(d.symbols), d.s, d.r))
+
+
+@pytest.mark.parametrize("core", LABEL_ROW_CORES, ids=lambda core: core.__name__)
+def test_cores_are_their_label_zero_row_shifted_on_the_p5_window(core):
+    # Witness for label_rows, which criteria 5, 6 and 9 read once per symbol string.
+    window, calls = [encode(lam) for lam in window_weights(5)], []
+    assert list(_label_row_misses(core, window, calls)) == []
+    assert calls == [WeightDiagram(5, t, 0, 0) for t in dict.fromkeys(d.symbols for d in window)]
+    assert len(calls) == 325
+
+
+@pytest.mark.parametrize("core", LABEL_ROW_CORES, ids=lambda core: core.__name__)
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_cores_are_their_label_zero_row_shifted(data):
-    # Witness for label_rows, whose one row per symbol string criteria 5 and
-    # 6 share across labels: p_set_diagrams and kac_diagrams read a label
-    # only as the shift (s, r) of the row at label (0, 0).
+@given(data=st.data())
+def test_cores_are_their_label_zero_row_shifted_beyond_the_window(core, data):
     p, symbols = _random_symbols(data, (5, 7, 11, 13))
-    s, r = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
-    assume((s, r) != (0, 0))
-    labels = (WeightDiagram(p, symbols, s, r), WeightDiagram(p, symbols, r - 1, s + 2))
-    for core in (p_set_diagrams, kac_diagrams):
-        calls = []
-        row = label_rows(lambda e: calls.append(e) or core(e))
-        for d in labels:
-            assert core(d) == {WeightDiagram(p, t, d.s + ds, d.r + dr) for t, ds, dr in row(symbols)}
-        assert calls == [WeightDiagram(p, symbols, 0, 0)]
+    label = st.integers(-9, 9)
+    labelled = [WeightDiagram(p, symbols, data.draw(label), data.draw(label)) for _ in range(2)]
+    calls = []
+    assert list(_label_row_misses(core, labelled, calls)) == [] and calls == [WeightDiagram(p, symbols, 0, 0)]
+
+
+def _drops_a_term_above_label_zero(kind, i, d, real=translation.apply_functor):
+    out = real(kind, i, d)
+    return out[1:] if d.s > 0 else out
+
+
+def _wraps_once_more_above_label_zero(d, moves, step, real=_slide_crosses):
+    out = real(d, moves, step)
+    return diagrams._trusted(out.p, out.symbols, out.s + step, out.r + step) if d.s > 0 else out
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, cores",
+    [
+        (translation, "apply_functor", _drops_a_term_above_label_zero, [_translation_table]),
+        (caps, "_slide_crosses", _wraps_once_more_above_label_zero, [p_set_diagrams, kac_diagrams]),
+    ],
+    ids=["apply_functor", "_slide_crosses"],
+)
+def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, module, name, broken, cores):
+    # The sweeps read rows at label (0, 0), where the slide mutant never
+    # fires and the functor mutant fires only after a step across the wall.
+    # Under the functor mutant the word core also raises above s = 0.
+    monkeypatch.setattr(module, name, broken)
+    window = [encode(lam) for lam in window_weights(5)]
+    for core in cores:
+        assert next(_label_row_misses(core, window, []), None)
+
+
+@pytest.mark.parametrize(
+    "run, names",
+    [
+        (suites.suite_filtration, ["p_set_diagrams", "kac_diagrams"]),
+        (suites.suite_projective_word, ["projective_word_diagrams", "replay_diagrams", "p_set_diagrams"]),
+        (suites.suite_kac_moody, ["translation"]),
+    ],
+    ids=["filtration", "projective-word", "kac-moody"],
+)
+def test_each_sweep_runs_each_core_once_per_symbol_string(monkeypatch, run, names):
+    # 325 symbol strings for 3,677 weights at p = 5.  Criteria 6 and 9 pass
+    # with falsy verdicts (None, []), which label_rows keeps too.
+    counts = Counter()
+    for name in names:
+        real = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda *args, real=real, name=name: counts.update([name]) or real(*args))
+    assert run(5).ok and counts == dict.fromkeys(names, 325)
 
 
 def test_filtration_suite_catches_a_non_factor(monkeypatch):

@@ -557,56 +557,3 @@ def test_kac_moody_suite_applies_each_single_step_once(monkeypatch):
 def test_kac_moody_suite_at_p7():
     result = suites.suite_kac_moody(7)
     assert result.ok and result.checked == 12_500_390
-
-
-def _shifted(table, ds, dr):
-    """A translation table with every term's label moved by (ds, dr)."""
-    return {key: {_trusted(t.p, t.symbols, t.s + ds, t.r + dr): k for t, k in terms.items()} for key, terms in table.items()}
-
-
-def _label_equivariance_misses(p, compositions):
-    """The window weights whose translation table is not the table of the
-    first weight with the same symbol string, shifted to their label."""
-    reps = {}
-    misses = []
-    for lam in window_weights(p):
-        d = encode(lam)
-        if d.symbols not in reps:
-            reps[d.symbols] = (d, translation.translation(d, compositions))
-            continue
-        rep, table = reps[d.symbols]
-        if translation.translation(d, compositions) != _shifted(table, d.s - rep.s, d.r - rep.r):
-            misses.append(lam)
-    return len(reps), misses
-
-
-def test_translation_table_is_label_equivariant_on_the_p5_window():
-    # Criterion 9 reads one table per symbol string; this is the check, on
-    # every other weight of the string, that the shared table is its own.
-    strings, misses = _label_equivariance_misses(5, sorted(_generator_compositions(5)))
-    assert strings == 325 and misses == []
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_translation_table_is_label_equivariant_beyond_the_window(data):
-    d = _random_diagram(data, [5, 7, 11, 13])
-    ds, dr = data.draw(st.integers(-4, 4)), data.draw(st.integers(-4, 4))
-    generators = [(kind, i) for kind in "EF" for i in range(d.p)]
-    compositions = [(x, y) for x in generators for y in generators]
-    moved = WeightDiagram(d.p, d.symbols, d.s + ds, d.r + dr)
-    assert translation.translation(moved, compositions) == _shifted(translation.translation(d, compositions), ds, dr)
-
-
-def test_label_equivariance_catches_a_functor_that_reads_the_label(monkeypatch):
-    # Dropping a term only above s = 0 breaks the label shift, which the
-    # shared tables of criterion 9 cannot see on the weights that reuse them.
-    real = translation.apply_functor
-
-    def apply_functor(kind, i, d):
-        out = real(kind, i, d)
-        return out[1:] if d.s > 0 else out
-
-    monkeypatch.setattr(translation, "apply_functor", apply_functor)
-    _, misses = _label_equivariance_misses(5, sorted(_generator_compositions(5)))
-    assert misses
