@@ -179,11 +179,15 @@ def label_rows(core: Callable[[WeightDiagram], object]) -> Callable[[str], objec
     with every diagram in it moved by (d.s, d.r), so a verdict on rows
     alone holds at every label of a string.  The p-set and Kac cores slide
     crosses with _slide_crosses, which adds step * wraps to s and r whatever
-    the label.  translation.apply_functor decides its outputs from d.symbols
-    and adds the same (s, r) increments at any label (the affine-wall twist
-    reads only the symbols at vertices p-1 and 0), so translation tables and
-    replays move by the shift, and projective_word_diagrams returns one word
-    per string.  tests/test_caps.py witnesses this for each such core.
+    the label (criterion 5).  translation.apply_functor decides its outputs
+    from d.symbols and adds the same (s, r) increments at any label (the
+    affine-wall twist reads only the symbols at vertices p-1 and 0), so
+    translation tables (criterion 9) and replays move by the shift, and
+    projective_word_diagrams returns one word per string (criterion 6).
+    Criterion 4's loop terms move by the shift too: loop_vector(decode(d))
+    carries d's (s, r), and _loop_move twists s and r whatever their
+    values (suites.suite_equivariance gives the whole argument, with its
+    order check).  tests/test_caps.py witnesses this for each such core.
     """
     rows: dict[str, object] = {}
 
@@ -355,20 +359,24 @@ def projective_word_diagrams(d: WeightDiagram) -> tuple[WeightDiagram, tuple[tup
     for cap in caps:
         span = [(cap.source + k) % p for k in range(1, (cap.tail - cap.source) % p)]
         # Move the cross clockwise past each arrow (F hops '<', E hops '>'),
-        # then merge (x o) -> (< >), dropping one cross.
+        # one term per hop, then merge (x o) -> (< >), dropping one cross.
         steps_fwd = []
         cur, pos, merged = base, cap.source, ()
         if all(base.symbols[v] in (LEFT, RIGHT) for v in span):
             for v in span:
                 kind = "F" if base.symbols[v] == LEFT else "E"
-                (cur,) = apply_functor(kind, pos, cur)
+                hop = apply_functor(kind, pos, cur)
+                if len(hop) != 1:
+                    break
+                cur = hop[0]
                 steps_fwd.append((kind, pos))
                 pos = v
-            merged = apply_functor("F", pos, cur)
+            else:
+                merged = apply_functor("F", pos, cur)
         if len(merged) != 1 or merged[0].cross_count != base.cross_count - 1:
             raise ContractError(
-                f"inner cap {cap.source}->{cap.tail} of {d} must span arrows only"
-                " and merge to one term with one cross fewer"
+                f"inner cap {cap.source}->{cap.tail} of {d} must span arrows only, hop them"
+                " one term at a time and merge to one term with one cross fewer"
             )
         # Rebuild: E at the merge vertex, then the adjoint shuffles in reverse.
         rebuild = [("E", pos)] + [("E" if k == "F" else "F", v) for k, v in reversed(steps_fwd)]

@@ -9,7 +9,7 @@ Enumeration windows default to [-p, p].
 The heavy sweeps share work between checks.  Sharing is sound because every
 shared function is pure: each distinct input is still computed by the real
 code path exactly once, or once per symbol string where a core reads the
-label only as a shift (criteria 5, 6 and 9; see caps.label_rows).  Every
+label only as a shift (criteria 4, 5, 6 and 9; see caps.label_rows).  Every
 counted check runs library code.  What each sweep shares:
 
 - codec (criteria 2, 3): the codec factorizes into block ladders and one
@@ -17,11 +17,11 @@ counted check runs library code.  What each sweep shares:
   not once per pair it appears in; one ladder per block weight drives both
   its roundtrip and its form-route mask, and stage (c) runs the shipped
   encode and decode once per weight.
-- equivariance (criterion 4): one encode and one loop vector per window
-  weight, shared by all p residues; the two-term order is read off the
-  terms the equivariance core already returned, and each distinct
-  two-term output is decoded once per sweep, the dominance check still
-  running on every output.
+- equivariance (criterion 4): one label_rows row per symbol string, the
+  functor/loop comparison of every residue and the two-term order on the
+  terms it returned; each weight is encoded once, for its string, and
+  each string's loop vector is built once, from its label-(0, 0) diagram.
+  Each distinct two-term output of the rows is decoded once per sweep.
 - filtration (criterion 5): both directions of BGG read label_rows rows of
   p_set_diagrams and kac_diagrams and compare keys relative to the label;
   each distinct alpha is decoded once.
@@ -46,10 +46,10 @@ counted check runs library code.  What each sweep shares:
   diagrams).
 
 Criteria 4, 5 and 6 share the diagram space of caps and translation, where
-a diagram compares as the tuple (p, symbols, s, r): criterion 4's loop
-witness builds no diagram, criteria 5 and 6 read label-(0, 0) rows, and a
-weight is decoded only for a check that reads one or for a failure message;
-criterion 6 reads none.
+a diagram compares as the tuple (p, symbols, s, r): all three read
+label-(0, 0) rows, criterion 4's loop witness builds no diagram, and a
+diagram is decoded only for a check that reads its weight, for criterion
+4's loop vector or for a failure message; criterion 6 decodes none.
 Labels are tuples, validated at the boundary
 (see diagrams, superweights): window and decoded weights are one
 tuple.__new__ each, skipping SuperWeight's checks, as encoded and derived
@@ -295,19 +295,52 @@ def _two_term_order_ok(terms, weights: dict[WeightDiagram, SuperWeight]) -> bool
     return lo.cross_count == hi.cross_count and dominance_leq(wlo, whi) and not dominance_leq(whi, wlo)
 
 
+def _equivariance_row(d: WeightDiagram, weights: dict[WeightDiagram, SuperWeight]) -> tuple[tuple[object, bool], ...]:
+    """Criterion 4's core on one diagram: for each residue c, what
+    _equivariant_terms returns on d and its loop vector (the F and E terms,
+    or None), and whether both of its two-term outputs list the
+    dominance-smaller term first (False where the terms are None)."""
+    v = loop_vector(decode(d))
+    row = []
+    for c in range(d.p):
+        terms = _equivariant_terms(d, v, c)
+        row.append((terms, terms is not None and all(_two_term_order_ok(t, weights) for t in terms)))
+    return tuple(row)
+
+
 def suite_equivariance(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 4: diagram action equals loop action for every residue, and
-    every two-term F/E output lists its dominance-smaller term first."""
+    every two-term F/E output lists its dominance-smaller term first.
+
+    Both verdicts are a label_rows row per symbol string: _equivariance_row
+    on d0 = (p, symbols, 0, 0), whose loop vector is that of decode(d0).
+    Each side reads a label only as a shift.  apply_functor reads only the
+    symbols (see caps.label_rows).  loop_vector(lam) and encode(lam) come
+    from the same residue_data, so lam's loop vector carries the diagram's
+    (s, r); _loop_move adds its twist to s and r whatever their values and
+    reads the residues only as sets, as assemble_symbols does, though their
+    weight order turns with s and r.  So at label (s, r) both sides are the
+    row's terms moved by (s, r), and they agree exactly where the row's do.
+    The order check holds at every label too: a term's sum(mu) is
+    sum(a) + p*s + m(m-1)/2, and sum(nu) is likewise a function of the
+    residues and r (through second_block), so a shift adds the same amount
+    to the degree and to sum(mu) of both terms, which share m and n, and
+    cross counts are read off the symbols.
+
+    Each weight is encoded once, for its string, adds its p checks at once
+    and reports each failing (check, c) of its string under its own
+    (mu, nu).  Each distinct two-term output of the rows is decoded once
+    per sweep, and each string once more for its loop vector.
+    """
     res = SuiteResult(f"equivariance suite p={p}")
     weights: dict[WeightDiagram, SuperWeight] = {}
+    rows = label_rows(lambda d: _equivariance_row(d, weights))
     for lam in window_weights(p, window):
-        d, v = encode(lam), loop_vector(lam)
-        for c in range(p):
-            res.checked += 1
-            terms = _equivariant_terms(d, v, c)
+        res.checked += p
+        for c, (terms, ordered) in enumerate(rows(encode(lam).symbols)):
             if terms is None:
                 res.fail(f"equivariance failed at {(lam.mu, lam.nu)}, c={c}")
-            elif not (_two_term_order_ok(terms[0], weights) and _two_term_order_ok(terms[1], weights)):
+            elif not ordered:
                 res.fail(f"two-term order failed at {(lam.mu, lam.nu)}, c={c}")
     return res
 
@@ -392,18 +425,23 @@ def suite_projective_word(p: int, max_atypicality: int = 2, window: tuple[int, i
     The verdict is a label_rows row per symbol string: at label (0, 0) the
     replay of projective_word_diagrams' word on its base must be the p-set
     row, each diagram with multiplicity 1, and the base typical, which is
-    no cross (a cross count is an atypicality, criterion 3).  Each weight
-    is encoded once, for its cross count and its string, and reports a
-    failure under its own (mu, nu).  The suite decodes nothing.
+    no cross (a cross count is an atypicality, criterion 3).  A library
+    error in the core is the string's failure, its message naming the
+    exception.  Each weight is encoded once, for its cross count and its
+    string, and reports a failure under its own (mu, nu).  The suite
+    decodes nothing.
     """
     res = SuiteResult(f"projective-word suite p={p}")
 
     def failure(d: WeightDiagram) -> str | None:
-        base, word = projective_word_diagrams(d)
-        if base.cross_count:
-            return "base not typical for"
-        if replay_diagrams(base, word) != dict.fromkeys(p_set_diagrams(d), 1):
-            return "replay mismatch at"
+        try:
+            base, word = projective_word_diagrams(d)
+            if base.cross_count:
+                return "base not typical for"
+            if replay_diagrams(base, word) != dict.fromkeys(p_set_diagrams(d), 1):
+                return "replay mismatch at"
+        except (ValidationError, ContractError) as exc:
+            return f"{type(exc).__name__} ({exc}) at"
         return None
 
     verdicts = label_rows(failure)

@@ -31,8 +31,9 @@ commutator and criterion 9 both read it.
 The same operators act on the tensor product of a wedge of residue vectors
 (the mu block, label t1) and a dual wedge (the nu block, label t2).  Both
 realizations are implemented independently; _equivariant_terms compares
-them term by term, labels included, for one encoded weight and its loop
-vector, and phi_equivariance_check runs it on a super weight.  Its loop
+them term by term, labels included, for one diagram and the loop vector of
+its weight: suite_equivariance runs it on one diagram per symbol string,
+at label (0, 0), and phi_equivariance_check on a super weight.  Its loop
 side builds no diagram, only plain tuples that a diagram compares equal to.
 The loop side has one move body too: loop_f and loop_e wrap _loop_move,
 whose E moves each residue the way F moves it back, with the opposite

@@ -614,7 +614,13 @@ def _word_and_replay(d):
     return base, word, replay_diagrams(base, word)
 
 
-LABEL_ROW_CORES = [p_set_diagrams, kac_diagrams, _translation_table, _word_and_replay]
+def _equivariance_row(d):
+    """Criterion 4's core: per residue, the F and E terms the loop action must
+    match (None where it does not) and the two-term order verdict."""
+    return suites._equivariance_row(d, {})
+
+
+LABEL_ROW_CORES = [p_set_diagrams, kac_diagrams, _translation_table, _word_and_replay, _equivariance_row]
 
 
 def _shifted(value, ds, dr):
@@ -637,7 +643,7 @@ def _label_row_misses(core, labelled, calls):
 
 @pytest.mark.parametrize("core", LABEL_ROW_CORES, ids=lambda core: core.__name__)
 def test_cores_are_their_label_zero_row_shifted_on_the_p5_window(core):
-    # Witness for label_rows, which criteria 5, 6 and 9 read once per symbol string.
+    # Witness for label_rows, which criteria 4, 5, 6 and 9 read once per symbol string.
     window, calls = [encode(lam) for lam in window_weights(5)], []
     assert list(_label_row_misses(core, window, calls)) == []
     assert calls == [WeightDiagram(5, t, 0, 0) for t in dict.fromkeys(d.symbols for d in window)]
@@ -665,18 +671,25 @@ def _wraps_once_more_above_label_zero(d, moves, step, real=_slide_crosses):
     return diagrams._trusted(out.p, out.symbols, out.s + step, out.r + step) if d.s > 0 else out
 
 
+def _untwisted_above_label_zero(c, v, sign, real=translation._loop_move):
+    out = real(c, v, sign)
+    return [t._replace(s=v.s, r=v.r) for t in out] if v.s > 0 else out
+
+
 @pytest.mark.parametrize(
     "module, name, broken, cores",
     [
         (translation, "apply_functor", _drops_a_term_above_label_zero, [_translation_table]),
         (caps, "_slide_crosses", _wraps_once_more_above_label_zero, [p_set_diagrams, kac_diagrams]),
+        (translation, "_loop_move", _untwisted_above_label_zero, [_equivariance_row]),
     ],
-    ids=["apply_functor", "_slide_crosses"],
+    ids=["apply_functor", "_slide_crosses", "_loop_move"],
 )
 def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, module, name, broken, cores):
-    # The sweeps read rows at label (0, 0), where the slide mutant never
-    # fires and the functor mutant fires only after a step across the wall.
-    # Under the functor mutant the word core also raises above s = 0.
+    # The sweeps read rows at label (0, 0), where the slide and loop
+    # mutants never fire and the functor mutant fires only after a step
+    # across the wall.  Under the functor mutant the word core also raises
+    # above s = 0.
     monkeypatch.setattr(module, name, broken)
     window = [encode(lam) for lam in window_weights(5)]
     for core in cores:
@@ -689,12 +702,14 @@ def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, modu
         (suites.suite_filtration, ["p_set_diagrams", "kac_diagrams"]),
         (suites.suite_projective_word, ["projective_word_diagrams", "replay_diagrams", "p_set_diagrams"]),
         (suites.suite_kac_moody, ["translation"]),
+        (suites.suite_equivariance, ["loop_vector"]),
     ],
-    ids=["filtration", "projective-word", "kac-moody"],
+    ids=["filtration", "projective-word", "kac-moody", "equivariance"],
 )
 def test_each_sweep_runs_each_core_once_per_symbol_string(monkeypatch, run, names):
     # 325 symbol strings for 3,677 weights at p = 5.  Criteria 6 and 9 pass
-    # with falsy verdicts (None, []), which label_rows keeps too.
+    # with falsy verdicts (None, []), which label_rows keeps too; criterion
+    # 4 makes one loop vector per row.
     counts = Counter()
     for name in names:
         real = getattr(suites, name)

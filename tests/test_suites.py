@@ -4,12 +4,21 @@ from itertools import islice
 
 import pytest
 
-from verlinde_gl import suites
+from verlinde_gl import suites, translation
+from verlinde_gl.errors import ContractError
 from verlinde_gl.superweights import Casimir
 
 
 def _golden():
     return suites.suite_golden()
+
+
+def _roundtrip():
+    return suites.suite_codec(5, (-1, 1))
+
+
+def _equivariance():
+    return suites.suite_equivariance(5, (-1, 1))
 
 
 def _filtration():
@@ -41,6 +50,9 @@ def _fixed_left(real):
 
 ROWS = [
     ("fuse_simples", lambda real: lambda i, j, p: [0], _golden, "fusion L3*L3 at p=5: got [0], want [1, 3]"),
+    ("sh_mu_mask", lambda real: lambda mu, p: 0, _roundtrip, "form-route mu mask mismatch"),
+    ("_equivariant_terms", lambda real: lambda d, v, c: None, _equivariance, "equivariance failed"),
+    ("_two_term_order_ok", lambda real: lambda terms, weights: False, _equivariance, "two-term order failed"),
     ("dominance_leq", lambda real: lambda alpha, lam: False, _filtration, "dominance fails"),
     (
         "casimir_scalar",
@@ -86,3 +98,29 @@ def test_suite_failure_path_fails(monkeypatch, name, broken, run, message):
     monkeypatch.setattr(suites, name, broken(real), raising=False)
     result = run()
     assert not result.ok and message in result.details
+
+
+def test_projective_word_suite_counts_a_library_error(monkeypatch):
+    # Criterion 6's core reports an error of the word as its string's
+    # failure, so the sweep runs to the end and counts it under each weight.
+    def raising(d):
+        raise ContractError(f"no word for {d.symbols}")
+
+    monkeypatch.setattr(suites, "projective_word_diagrams", raising)
+    result = _projective_word()
+    assert result.failures == result.checked > 0
+    assert result.details.startswith("ContractError (no word for ")
+
+
+def test_projective_word_suite_runs_to_the_end_under_a_broken_functor(monkeypatch):
+    # A functor that drops a term above s = 0 breaks some words at label
+    # (0, 0), through a merge or a hop; each is a counted failure, not a raise.
+    real = translation.apply_functor
+
+    def broken(kind, i, d):
+        out = real(kind, i, d)
+        return out[1:] if d.s > 0 else out
+
+    monkeypatch.setattr(translation, "apply_functor", broken)
+    result = suites.suite_projective_word(5)
+    assert result.checked == 3677 and result.failures > 0

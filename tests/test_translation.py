@@ -286,7 +286,12 @@ def test_untwisted_loop_f_fails_the_equivariance_suite(monkeypatch):
 
 
 def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
-    # One encode and one loop vector per window weight, shared by all p residues.
+    # One encode per window weight, for its symbol string, and one loop
+    # vector per string, shared by all p residues of all its weights: 325
+    # strings for 581 weights on (-2, 2), where (-1, 1) has one weight each.
+    window = list(window_weights(5, (-2, 2)))
+    strings = {encode(lam).symbols for lam in window}
+    assert (len(window), len(strings)) == (581, 325)
     calls: Counter[str] = Counter()
     for module in (suites, translation):
         for name in ("encode", "loop_vector"):
@@ -296,23 +301,19 @@ def test_equivariance_suite_encodes_each_weight_once(monkeypatch):
                 return _real(lam)
 
             monkeypatch.setattr(module, name, counted)
-    weights = sum(1 for _ in window_weights(5, (-1, 1)))
-    result = suite_equivariance(5, (-1, 1))
-    assert result.ok and result.checked == 5 * weights
-    assert calls == {"encode": weights, "loop_vector": weights}
+    result = suite_equivariance(5, (-2, 2))
+    assert result.ok and result.checked == 5 * len(window)
+    assert calls == {"encode": len(window), "loop_vector": len(strings)}
 
 
 def test_equivariance_suite_decodes_each_distinct_two_term_output_once(monkeypatch):
-    # The order check reads one dict of decoded terms per sweep; a term shared
-    # by several outputs (of several weights or residues) is decoded once.
+    # The rows are read at label (0, 0).  The order check reads one dict of
+    # decoded terms per sweep, so a term shared by several outputs (of
+    # several strings or residues) is decoded once; each string's diagram
+    # is decoded once more, for its loop vector.
     p, window = 5, (-2, 2)
-    outputs = [
-        out
-        for lam in window_weights(p, window)
-        for c in range(p)
-        for out in (apply_F(c, encode(lam)), apply_E(c, encode(lam)))
-        if len(out) == 2
-    ]
+    rows = [_trusted(p, t, 0, 0) for t in dict.fromkeys(encode(lam).symbols for lam in window_weights(p, window))]
+    outputs = [out for d in rows for c in range(p) for out in (apply_F(c, d), apply_E(c, d)) if len(out) == 2]
     distinct = {t for out in outputs for t in out}
     assert len(distinct) < 2 * len(outputs)
     calls: Counter = Counter()
@@ -325,8 +326,7 @@ def test_equivariance_suite_decodes_each_distinct_two_term_output_once(monkeypat
     monkeypatch.setattr(suites, "decode", counted)
     result = suite_equivariance(p, window)
     assert result.ok and result.checked == p * sum(1 for _ in window_weights(p, window))
-    assert set(calls) == distinct
-    assert set(calls.values()) == {1}
+    assert calls == Counter(distinct) + Counter(rows)
 
 
 def test_equivariance_suite_builds_no_diagram_through_the_constructor(monkeypatch):
