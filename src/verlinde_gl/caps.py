@@ -179,11 +179,14 @@ def label_rows(core: Callable[[WeightDiagram], object]) -> Callable[[str], objec
     with every diagram in it moved by (d.s, d.r), so a verdict on rows
     alone holds at every label of a string.  The p-set and Kac cores slide
     crosses with _slide_crosses, which adds step * wraps to s and r whatever
-    the label (criterion 5).  translation.apply_functor decides its outputs
-    from d.symbols and adds the same (s, r) increments at any label (the
-    affine-wall twist reads only the symbols at vertices p-1 and 0), so
-    translation tables (criterion 9) and replays move by the shift, and
-    projective_word_diagrams returns one word per string (criterion 6).
+    the label, so criterion 5's cores built on them, suites._filtration_row
+    and suites._non_factor, move by the shift too (suites.suite_filtration
+    gives the argument for their weight checks).  translation.apply_functor
+    decides its outputs from d.symbols and adds the same (s, r) increments
+    at any label (the affine-wall twist reads only the symbols at vertices
+    p-1 and 0), so translation tables (criterion 9) and replays move by the
+    shift, and projective_word_diagrams returns one word per string
+    (criterion 6).
     Criterion 4's loop terms move by the shift too: loop_vector(decode(d))
     carries d's (s, r), and _loop_move twists s and r whatever their
     values (suites.suite_equivariance gives the whole argument, with its

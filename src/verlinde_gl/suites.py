@@ -22,9 +22,12 @@ counted check runs library code.  What each sweep shares:
   terms it returned; each weight is encoded once, for its string, and
   each string's loop vector is built once, from its label-(0, 0) diagram.
   Each distinct two-term output of the rows is decoded once per sweep.
-- filtration (criterion 5): both directions of BGG read label_rows rows of
-  p_set_diagrams and kac_diagrams and compare keys relative to the label;
-  each distinct alpha is decoded once.
+- filtration (criterion 5): one label_rows row per symbol string holds
+  every check of its weights, run at label (0, 0): the atypicality
+  routes, the p-set size and, per alpha of the p-set, dominance, linkage,
+  strictness and BGG membership; one converse row per distinct alpha
+  string.  Each weight is encoded once, for its string, and each row
+  decodes its diagram and its p-set once.
 - projective-word (criterion 6): one label_rows verdict per symbol string
   (the word, its replay and the p-set row); each weight is encoded once,
   for its cross count and its string, and the suite decodes nothing.
@@ -46,10 +49,11 @@ counted check runs library code.  What each sweep shares:
   diagrams).
 
 Criteria 4, 5 and 6 share the diagram space of caps and translation, where
-a diagram compares as the tuple (p, symbols, s, r): all three read
-label-(0, 0) rows, criterion 4's loop witness builds no diagram, and a
-diagram is decoded only for a check that reads its weight, for criterion
-4's loop vector or for a failure message; criterion 6 decodes none.
+a diagram compares as the tuple (p, symbols, s, r): all three run their
+checks on label-(0, 0) rows, criterion 4's loop witness builds no diagram,
+and a diagram is decoded only for a check that reads its weight, for
+criterion 4's loop vector or for a failure message, which moves it to the
+failing weight's label first; criterion 6 decodes none.
 Labels are tuples, validated at the boundary
 (see diagrams, superweights): window and decoded weights are one
 tuple.__new__ each, skipping SuperWeight's checks, as encoded and derived
@@ -362,6 +366,35 @@ def _form_atypicality(lam: SuperWeight) -> int:
     return count
 
 
+def _filtration_row(d: WeightDiagram) -> tuple[set[WeightDiagram], tuple[tuple[str, WeightDiagram | None], ...]]:
+    """Criterion 5's core on one diagram: its p-set, empty when its size is
+    not 2^atypicality, and each failing check as (message, alpha or None),
+    in the order the sweep reports them.  A message's {} take the weight's
+    (mu, nu), then alpha."""
+    lam, ps = decode(d), p_set_diagrams(d)
+    atyp, failures = atypicality(lam), []
+    if atyp != _form_atypicality(lam):
+        failures.append(("atypicality routes disagree at {}", None))
+    if len(ps) != 2 ** atyp:
+        return set(), (*failures, ("p-set size wrong at {}", None))
+    degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
+    for alpha_d, alpha in zip(ps, map(decode, ps)):
+        if not dominance_leq(lam, alpha):
+            failures.append(("dominance fails: {} vs {}", alpha_d))
+        if alpha.degree != degree or casimir_scalar(alpha).residue != cas:
+            failures.append(("linkage fails: {} vs {}", alpha_d))
+        if alpha != lam and sum(alpha.mu) <= mu_sum:
+            failures.append(("strictness fails: {} vs {}", alpha_d))
+        if d not in kac_diagrams(alpha_d):
+            failures.append(("BGG inversion misses {} for {}", alpha_d))
+    return ps, tuple(failures)
+
+
+def _non_factor(alpha: WeightDiagram) -> WeightDiagram | None:
+    """The first diagram kac_diagrams(alpha) reports whose p-set misses alpha, or None."""
+    return next((lam for lam in kac_diagrams(alpha) if alpha not in p_set_diagrams(lam)), None)
+
+
 def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResult:
     """Criterion 5: atypicality routes, p-set size, BGG both ways, dominance/degree/Casimir linkage.
 
@@ -372,50 +405,41 @@ def suite_filtration(p: int, window: tuple[int, int] | None = None) -> SuiteResu
     because encode is injective (criterion 2): each window weight's diagram
     d lies in kac_diagrams(alpha) for every alpha in p_set_diagrams(d);
     conversely, once per distinct alpha, every reported factor lam has
-    alpha in p_set_diagrams(lam).  Both cores are read as label_rows rows:
-    for (p, t, ds, dr) in the row of d = (p, symbols, s, r), alpha is
-    (p, t, s + ds, r + dr), and d in kac_diagrams(alpha) reads
-    (p, symbols, -ds, -dr) in the Kac row of t.  Each distinct alpha is
-    decoded once, for the dominance, degree, Casimir and strictness checks.
+    alpha in p_set_diagrams(lam) (_non_factor).
+
+    Both are label_rows rows at label (0, 0): _filtration_row runs every
+    check of a weight on d0 = (p, symbols, 0, 0), and _non_factor every
+    converse check of an alpha on its string at label (0, 0).  Each check
+    reads a label only as a shift.  Atypicality counts shared residues.  A
+    label step adds p to one entry of mu or nu (ladder_weight), so every
+    pairing of the form route and the Casimir residue move by multiples of
+    p.  Dominance, degree and strictness move as in criterion 4's argument
+    (suite_equivariance): a shift by (s, r) adds p*s to sum(mu) and -p*r to
+    sum(nu), for lam and for every alpha alike, since they share m and n.
+    The p-set and Kac cores are label-equivariant (caps.label_rows).
+
+    Each weight is encoded once, for its string, adds 2 + len(p-set) checks
+    and reports each failure of its string under its own (mu, nu); the
+    alpha is moved to the weight's label and decoded only for a message.
+    Each distinct alpha adds one converse check, in first-seen order.
     """
     res = SuiteResult(f"filtration/BGG suite p={p}")
-    psets, kacs = label_rows(p_set_diagrams), label_rows(kac_diagrams)
-    # alpha's (symbols, s, r) -> (its weight, degree, sum(mu) and Casimir residue)
-    alphas: dict[tuple[str, int, int], tuple[SuperWeight, int, int, int]] = {}
+    rows, non_factors = label_rows(_filtration_row), label_rows(_non_factor)
+    alphas: dict[tuple[str, int, int], None] = {}  # each distinct alpha's (symbols, s, r), in first-seen order
     for lam in window_weights(p, window):
         _, symbols, s, r = encode(lam)
-        ps = psets(symbols)
-        atyp = atypicality(lam)
-        res.checked += 2
-        if atyp != _form_atypicality(lam):
-            res.fail(f"atypicality routes disagree at {(lam.mu, lam.nu)}")
-        if len(ps) != 2 ** atyp:
-            res.fail(f"p-set size wrong at {(lam.mu, lam.nu)}")
-            continue
-        degree, mu_sum, cas = lam.degree, sum(lam.mu), casimir_scalar(lam).residue
-        for _, t, ds, dr in ps:
-            res.checked += 1
-            key = (t, s + ds, r + dr)
-            cached = alphas.get(key)
-            if cached is None:
-                alpha = decode(_trusted(p, *key))
-                cached = alphas[key] = (alpha, alpha.degree, sum(alpha.mu), casimir_scalar(alpha).residue)
-            alpha, alpha_degree, alpha_mu_sum, alpha_cas = cached
-            if not dominance_leq(lam, alpha):
-                res.fail(f"dominance fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if alpha_degree != degree or alpha_cas != cas:
-                res.fail(f"linkage fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if alpha != lam and alpha_mu_sum <= mu_sum:
-                res.fail(f"strictness fails: {(lam.mu, lam.nu)} vs {alpha}")
-            if (p, symbols, -ds, -dr) not in kacs(t):
-                res.fail(f"BGG inversion misses {(lam.mu, lam.nu)} for {alpha}")
-    for (t, s, r), (alpha, *_) in alphas.items():
-        res.checked += 1
-        for _, u, ds, dr in kacs(t):
-            if (p, t, -ds, -dr) not in psets(u):
-                lam = decode(_trusted(p, u, s + ds, r + dr))
-                res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {alpha}")
-                break
+        ps, failures = rows(symbols)
+        res.checked += 2 + len(ps)
+        for message, alpha in failures:
+            if alpha is not None:  # moved to lam's label, for the message
+                alpha = decode(_trusted(p, alpha.symbols, alpha.s + s, alpha.r + r))
+            res.fail(message.format((lam.mu, lam.nu), alpha))
+        alphas.update(dict.fromkeys((t, s + ds, r + dr) for _, t, ds, dr in ps))
+    res.checked += len(alphas)
+    for t, s, r in alphas:
+        if (factor := non_factors(t)) is not None:
+            lam = decode(_trusted(p, factor.symbols, factor.s + s, factor.r + r))
+            res.fail(f"BGG inversion reports a non-factor {(lam.mu, lam.nu)} for {decode(_trusted(p, t, s, r))}")
     return res
 
 

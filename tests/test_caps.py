@@ -41,7 +41,9 @@ from verlinde_gl.superweights import (
     beta,
     casimir_scalar,
     dominance_leq,
+    form,
     is_typical,
+    rho2,
     super_weight,
 )
 from verlinde_gl.translation import act_on_sum
@@ -620,7 +622,15 @@ def _equivariance_row(d):
     return suites._equivariance_row(d, {})
 
 
-LABEL_ROW_CORES = [p_set_diagrams, kac_diagrams, _translation_table, _word_and_replay, _equivariance_row]
+LABEL_ROW_CORES = [
+    p_set_diagrams,
+    kac_diagrams,
+    _translation_table,
+    _word_and_replay,
+    _equivariance_row,
+    suites._filtration_row,
+    suites._non_factor,
+]
 
 
 def _shifted(value, ds, dr):
@@ -676,20 +686,32 @@ def _untwisted_above_label_zero(c, v, sign, real=translation._loop_move):
     return [t._replace(s=v.s, r=v.r) for t in out] if v.s > 0 else out
 
 
+def _form_pairings_mod_2p(lam):
+    """_form_atypicality with each pairing read mod 2p, which a label step moves by p."""
+    sh = lam.shape
+    k = sh.m + sh.n
+    vec = tuple(2 * x + r for x, r in zip(lam.vector, rho2(sh)))
+    roots = [tuple(1 if t == i else -1 if t == j else 0 for t in range(k)) for i in range(sh.m) for j in range(sh.m, k)]
+    return sum(form(vec, root, sh) // 2 % (2 * sh.p) == 0 for root in roots)
+
+
 @pytest.mark.parametrize(
     "module, name, broken, cores",
     [
         (translation, "apply_functor", _drops_a_term_above_label_zero, [_translation_table]),
         (caps, "_slide_crosses", _wraps_once_more_above_label_zero, [p_set_diagrams, kac_diagrams]),
         (translation, "_loop_move", _untwisted_above_label_zero, [_equivariance_row]),
+        (suites, "_form_atypicality", _form_pairings_mod_2p, [suites._filtration_row]),
     ],
-    ids=["apply_functor", "_slide_crosses", "_loop_move"],
+    ids=["apply_functor", "_slide_crosses", "_loop_move", "_form_atypicality"],
 )
 def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, module, name, broken, cores):
     # The sweeps read rows at label (0, 0), where the slide and loop
     # mutants never fire and the functor mutant fires only after a step
     # across the wall.  Under the functor mutant the word core also raises
-    # above s = 0.
+    # above s = 0.  The mod-2p pairing agrees with the residue count on
+    # every label-(0, 0) row of the p = 5 window, so criterion 5 passes
+    # under it and only this witness refuses it.
     monkeypatch.setattr(module, name, broken)
     window = [encode(lam) for lam in window_weights(5)]
     for core in cores:
@@ -699,7 +721,7 @@ def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, modu
 @pytest.mark.parametrize(
     "run, names",
     [
-        (suites.suite_filtration, ["p_set_diagrams", "kac_diagrams"]),
+        (suites.suite_filtration, ["_filtration_row", "_non_factor"]),
         (suites.suite_projective_word, ["projective_word_diagrams", "replay_diagrams", "p_set_diagrams"]),
         (suites.suite_kac_moody, ["translation"]),
         (suites.suite_equivariance, ["loop_vector"]),
@@ -707,9 +729,11 @@ def test_label_row_witness_catches_a_core_that_reads_the_label(monkeypatch, modu
     ids=["filtration", "projective-word", "kac-moody", "equivariance"],
 )
 def test_each_sweep_runs_each_core_once_per_symbol_string(monkeypatch, run, names):
-    # 325 symbol strings for 3,677 weights at p = 5.  Criteria 6 and 9 pass
-    # with falsy verdicts (None, []), which label_rows keeps too; criterion
-    # 4 makes one loop vector per row.
+    # 325 symbol strings for 3,677 weights at p = 5.  Criteria 5, 6 and 9
+    # pass with falsy verdicts (None, []), which label_rows keeps too;
+    # criterion 4 makes one loop vector per row.  Criterion 5's converse
+    # runs once per distinct alpha string, and the p-set rows of the window
+    # hold all 325 strings (pinned with its decode count).
     counts = Counter()
     for name in names:
         real = getattr(suites, name)
@@ -761,38 +785,18 @@ def _count_decodes(monkeypatch):
     return calls
 
 
-def test_filtration_suite_decodes_each_distinct_alpha_once(monkeypatch):
-    # BGG both ways runs on diagrams; only the checks that read a weight
-    # (dominance, degree, Casimir, strictness) decode, once per alpha.
-    alphas = set()
-    for lam in window_weights(5):
-        alphas |= p_set_diagrams(encode(lam))
-    assert len(alphas) == 4107
+def test_filtration_suite_decodes_each_string_and_its_p_set_row_once(monkeypatch):
+    # Criterion 5 runs every check on label-(0, 0) rows: each string's d0 and
+    # each alpha of its p-set row are decoded once, for the checks that read
+    # a weight (atypicality, dominance, degree, Casimir, strictness).  A
+    # passing sweep decodes nothing else; a failure decodes for its message.
+    strings = dict.fromkeys(encode(lam).symbols for lam in window_weights(5))
+    rows = [p_set_diagrams(WeightDiagram(5, t, 0, 0)) for t in strings]
+    assert {alpha.symbols for row in rows for alpha in row} == set(strings)
     calls = _count_decodes(monkeypatch)
     result = suites.suite_filtration(5)
     assert result.ok and result.checked == 17583
-    assert calls[0] == len(alphas)
-
-
-def test_filtration_suite_builds_no_shifted_diagram(monkeypatch):
-    # Criterion 5 compares label-free rows by relative keys: caps builds the
-    # label-(0, 0) diagram of each row and the row's entries, and nothing else.
-    def rows(core, symbol_strings):
-        return {t: core(WeightDiagram(5, t, 0, 0)) for t in symbol_strings}
-
-    psets = rows(p_set_diagrams, {encode(lam).symbols for lam in window_weights(5)})
-    kacs = rows(kac_diagrams, {a.symbols for row in psets.values() for a in row})
-    psets |= rows(p_set_diagrams, {lam.symbols for row in kacs.values() for lam in row})
-    calls = [0]
-    real = caps._trusted
-
-    def counted(*fields):
-        calls[0] += 1
-        return real(*fields)
-
-    monkeypatch.setattr(caps, "_trusted", counted)
-    assert suites.suite_filtration(5).ok
-    assert calls[0] == sum(1 + len(row) for table in (psets, kacs) for row in table.values()) == 1690
+    assert calls[0] == sum(1 + len(row) for row in rows) == 845
 
 
 def test_projective_word_suite_decodes_nothing(monkeypatch):

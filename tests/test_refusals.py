@@ -27,6 +27,7 @@ from verlinde_gl.borel import (
 )
 from verlinde_gl.caps import KAC_COMPOSITION_MAX_NODES, kac_composition
 from verlinde_gl.errors import ContractError, ValidationError
+from verlinde_gl.fusion import check_prime
 from verlinde_gl.serganova import check_blocks, odd_root_order
 from verlinde_gl.superweights import SuperShape, SuperWeight, casimir_unsuper, dominance_leq, super_weight
 from verlinde_gl.translation import LoopVector, loop_e, loop_f, translate_projective
@@ -102,6 +103,11 @@ REFUSALS = [
     ("is_w_dominant-int", lambda: is_w_dominant(5, (0,)), ValidationError, "character must be a sequence, got 5"),
     ("chi_rotate-float", lambda: chi_rotate(GLWeight((0, 0), 5), 1.0), ValidationError, "chi power must be an integer"),
     ("add_box-float", lambda: add_box(GLWeight((0, 0), 5), 0.0), ValidationError, "content must be an integer"),
+    # The CLI parses p with type=int, so only a library call reaches these.
+    ("check_prime-float", lambda: check_prime(5.0), ValidationError, "p must be an integer"),
+    ("check_prime-str", lambda: check_prime("5"), ValidationError, "p must be an integer"),
+    ("check_prime-bool", lambda: check_prime(True), ValidationError, "p must be an integer"),
+    ("super_weight-float-p", lambda: super_weight(5.0, (0,), (0,)), ValidationError, "p must be an integer"),
 ]
 
 

@@ -63,6 +63,9 @@ ROWS = [
     # Strictness compares sum(alpha.mu) with sum(lam.mu); a zero sum ties them.
     ("sum", lambda real: lambda values: 0, _filtration, "strictness fails"),
     ("kac_diagrams", lambda real: lambda d: set(), _filtration, "BGG inversion misses"),
+    ("_form_atypicality", lambda real: lambda lam: -1, _filtration, "atypicality routes disagree"),
+    # Every alpha reported as its own non-factor.
+    ("_non_factor", lambda real: lambda alpha: alpha, _filtration, "BGG inversion reports a non-factor"),
     # A p-set of the diagram alone is short at every atypical weight.
     ("p_set_diagrams", lambda real: lambda d: {d}, _filtration, "p-set size wrong"),
     ("p_set_diagrams", lambda real: lambda d: {d}, _projective_word, "replay mismatch"),
@@ -87,9 +90,19 @@ ROWS = [
 
 
 def _row_id(row) -> str:
-    """The broken name, and the suite's where one name breaks two suites."""
+    """The broken name; the suite's too where one name breaks two suites, and
+    the row's place among them where it breaks one suite twice."""
     name, _, run, _ = row
-    return name if [r[0] for r in ROWS].count(name) == 1 else f"{name}{run.__name__}"
+    same = [r for r in ROWS if r[0] == name]
+    if len(same) == 1:
+        return name
+    twins = [r for r in same if r[2] is run]
+    return f"{name}{run.__name__}" + (f"-{twins.index(row)}" if len(twins) > 1 else "")
+
+
+def test_row_ids_are_unique():
+    ids = list(map(_row_id, ROWS))
+    assert len(set(ids)) == len(ids) == len(ROWS)
 
 
 @pytest.mark.parametrize("name, broken, run, message", ROWS, ids=map(_row_id, ROWS))

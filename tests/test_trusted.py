@@ -239,7 +239,7 @@ TRUSTED_CALLERS = {
     "diagrams.encode": (["_trusted"], "a valid super weight fixes p and both block counts"),
     "diagrams.decode": (["_trusted_weight", "_trusted_shape"], "a valid diagram fixes a valid weight and shape"),
     "enumeration.window_weights": (["_trusted_weight"], "admissible_tuples yields only admissible tuples"),
-    "suites.suite_filtration": (["_trusted", "_trusted"], "label_rows keys of valid diagrams"),
+    "suites.suite_filtration": (["_trusted", "_trusted", "_trusted"], "label_rows entries moved to a window label"),
     "translation.apply_functor": (["_trusted", "_trusted"], "table rows keep p, the length and both block counts"),
     "translation._loop_move": (["_trusted_loop", "_trusted_loop"], "a residue moves only onto a free one"),
 }
